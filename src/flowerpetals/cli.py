@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +29,7 @@ from .tasks import (
     graph_classify,
     impute_signals,
     load_coauthorship,
-    train_node_classification,
+    train_node_classification,  # not called here; perfbench/spans.py wraps this binding
 )
 
 __all__ = ["run", "main"]
@@ -45,8 +44,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _write_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _to_json(payload: dict) -> str:
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise FloatingPointError("output holds a NaN or infinite value") from None
+
+
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -61,22 +66,11 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
-def _run_seeded(cfg: TrainConfig, jobs: int, one_seed_fn):
-    """Fan seeds out over a thread pool; aggregation stays in seed order."""
-    if jobs <= 1 or len(cfg.seeds) <= 1:
-        return [one_seed_fn(seed) for seed in cfg.seeds]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one_seed_fn, cfg.seeds))
-
-
-def _merge_reports(reports):
-    from .tasks import MetricsReport
-
-    runs = [run for rep in reports for run in rep.runs]
-    flags = sorted({f for rep in reports for f in rep.flags})
-    return MetricsReport.from_runs(
-        reports[0].task, reports[0].metric, runs, flags, reports[0].extras
-    )
+def _seeded_payload(report, cfg: TrainConfig) -> dict:
+    payload = report.to_dict()
+    payload["seeds"] = list(cfg.seeds)
+    payload["config"] = cfg.to_dict()
+    return payload
 
 
 def _cmd_lift(args) -> dict:
@@ -130,31 +124,16 @@ def _cmd_spectra(args) -> dict:
 def _cmd_train(args) -> dict:
     cfg = _load_config(args)
     g = load_graph(args.edges, args.features, args.labels)
-
-    def one_seed(seed):
-        return train_node_classification(g, replace(cfg, seeds=(seed,)))
-
-    report = _merge_reports(_run_seeded(cfg, args.jobs, one_seed))
+    report, params = fit_node_params(g, cfg)
     if args.save_model:
-        save_checkpoint(fit_node_params(g, cfg, cfg.seeds[0]), args.save_model)
-    payload = report.to_dict()
-    payload["seeds"] = list(cfg.seeds)
-    payload["config"] = cfg.to_dict()
-    return payload
+        save_checkpoint(params[0], args.save_model)
+    return _seeded_payload(report, cfg)
 
 
 def _cmd_impute(args) -> dict:
     cfg = _load_config(args)
     cc = load_coauthorship(args.simplices)
-
-    def one_seed(seed):
-        return impute_signals(cc, cfg.known_fraction, replace(cfg, seeds=(seed,)))
-
-    report = _merge_reports(_run_seeded(cfg, args.jobs, one_seed))
-    payload = report.to_dict()
-    payload["seeds"] = list(cfg.seeds)
-    payload["config"] = cfg.to_dict()
-    return payload
+    return _seeded_payload(impute_signals(cc, cfg.known_fraction, cfg), cfg)
 
 
 def _cmd_graphclass(args) -> dict:
@@ -275,14 +254,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--config")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, help="ignored; kept so existing scripts still parse")
     p.add_argument("--save-model")
     common(p)
 
     p = sub.add_parser("impute", help="simplicial signal imputation pipeline")
     p.add_argument("--simplices", required=True)
     p.add_argument("--config")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, help="ignored; kept so existing scripts still parse")
     common(p)
 
     p = sub.add_parser("graphclass", help="graph classification pipeline")
@@ -331,11 +310,11 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        payload = _COMMANDS[args.command](args)
+        text = _to_json(_COMMANDS[args.command](args))
     except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (SaturationError, ConvergenceError) as exc:
+    except (SaturationError, ConvergenceError, FloatingPointError) as exc:
         extra = {}
         if isinstance(exc, SaturationError) and exc.achieved_rho2 is not None:
             extra = {"achieved_rho2": exc.achieved_rho2}
@@ -344,7 +323,7 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    _write_json(payload, args.out)
+    _write(text, args.out)
     return 0
 
 

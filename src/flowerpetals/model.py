@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .complexes import DataError
 from .operators import PropagatedFeatures
 
 __all__ = [
@@ -36,6 +37,8 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = "flowerpetals-checkpoint-v1"
+# header keys in init_params argument order
+_HEADER_KEYS = ("p_max", "k_max", "d", "h", "c", "alpha", "seed", "depth")
 
 
 @dataclass(frozen=True)
@@ -494,20 +497,23 @@ def save_checkpoint(params: HigcnParams, path) -> None:
 
 def load_checkpoint(path) -> HigcnParams:
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("magic") != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint")
+        line = fh.readline()
         blob = fh.read()
-    skeleton = init_params(
-        header["p_max"],
-        header["k_max"],
-        header["d"],
-        header["h"],
-        header["c"],
-        header["alpha"],
-        header["seed"],
-        header["depth"],
-    )
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except ValueError:
+        raise DataError(f"{path}: checkpoint header is not UTF-8 JSON") from None
+    if not isinstance(header, dict) or header.get("magic") != CHECKPOINT_MAGIC:
+        raise DataError(f"{path}: not a model checkpoint")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    try:
+        skeleton = init_params(*(header[key] for key in _HEADER_KEYS))
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad checkpoint header ({exc})") from None
+    if len(blob) != 8 * sum(a.size for _, a in skeleton.named_arrays()):
+        raise DataError(f"{path}: parameter block size mismatch")
     offset = 0
 
     def fill(name, a):
@@ -516,7 +522,4 @@ def load_checkpoint(path) -> HigcnParams:
         offset += a.size * 8
         return flat.reshape(a.shape).astype(np.float64)
 
-    params = skeleton.map_arrays(fill)
-    if offset != len(blob):
-        raise ValueError(f"{path}: parameter block size mismatch")
-    return params
+    return skeleton.map_arrays(fill)

@@ -44,6 +44,7 @@ __all__ = [
     "compute_homophily",
     "petal_operators",
     "petal_features",
+    "fit_node_params",
     "train_node_classification",
     "impute_signals",
     "graph_classify",
@@ -132,6 +133,8 @@ class TrainConfig:
             raise DataError(f"unknown readout {self.readout!r}")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
+        if not self.seeds:
+            raise DataError("seeds must name at least one seed")
 
     @property
     def resolved_epochs(self) -> int:
@@ -154,7 +157,10 @@ class TrainConfig:
                 raise DataError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise DataError(f"{path}: config must be a JSON object")
-        return cls.from_dict(data)
+        try:
+            return cls.from_dict(data)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
         out = {}
@@ -341,30 +347,24 @@ def _fit_node_model(feats, labels, split: SplitSpec, cfg: TrainConfig, seed: int
     return best[1], best[2], train_curve, val_curve
 
 
-def fit_node_params(g: Graph, cfg: TrainConfig, seed: int) -> HigcnParams:
-    """Train one seeded node-classification model; returns best-epoch params."""
-    if g.features is None or g.labels is None:
-        raise DataError("node classification needs features and labels")
-    feats = petal_features(clique_lift(g, cfg.P), g.features, cfg.P, cfg.K)
-    split = make_splits(g.n, cfg.split_ratios, seed)
-    params, _, _, _ = _fit_node_model(feats, g.labels, split, cfg, seed)
-    return params
-
-
-def train_node_classification(g: Graph, cfg: TrainConfig) -> MetricsReport:
-    """Lift, build operators, propagate, train with early stopping, and
-    report test accuracy at the best-validation epoch for every seed."""
+def fit_node_params(
+    g: Graph, cfg: TrainConfig
+) -> tuple[MetricsReport, list[HigcnParams]]:
+    """Lift, build operators and propagate once, then train every seed with
+    early stopping. Returns the report of test accuracy at each seed's
+    best-validation epoch and that epoch's parameters, in seed order."""
     if g.features is None or g.labels is None:
         raise DataError("node classification needs features and labels")
     complex_ = clique_lift(g, cfg.P)
     feats = petal_features(complex_, g.features, cfg.P, cfg.K)
-    runs = []
+    runs, fitted = [], []
     for seed in cfg.seeds:
         split = make_splits(g.n, cfg.split_ratios, seed)
         params, best_epoch, train_curve, val_curve = _fit_node_model(
             feats, g.labels, split, cfg, seed
         )
-        _, log_probs = forward(params, feats)
+        # keep only the log-probabilities: the tape would outlive this seed
+        log_probs = forward(params, feats)[1]
         acc = accuracy(log_probs, g.labels, split.test)
         runs.append(
             {
@@ -376,9 +376,15 @@ def train_node_classification(g: Graph, cfg: TrainConfig) -> MetricsReport:
                 "val_loss_curve": val_curve,
             }
         )
+        fitted.append(params)
     return MetricsReport.from_runs(
         "node", "accuracy", runs, extras={"n": g.n, "counts": complex_.counts()}
-    )
+    ), fitted
+
+
+def train_node_classification(g: Graph, cfg: TrainConfig) -> MetricsReport:
+    """The report of :func:`fit_node_params` without the parameters."""
+    return fit_node_params(g, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +507,7 @@ def impute_signals(
     if not 0.0 < known_fraction < 1.0 or n_known == 0 or n_known == n:
         raise ValueError(f"degenerate known fraction {known_fraction} for n={n}")
     truth = cc.node_signals
+    ops = petal_operators(cc.complex, cfg.P)
     runs = []
     flags = set()
     for seed in cfg.seeds:
@@ -516,7 +523,7 @@ def impute_signals(
         x = ((filled - center) / scale)[:, None]
         targets = (truth - center) / scale
 
-        feats = petal_features(cc.complex, x, cfg.P, cfg.K)
+        feats = propagate_features(ops, x, cfg.K)
         params = init_params(cfg.P, cfg.K, 1, cfg.hidden, 1, cfg.alpha, seed, cfg.theta_depth)
         state = AdamState.zeros_like(params)
         curve = []
@@ -580,6 +587,8 @@ def graph_classify(
     perm = np.random.default_rng(seed0).permutation(len(graphs))
     folds = np.array_split(perm, 10)
     use_given = all(g.features is not None for g in graphs)
+    # the operators depend only on the graph; only degree one-hots vary by fold
+    ops = [petal_operators(clique_lift(g, cfg.P), cfg.P) for g in graphs]
 
     fold_curves = []
     for fold_idx, val_idx in enumerate(folds):
@@ -588,10 +597,7 @@ def graph_classify(
             xs = [g.features for g in graphs]
         else:
             xs = _degree_onehot(graphs, train_idx)
-        feats = [
-            petal_features(clique_lift(g, cfg.P), x, cfg.P, cfg.K)
-            for g, x in zip(graphs, xs)
-        ]
+        feats = [propagate_features(o, x, cfg.K) for o, x in zip(ops, xs)]
         params = init_params(
             cfg.P, cfg.K, xs[0].shape[1], cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,

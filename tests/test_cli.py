@@ -1,11 +1,16 @@
 """CLI contracts: help, JSON shapes, exit codes, byte determinism."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import flowerpetals.tasks
 from flowerpetals.cli import run
+from flowerpetals.complexes import load_graph
+from flowerpetals.model import init_params, save_checkpoint
+from flowerpetals.tasks import TrainConfig, fit_node_params
 from flowerpetals.synthetic import (
     coauthorship_complex,
     planted_two_block,
@@ -29,6 +34,51 @@ def work(tmp_path):
 def read_json(path):
     with open(path) as fh:
         return json.load(fh)
+
+
+def node_train_argv(work, config_text):
+    """Write a small planted two-block instance and a config; return the
+    ``train`` arguments that read them."""
+    g = planted_two_block(24, seed=0)
+    (work / "e.tsv").write_text(f"#n={g.n}\n" + "".join(f"{u}\t{v}\n" for u, v in g.edges))
+    np.savetxt(work / "f.csv", g.features, delimiter=",", fmt="%.6f")
+    np.savetxt(work / "l.csv", g.labels, fmt="%d")
+    (work / "cfg.json").write_text(config_text)
+    return ["train", "--edges", str(work / "e.tsv"), "--features", str(work / "f.csv"),
+            "--labels", str(work / "l.csv"), "--config", str(work / "cfg.json")]
+
+
+def write_coauthorship(path):
+    cc = coauthorship_complex(120, 30, 30, seed=0)
+    lines = [f"#n={cc.n}"]
+    for v in range(cc.n):
+        lines.append(f"0\t{v}\t{cc.node_signals[v]:.0f}")
+    for p, simps in cc.complex.simplices.items():
+        for s, sig in zip(simps, cc.signals[p]):
+            lines.append(f"{p}\t{','.join(map(str, s))}\t{sig:.0f}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def write_graph_dataset(path):
+    graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
+    with open(path, "w") as fh:
+        for g, lab in zip(graphs, labels):
+            fh.write(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges],
+                                 "label": int(lab)}) + "\n")
+    return len(graphs)
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so every call is tallied; returns the tally."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestHelp:
@@ -113,21 +163,19 @@ class TestTrainImputeGraphclass:
         payload = read_json(out)
         assert payload["mean"] == 1.0
         assert len(payload["runs"]) == 2
-        assert model.exists()
+        # the checkpoint is seed 0 of the reported training, not a retrain
+        cfg = TrainConfig.from_json(work / "cfg.json")
+        g_read = load_graph(work / "e.tsv", work / "f.csv", work / "l.csv")
+        _, params = fit_node_params(g_read, replace(cfg, seeds=(0,)))
+        save_checkpoint(params[0], work / "seed0.ck")
+        assert model.read_bytes() == (work / "seed0.ck").read_bytes()
 
         strength_out = work / "s.json"
         assert run(["strength", "--model", str(model), "--out", str(strength_out)]) == 0
         assert len(read_json(strength_out)["strength"]) == 2
 
     def test_impute_runs(self, work):
-        cc = coauthorship_complex(120, 30, 30, seed=0)
-        lines = [f"#n={cc.n}"]
-        for v in range(cc.n):
-            lines.append(f"0\t{v}\t{cc.node_signals[v]:.0f}")
-        for p, simps in cc.complex.simplices.items():
-            for s, sig in zip(simps, cc.signals[p]):
-                lines.append(f"{p}\t{','.join(map(str, s))}\t{sig:.0f}")
-        (work / "cc.tsv").write_text("\n".join(lines) + "\n")
+        write_coauthorship(work / "cc.tsv")
         (work / "icfg.json").write_text(
             json.dumps({"task": "impute", "epochs": 60, "hidden": 8, "K": 4,
                         "known_fraction": 0.5, "seeds": [0], "weight_decay": 0.0})
@@ -139,11 +187,7 @@ class TestTrainImputeGraphclass:
         assert -1.0 <= read_json(out)["mean"] <= 1.0
 
     def test_graphclass_runs(self, work):
-        graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
-        with open(work / "gs.jsonl", "w") as fh:
-            for g, lab in zip(graphs, labels):
-                fh.write(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges],
-                                     "label": int(lab)}) + "\n")
+        write_graph_dataset(work / "gs.jsonl")
         (work / "gcfg.json").write_text(
             json.dumps({"task": "graphclass", "epochs": 15, "hidden": 8, "K": 2})
         )
@@ -152,6 +196,45 @@ class TestTrainImputeGraphclass:
                     "--config", str(work / "gcfg.json"), "--out", str(out)])
         assert code == 0
         assert read_json(out)["extras"]["max_mean_val_accuracy"] >= 0.5
+
+
+class TestOneSetUpPerRun:
+    def test_train_lifts_once_for_all_seeds_and_the_checkpoint(self, work, monkeypatch):
+        argv = node_train_argv(work, json.dumps(
+            {"task": "node", "epochs": 10, "seeds": [0, 1], "hidden": 4}))
+        lifts = count_calls(monkeypatch, flowerpetals.tasks, "clique_lift")
+        ops = count_calls(monkeypatch, flowerpetals.tasks, "build_fp_adjacency")
+        code = run(argv + ["--out", str(work / "t.json"),
+                           "--save-model", str(work / "m.ck")])
+        assert code == 0
+        assert len(lifts) == 1
+        assert len(ops) == 2  # one operator per order, P=2
+
+    def test_graphclass_lifts_each_graph_once(self, work, monkeypatch):
+        n_graphs = write_graph_dataset(work / "gs.jsonl")
+        (work / "gcfg.json").write_text(
+            json.dumps({"task": "graphclass", "epochs": 2, "hidden": 4, "K": 2})
+        )
+        lifts = count_calls(monkeypatch, flowerpetals.tasks, "clique_lift")
+        ops = count_calls(monkeypatch, flowerpetals.tasks, "build_fp_adjacency")
+        code = run(["graphclass", "--dataset", str(work / "gs.jsonl"),
+                    "--config", str(work / "gcfg.json"), "--out", str(work / "gc.json")])
+        assert code == 0
+        assert len(lifts) == n_graphs
+        assert len(ops) == 2 * n_graphs
+
+    def test_impute_builds_operators_once_for_all_seeds(self, work, monkeypatch):
+        write_coauthorship(work / "cc.tsv")
+        (work / "icfg.json").write_text(
+            json.dumps({"task": "impute", "epochs": 3, "hidden": 4, "K": 2,
+                        "seeds": [0, 1, 2]})
+        )
+        ops = count_calls(monkeypatch, flowerpetals.tasks, "build_fp_adjacency")
+        code = run(["impute", "--simplices", str(work / "cc.tsv"),
+                    "--config", str(work / "icfg.json"), "--out", str(work / "i.json")])
+        assert code == 0
+        assert len(read_json(work / "i.json")["runs"]) == 3
+        assert len(ops) == 2  # one operator per order, P=2
 
 
 class TestExitCodes:
@@ -170,6 +253,39 @@ class TestExitCodes:
         code = run(["train", "--edges", str(work / "e.tsv"), "--features", str(work / "f.csv"),
                     "--labels", str(work / "l.csv"), "--config", str(work / "bad.json")])
         assert code == 2
+
+    def test_empty_seeds_is_data_error_naming_the_config(self, work, capsys):
+        argv = node_train_argv(work, json.dumps({"task": "node", "seeds": []}))
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(work / "cfg.json") in err and "seed" in err
+
+    def test_non_finite_output_is_numeric_error(self, work, capsys):
+        argv = node_train_argv(
+            work, '{"task": "node", "epochs": 5, "hidden": 4, "lr": NaN}')
+        out = work / "nan.json"
+        assert run(argv + ["--out", str(out)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NaN" in captured.err
+
+    def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "short.ck"
+        save_checkpoint(init_params(2, 3, 4, 5, 2, 0.5, seed=0), path)
+        path.write_bytes(path.read_bytes()[:-8])
+        assert run(["strength", "--model", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header, detail", [
+        (b'{"magic": "flowerpetals-checkpoint-v1"}\n', "p_max"),
+        (b"\xff" * 32, "UTF-8"),
+    ])
+    def test_bad_checkpoint_header_is_data_error(self, tmp_path, capsys, header, detail):
+        path = tmp_path / "bad.ck"
+        path.write_bytes(header)
+        assert run(["strength", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and detail in err
 
 
 class TestDeterminism:

@@ -119,6 +119,10 @@ class TestTrainConfig:
         with pytest.raises(DataError, match="lrr"):
             TrainConfig.from_json(path)
 
+    def test_empty_seeds_rejected(self):
+        with pytest.raises(DataError, match="seed"):
+            TrainConfig(task="node", seeds=())
+
     def test_round_trip(self):
         cfg = TrainConfig(task="impute", seeds=(1, 2), known_fraction=0.3)
         again = TrainConfig.from_dict(cfg.to_dict())
