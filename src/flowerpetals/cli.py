@@ -125,9 +125,11 @@ def _cmd_train(args) -> dict:
     cfg = _load_config(args)
     g = load_graph(args.edges, args.features, args.labels)
     report, params = fit_node_params(g, cfg)
+    payload = _seeded_payload(report, cfg)
     if args.save_model:
+        _to_json(payload)  # a non-finite output exits here, before the checkpoint exists
         save_checkpoint(params[0], args.save_model)
-    return _seeded_payload(report, cfg)
+    return payload
 
 
 def _cmd_impute(args) -> dict:
@@ -156,6 +158,8 @@ def _load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
                 continue
             try:
                 obj = json.loads(text)
+                if obj["n"] < 1:
+                    raise DataError("a graph needs at least one node")
                 features = obj.get("features")
                 graphs.append(
                     Graph.from_edge_list(

@@ -17,6 +17,7 @@ __all__ = [
     "SimplicialComplex",
     "IncidenceMatrix",
     "load_graph",
+    "node_count_header",
     "clique_lift",
     "incidence_matrix",
 ]
@@ -177,6 +178,21 @@ class IncidenceMatrix:
         return np.diff(self.h.row_starts).astype(np.int64)
 
 
+def node_count_header(path, text: str) -> int | None:
+    """The count of a first-line "#n=<count>" header; None for any other
+    comment. A count that is not a non-negative integer is a DataError."""
+    if not text[1:].replace(" ", "").startswith("n="):
+        return None
+    bad = DataError(f"{path}:1: bad node-count header {text!r}")
+    try:
+        count = int(text.split("=", 1)[1])
+    except ValueError:
+        raise bad from None
+    if count < 0:
+        raise bad
+    return count
+
+
 def load_graph(
     edge_path, feature_path=None, label_path=None
 ) -> Graph:
@@ -196,13 +212,8 @@ def load_graph(
             if not text:
                 continue
             if text.startswith("#"):
-                if lineno == 1 and text[1:].replace(" ", "").startswith("n="):
-                    try:
-                        declared_n = int(text.split("=", 1)[1])
-                    except ValueError:
-                        raise DataError(
-                            f"{edge_path}:{lineno}: bad node-count header {text!r}"
-                        ) from None
+                if lineno == 1:
+                    declared_n = node_count_header(edge_path, text)
                 continue
             parts = text.split()
             if len(parts) != 2:

@@ -2,8 +2,7 @@
 
 Everything is 64-bit floats. Products use a fixed summation order
 (ascending column index within each row) so repeated runs are
-bit-identical. The eigensolver is a verification oracle for small
-matrices, not a general-purpose routine.
+bit-identical. The eigensolver wraps LAPACK for small dense matrices.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ EIG_SIZE_CAP = 512
 
 
 class ConvergenceError(RuntimeError):
-    """Iterative routine failed to reach its tolerance."""
+    """The eigensolver did not converge."""
 
 
 def _as_float_matrix(x: np.ndarray) -> np.ndarray:
@@ -165,33 +164,8 @@ def spmm_dense(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return out.reshape(m.rows, d)
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 rounds of disjoint index pairs covering all pairs."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        ks, ls = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a >= 0 and b >= 0:
-                ks.append(min(a, b))
-                ls.append(max(a, b))
-        rounds.append((np.array(ks, dtype=np.int64), np.array(ls, dtype=np.int64)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def dense_sym_eig(
-    a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 120
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a small symmetric matrix by cyclic Jacobi.
-
-    Sweeps run in round-robin pivot order; each round's disjoint rotations
-    are applied as a single orthogonal update (equivalent to applying them
-    sequentially, since rotations in disjoint planes commute and leave each
-    other's pivot entries untouched). Iterates until the off-diagonal
-    Frobenius norm drops below ``tol``.
+def dense_sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a small symmetric matrix (LAPACK ``eigh``).
 
     Returns eigenvalues in ascending order and the matching orthonormal
     eigenvector columns.
@@ -204,44 +178,7 @@ def dense_sym_eig(
         raise ValueError(f"size {n} exceeds the verification cap {EIG_SIZE_CAP}")
     if n and np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
         raise ValueError("matrix is not symmetric")
-    if n == 0:
-        return np.zeros(0), np.zeros((0, 0))
-
-    A = (a + a.T) / 2.0
-    V = np.eye(n)
-    if n == 1:
-        return A[0].copy(), V
-
-    rounds = _round_robin_rounds(n)
-    for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if np.sqrt(np.sum(off * off)) < tol:
-            break
-        for ks, ls in rounds:
-            akl = A[ks, ls]
-            active = akl != 0.0
-            if not np.any(active):
-                continue
-            ks_a, ls_a, akl_a = ks[active], ls[active], akl[active]
-            tau = (A[ls_a, ls_a] - A[ks_a, ks_a]) / (2.0 * akl_a)
-            root = np.sqrt(1.0 + tau * tau)
-            # smaller-magnitude rotation; |tau| + root never cancels
-            t = np.copysign(1.0, tau) / (np.abs(tau) + root)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            Q = np.eye(n)
-            Q[ks_a, ks_a] = c
-            Q[ls_a, ls_a] = c
-            Q[ks_a, ls_a] = s
-            Q[ls_a, ks_a] = -s
-            A = Q.T @ A @ Q
-            A = (A + A.T) / 2.0
-            V = V @ Q
-    else:
-        raise ConvergenceError(
-            f"Jacobi did not reach off-norm {tol} in {max_sweeps} sweeps"
-        )
-
-    w = np.diag(A).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    try:
+        return np.linalg.eigh((a + a.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition did not converge ({exc})") from None

@@ -27,7 +27,6 @@ __all__ = [
     "loss_and_grad",
     "l1_loss_and_grad",
     "predict_signal",
-    "readout_embedding",
     "readout_loss_and_grad",
     "predict_graph_labels",
     "adam_step",
@@ -223,34 +222,58 @@ def forward_embedding(
     return tape, z
 
 
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-probabilities (max-shifted softmax)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def forward(
     params: HigcnParams, feats: PropagatedFeatures
 ) -> tuple[ForwardTape, np.ndarray]:
-    """Full forward pass to row-wise log-probabilities (max-shifted softmax)."""
+    """Full forward pass to row-wise log-probabilities."""
     tape, _ = forward_embedding(params, feats)
-    logits = tape.logits
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    tape = replace(tape, log_probs=log_probs)
-    return tape, log_probs
+    log_probs = _log_softmax(tape.logits)
+    return replace(tape, log_probs=log_probs), log_probs
 
 
-def _backprop_from_dz(
+def _masked_nll(
+    log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean negative log-likelihood over the masked rows, and its gradient
+    at the logits (zero on the other rows)."""
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.size == 0:
+        raise ValueError("mask must select at least one row")
+    picked = np.asarray(labels, dtype=np.int64)[mask]
+    c = log_probs.shape[1]
+    if picked.min() < 0 or picked.max() >= c:
+        raise ValueError(f"labels on the mask must lie in [0, {c})")
+    m = len(mask)
+    loss = -float(log_probs[mask, picked].mean())
+    softmax = np.exp(log_probs[mask])
+    softmax[np.arange(m), picked] -= 1.0
+    dlogits = np.zeros_like(log_probs)
+    dlogits[mask] = softmax / m
+    return loss, dlogits
+
+
+def _backprop(
     params: HigcnParams,
     feats: PropagatedFeatures,
     tape: ForwardTape,
-    dz: np.ndarray,
-    dw: np.ndarray,
+    dlogits: np.ndarray,
     weight_decay: float,
     decay_gamma: bool = False,
 ) -> HigcnParams:
-    """Shared reverse pass below the concatenation point.
+    """Reverse pass from the loss gradient at the logits.
 
-    ``dz`` is the loss gradient at Z; ``dw`` at the output map (already
-    including the data term). Weight decay is applied to theta and w only
-    unless ``decay_gamma`` is set: filter magnitudes carry the interaction
-    strength reading and are not shrunk by default.
+    Weight decay is applied to theta and w only unless ``decay_gamma`` is
+    set: filter magnitudes carry the interaction strength reading and are
+    not shrunk by default.
     """
+    dw = tape.z.T @ dlogits + weight_decay * params.w
+    dz = dlogits @ params.w.T
     _, h, _ = params.dims
     dgamma = np.zeros_like(params.gamma)
     dtheta = []
@@ -294,29 +317,10 @@ def loss_and_grad(
     decay_gamma: bool = False,
 ) -> tuple[float, HigcnParams]:
     """Masked mean negative log-likelihood plus L2 decay, with exact grads."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("mask must select at least one node")
-    labels = np.asarray(labels, dtype=np.int64)
-    c = params.dims[2]
-    if labels[mask].min() < 0 or labels[mask].max() >= c:
-        raise ValueError(f"labels on the mask must lie in [0, {c})")
-
     tape, log_probs = forward(params, feats)
-    m = len(mask)
-    loss = -float(log_probs[mask, labels[mask]].mean())
+    loss, dlogits = _masked_nll(log_probs, labels, mask)
     loss += _decay_term(params, weight_decay, decay_gamma)
-
-    dlogits = np.zeros_like(tape.logits)
-    softmax = np.exp(log_probs[mask])
-    softmax[np.arange(m), labels[mask]] -= 1.0
-    dlogits[mask] = softmax / m
-    dw = tape.z.T @ dlogits + weight_decay * params.w
-    dz = dlogits @ params.w.T
-    grads = _backprop_from_dz(
-        params, feats, tape, dz, dw, weight_decay, decay_gamma
-    )
-    return loss, grads
+    return loss, _backprop(params, feats, tape, dlogits, weight_decay, decay_gamma)
 
 
 def l1_loss_and_grad(
@@ -341,10 +345,7 @@ def l1_loss_and_grad(
 
     dlogits = np.zeros_like(tape.logits)
     dlogits[mask, 0] = np.sign(resid) / len(mask)
-    dw = tape.z.T @ dlogits + weight_decay * params.w
-    dz = dlogits @ params.w.T
-    grads = _backprop_from_dz(params, feats, tape, dz, dw, weight_decay)
-    return loss, grads
+    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
 
 
 def predict_signal(params: HigcnParams, feats: PropagatedFeatures) -> np.ndarray:
@@ -353,76 +354,51 @@ def predict_signal(params: HigcnParams, feats: PropagatedFeatures) -> np.ndarray
     return tape.logits[:, 0].copy()
 
 
-def readout_embedding(
-    params: HigcnParams, feats: PropagatedFeatures, readout: str
-) -> tuple[ForwardTape, np.ndarray]:
-    """Graph-level embedding: mean or sum of Z rows."""
+def _pool_logits(
+    logits: np.ndarray, sizes, readout: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-graph logits of a disjoint union whose graphs hold ``sizes``
+    consecutive rows: the segment sum of the node logits, or its mean.
+
+    Pooling the logits equals pooling Z first, since the output map is
+    linear. Returns the pooled logits and the sizes as an array.
+    """
     if readout not in ("mean", "sum"):
         raise ValueError("readout must be 'mean' or 'sum'")
-    tape, z = forward_embedding(params, feats)
-    vec = z.mean(axis=0) if readout == "mean" else z.sum(axis=0)
-    return tape, vec
+    sizes = np.asarray(sizes, dtype=np.int64)
+    if sizes.ndim != 1 or not len(sizes) or sizes.min() < 1 or sizes.sum() != len(logits):
+        raise ValueError(f"graph sizes must be positive and sum to {len(logits)} nodes")
+    pooled = np.add.reduceat(logits, np.cumsum(sizes) - sizes, axis=0)
+    return (pooled / sizes[:, None] if readout == "mean" else pooled), sizes
 
 
 def readout_loss_and_grad(
     params: HigcnParams,
-    graph_feats: list[PropagatedFeatures],
+    feats: PropagatedFeatures,
+    sizes,
     labels: np.ndarray,
     mask: np.ndarray,
     readout: str,
     weight_decay: float = 0.0,
 ) -> tuple[float, HigcnParams]:
-    """Graph classification: readout over Z, shared output map, mean NLL."""
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("mask must select at least one graph")
-    labels = np.asarray(labels, dtype=np.int64)
-    c = params.dims[2]
-    if labels[mask].min() < 0 or labels[mask].max() >= c:
-        raise ValueError(f"labels on the mask must lie in [0, {c})")
-    m = len(mask)
-    loss = _decay_term(params, weight_decay, False)
-    dw_total = weight_decay * params.w
-    # decay gradients enter once, up front; per-graph passes add data terms only
-    decayed = params.map_arrays(
-        lambda name, a: weight_decay * a if name.startswith("theta") else np.zeros_like(a)
-    )
-    acc = {name: arr for name, arr in decayed.named_arrays()}
-    for gi in mask:
-        tape, vec = readout_embedding(params, graph_feats[gi], readout)
-        logits = vec @ params.w
-        shifted = logits - logits.max()
-        log_probs = shifted - np.log(np.exp(shifted).sum())
-        loss += -float(log_probs[labels[gi]]) / m
-
-        dlogit = np.exp(log_probs)
-        dlogit[labels[gi]] -= 1.0
-        dlogit /= m
-        dw_total = dw_total + np.outer(vec, dlogit)
-        dvec = params.w @ dlogit
-        n_g = tape.z.shape[0]
-        dz = np.tile(dvec / n_g if readout == "mean" else dvec, (n_g, 1))
-        g = _backprop_from_dz(
-            params, graph_feats[gi], tape, dz, np.zeros_like(params.w), 0.0
-        )
-        for name, arr in g.named_arrays():
-            acc[name] = acc[name] + arr
-    acc["w"] = dw_total
-
-    def pick(name, a):
-        return acc[name]
-
-    return loss, params.map_arrays(pick)
+    """Graph classification on a disjoint union of graphs with ``sizes``
+    nodes each: pooled logits, mean NLL over the masked graphs, L2 decay."""
+    tape, _ = forward_embedding(params, feats)
+    pooled, sizes = _pool_logits(tape.logits, sizes, readout)
+    loss, dpooled = _masked_nll(_log_softmax(pooled), labels, mask)
+    loss += _decay_term(params, weight_decay, False)
+    if readout == "mean":
+        dpooled /= sizes[:, None]
+    dlogits = np.repeat(dpooled, sizes, axis=0)
+    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
 
 
 def predict_graph_labels(
-    params: HigcnParams, graph_feats: list[PropagatedFeatures], readout: str
+    params: HigcnParams, feats: PropagatedFeatures, sizes, readout: str
 ) -> np.ndarray:
-    out = []
-    for feats in graph_feats:
-        _, vec = readout_embedding(params, feats, readout)
-        out.append(int(np.argmax(vec @ params.w)))
-    return np.asarray(out, dtype=np.int64)
+    """Predicted class of every graph of a disjoint union."""
+    tape, _ = forward_embedding(params, feats)
+    return np.argmax(_pool_logits(tape.logits, sizes, readout)[0], axis=1)
 
 
 @dataclass

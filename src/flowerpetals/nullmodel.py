@@ -125,14 +125,16 @@ def _triangle_gain(adj, chain) -> int:
     return created - destroyed
 
 
-def _rewire_once(adj, rng, budget) -> tuple[tuple[int, int, int, int, int], int]:
-    """Mutates adj in place; returns (chain, attempts used) or raises."""
+def _rewire_once(adj, rng, budget) -> tuple[tuple[int, int, int, int, int], int, int]:
+    """Mutates adj in place; returns (chain, attempts used, triangle gain)
+    or raises."""
     for attempt in range(1, budget + 1):
         chain = _try_add_chain(adj, rng)
         if chain is None:
             continue
-        if _triangle_gain(adj, chain) > 0:
-            return chain, attempt
+        gain = _triangle_gain(adj, chain)
+        if gain > 0:
+            return chain, attempt, gain
         # revert: the move is an involution up to renaming
         a, b, c, d, e = chain
         _apply_chain(adj, (a, b, d, c, e))
@@ -147,7 +149,7 @@ def rewire_add_triangle(
     budget = max_attempts if max_attempts is not None else 10 * max(g.n, 1)
     adj = _adjacency_sets(g)
     try:
-        chain, _ = _rewire_once(adj, rng, budget)
+        chain, _, _ = _rewire_once(adj, rng, budget)
     except SaturationError as exc:
         raise SaturationError(str(exc), graph=g) from None
     return _graph_from_sets(g, adj), chain
@@ -221,7 +223,7 @@ def rewire_to_target(
     carrying the partial graph, log, and achieved density.
     """
     adj = _adjacency_sets(g)
-    base = triangle_count(adj)
+    base = total = triangle_count(adj)
     if base < 1:
         raise ValueError("target density undefined: graph has no triangles")
     rng = np.random.default_rng(seed)
@@ -230,7 +232,7 @@ def rewire_to_target(
     budget = 10 * max(g.n, 1)
     while rho < target_rho2:
         try:
-            chain, used = _rewire_once(adj, rng, budget)
+            chain, used, gain = _rewire_once(adj, rng, budget)
         except SaturationError:
             log.attempts += budget
             raise SaturationError(
@@ -241,5 +243,6 @@ def rewire_to_target(
             ) from None
         log.accepted.append(chain)
         log.attempts += used
-        rho = triangle_count(adj) / base - 1.0
+        total += gain
+        rho = total / base - 1.0
     return _graph_from_sets(g, adj), log

@@ -217,11 +217,16 @@ class TestOneSetUpPerRun:
         )
         lifts = count_calls(monkeypatch, flowerpetals.tasks, "clique_lift")
         ops = count_calls(monkeypatch, flowerpetals.tasks, "build_fp_adjacency")
+        props = count_calls(monkeypatch, flowerpetals.tasks, "propagate_features")
         code = run(["graphclass", "--dataset", str(work / "gs.jsonl"),
                     "--config", str(work / "gcfg.json"), "--out", str(work / "gc.json")])
         assert code == 0
-        assert len(lifts) == n_graphs
-        assert len(ops) == 2 * n_graphs
+        # the whole dataset is lifted once, as one disjoint union
+        records = [json.loads(line) for line in (work / "gs.jsonl").read_text().splitlines()]
+        assert len(records) == n_graphs
+        assert len(lifts) == 1 and lifts[0][0].n == sum(r["n"] for r in records)
+        assert len(ops) == 2  # one operator per order, P=2
+        assert len(props) == 10  # one propagation per fold
 
     def test_impute_builds_operators_once_for_all_seeds(self, work, monkeypatch):
         write_coauthorship(work / "cc.tsv")
@@ -268,6 +273,43 @@ class TestExitCodes:
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == "" and "NaN" in captured.err
+
+    def test_non_finite_output_leaves_no_checkpoint(self, work, capsys):
+        argv = node_train_argv(
+            work, '{"task": "node", "epochs": 5, "hidden": 4, "lr": NaN}')
+        out, model = work / "nan.json", work / "nan.ck"
+        assert run(argv + ["--out", str(out), "--save-model", str(model)]) == 3
+        assert not out.exists() and not model.exists()
+
+    @pytest.mark.parametrize("entry", ['"seeds": 5', '"P": "x"', '"epochs": "x"',
+                                       '"decay_gamma": 1', '"hidden": true'])
+    def test_config_value_of_wrong_type_is_data_error(self, work, capsys, entry):
+        key = entry.split(":")[0].strip('"')
+        argv = node_train_argv(work, '{"task": "node", %s}' % entry)
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert str(work / "cfg.json") in err and key in err
+        write_graph_dataset(work / "gs.jsonl")
+        (work / "gcfg.json").write_text('{"task": "graphclass", %s}' % entry)
+        assert run(["graphclass", "--dataset", str(work / "gs.jsonl"),
+                    "--config", str(work / "gcfg.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(work / "gcfg.json") in err and key in err
+
+    def test_bad_coauthorship_header_names_path_and_line(self, work, capsys):
+        path = work / "cc.tsv"
+        path.write_text("#n=x\n0\t0\t5\n")
+        assert run(["impute", "--simplices", str(path)]) == 2
+        assert f"{path}:1:" in capsys.readouterr().err
+
+    def test_graph_record_without_nodes_is_data_error(self, work, capsys):
+        path = work / "gs.jsonl"
+        write_graph_dataset(path)
+        lines = path.read_text().splitlines()
+        lines[3] = json.dumps({"n": 0, "edges": [], "label": 0})
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["graphclass", "--dataset", str(path)]) == 2
+        assert f"{path}:4:" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "short.ck"

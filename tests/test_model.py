@@ -7,8 +7,11 @@ import pytest
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.model import (
     AdamState,
+    _backprop,
+    _decay_term,
     adam_step,
     forward,
+    forward_embedding,
     init_params,
     l1_loss_and_grad,
     load_checkpoint,
@@ -20,7 +23,7 @@ from flowerpetals.model import (
 )
 from flowerpetals.operators import propagate_features
 from flowerpetals.synthetic import er_graph
-from flowerpetals.tasks import petal_features, petal_operators
+from flowerpetals.tasks import disjoint_union, petal_features, petal_operators
 
 
 def graph_feats(n, d, seed, p_max=2, k_max=2, density=0.35):
@@ -28,6 +31,19 @@ def graph_feats(n, d, seed, p_max=2, k_max=2, density=0.35):
     rng = np.random.default_rng((seed, 77))
     x = rng.normal(size=(n, d))
     return petal_features(clique_lift(g, p_max), x, p_max, k_max)
+
+
+def union_feats(ns, d, seeds, p_max=2, k_max=2, density=0.35):
+    """The graphs and features of ``graph_feats`` for each (n, seed), as one
+    disjoint union: its propagated features and the graph sizes."""
+    graphs = []
+    for n, seed in zip(ns, seeds):
+        g = er_graph(n, density, seed)
+        x = np.random.default_rng((seed, 77)).normal(size=(n, d))
+        graphs.append(Graph(g.n, g.edges, x))
+    union, sizes = disjoint_union(graphs)
+    feats = petal_features(clique_lift(union, p_max), union.features, p_max, k_max)
+    return feats, sizes
 
 
 def finite_difference_max_rel(loss_fn, params, h=1e-5):
@@ -177,12 +193,12 @@ class TestGradients:
 
     @pytest.mark.parametrize("readout", ["mean", "sum"])
     def test_readout_gradients_match_finite_differences(self, readout):
-        gfeats = [graph_feats(5, 3, seed=s) for s in range(4)]
+        feats, sizes = union_feats([5, 3, 7, 4], 3, seeds=range(4))
         labels = np.array([0, 1, 0, 1])
         params = init_params(2, 2, 3, 4, 2, 0.5, seed=50)
         rel = finite_difference_max_rel(
             lambda p: readout_loss_and_grad(
-                p, gfeats, labels, np.arange(4), readout, 0.01
+                p, feats, sizes, labels, np.arange(4), readout, 0.01
             ),
             params,
         )
@@ -295,8 +311,58 @@ class TestGraphReadout:
     def test_sum_and_mean_agree_on_equal_sizes(self):
         # same node count per graph: sum readout scales logits by n, so the
         # predicted labels coincide at any fixed parameters
-        gfeats = [graph_feats(6, 3, seed=s, density=0.5) for s in range(6)]
+        feats, sizes = union_feats([6] * 6, 3, seeds=range(6), density=0.5)
         params = init_params(2, 2, 3, 4, 3, 0.5, seed=80)
-        mean_pred = predict_graph_labels(params, gfeats, "mean")
-        sum_pred = predict_graph_labels(params, gfeats, "sum")
+        mean_pred = predict_graph_labels(params, feats, sizes, "mean")
+        sum_pred = predict_graph_labels(params, feats, sizes, "sum")
         assert np.array_equal(mean_pred, sum_pred)
+
+    @pytest.mark.parametrize("readout", ["mean", "sum"])
+    def test_union_matches_per_graph_loop(self, readout):
+        ns, seeds = [5, 9, 3, 7, 6, 4], range(90, 96)
+        labels = np.array([0, 2, 1, 1, 0, 2])
+        mask = np.array([0, 1, 3, 5])
+        wd = 0.01
+        params = init_params(2, 2, 3, 4, 3, 0.5, seed=81)
+        feats, sizes = union_feats(ns, 3, seeds)
+        loss, grads = readout_loss_and_grad(
+            params, feats, sizes, labels, mask, readout, wd
+        )
+        pred = predict_graph_labels(params, feats, sizes, readout)
+
+        # reference: one forward and backward per graph on its own features
+        ref_loss = _decay_term(params, wd, False)
+        ref = dict(params.map_arrays(
+            lambda name, a: np.zeros_like(a) if name == "gamma" else wd * a
+        ).named_arrays())
+        ref_pred = []
+        for gi, (n, seed) in enumerate(zip(ns, seeds)):
+            g_feats = graph_feats(n, 3, seed)
+            tape, z = forward_embedding(params, g_feats)
+            vec = z.mean(axis=0) if readout == "mean" else z.sum(axis=0)
+            logits = vec @ params.w
+            ref_pred.append(int(np.argmax(logits)))
+            if gi not in mask:
+                continue
+            log_probs = logits - logits.max()
+            log_probs -= np.log(np.exp(log_probs).sum())
+            ref_loss -= log_probs[labels[gi]] / len(mask)
+            dlogit = np.exp(log_probs)
+            dlogit[labels[gi]] -= 1.0
+            dlogit /= len(mask) * (n if readout == "mean" else 1)
+            g = _backprop(params, g_feats, tape, np.tile(dlogit, (n, 1)), 0.0)
+            for name, arr in g.named_arrays():
+                ref[name] = ref[name] + arr
+
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, arr in grads.named_arrays():
+            scale = np.max(np.abs(ref[name]))
+            assert np.max(np.abs(arr - ref[name])) <= 1e-12 * scale, name
+        assert np.array_equal(pred, ref_pred)
+
+    def test_sizes_must_cover_the_nodes(self):
+        feats, _ = union_feats([4, 5], 2, seeds=range(2))
+        params = init_params(2, 2, 2, 3, 2, 0.5, seed=82)
+        for bad in ([4, 4], [9, 0], [0, 9]):
+            with pytest.raises(ValueError, match="sizes"):
+                predict_graph_labels(params, feats, bad, "mean")

@@ -12,6 +12,7 @@ from flowerpetals.nullmodel import (
     rewire_to_target,
     triangle_count,
     _adjacency_sets,
+    _triangle_gain,
 )
 from flowerpetals.synthetic import er_graph
 
@@ -97,6 +98,22 @@ class TestRewireToTarget:
             adj[d].add(e), adj[e].add(d)
             assert triangle_count(adj) / base - 1.0 < 0.2
 
+    def test_running_total_matches_recount_and_stops_at_target(self):
+        g = er_graph(200, 0.05, seed=4)
+        target = 0.3
+        out, log = rewire_to_target(g, target, seed=2)
+        base = n2(g)
+        # replay: each accepted move's gain, summed, tracks a full recount
+        adj = _adjacency_sets(g)
+        total = base
+        reached = []
+        for chain in log.accepted:
+            total += _triangle_gain(adj, chain)
+            assert total == triangle_count(adj)
+            reached.append(total / base - 1.0 >= target)
+        assert n2(out) == total
+        assert reached[-1] and not any(reached[:-1])
+
     def test_unreachable_target_reports_partial(self):
         g = er_graph(24, 0.2, seed=5)
         with pytest.raises(SaturationError) as err:
@@ -104,6 +121,7 @@ class TestRewireToTarget:
         assert err.value.achieved_rho2 is not None
         assert err.value.graph is not None
         assert err.value.achieved_rho2 < 50.0
+        assert err.value.achieved_rho2 == n2(err.value.graph) / n2(g) - 1.0
 
     def test_no_triangles_rejected(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from flowerpetals.tasks import (
     CoauthorshipComplex,
     TrainConfig,
     compute_homophily,
+    disjoint_union,
     graph_classify,
     impute_signals,
     kendall_tau,
@@ -296,15 +297,25 @@ class TestGraphClassification:
         assert report.extras["max_mean_val_accuracy"] == 1.0
 
     def test_equal_sizes_make_readouts_agree(self):
-        graphs = [planted_two_block(8, seed=s) for s in range(6)]
-        feats = [
-            petal_features(clique_lift(g, 2), g.features, 2, 2) for g in graphs
-        ]
+        union, sizes = disjoint_union([planted_two_block(8, seed=s) for s in range(6)])
+        feats = petal_features(clique_lift(union, 2), union.features, 2, 2)
         params = init_params(2, 2, 2, 4, 2, 0.5, seed=12)
         assert np.array_equal(
-            predict_graph_labels(params, feats, "mean"),
-            predict_graph_labels(params, feats, "sum"),
+            predict_graph_labels(params, feats, sizes, "mean"),
+            predict_graph_labels(params, feats, sizes, "sum"),
         )
+
+    def test_disjoint_union_offsets_ids_and_stacks_features(self):
+        graphs = [planted_two_block(n, seed=s) for s, n in enumerate((8, 5, 6))]
+        union, sizes = disjoint_union(graphs)
+        assert sizes.tolist() == [8, 5, 6] and union.n == 19
+        assert union.edges == tuple(
+            (u + off, v + off) for g, off in zip(graphs, (0, 8, 13)) for u, v in g.edges
+        )
+        assert np.array_equal(union.features, np.vstack([g.features for g in graphs]))
+        # without features on every graph, the union has none
+        bare = Graph(graphs[0].n, graphs[0].edges)
+        assert disjoint_union([bare, graphs[1]])[0].features is None
 
     def test_missing_labels_rejected(self):
         graphs, labels = triangles_vs_hexagons(per_class=6, seed=2)
