@@ -85,9 +85,9 @@ def _cmd_lift(args) -> dict:
 def _cmd_spectra(args) -> dict:
     g = load_graph(args.edges)
     complex_ = clique_lift(g, args.max_order)
-    orders = {}
+    orders, ops = {}, {}
     for p in range(1, args.max_order + 1):
-        op = build_fp_adjacency(incidence_matrix(complex_, p))
+        op = ops[p] = build_fp_adjacency(incidence_matrix(complex_, p))
         lap = build_fp_laplacian(op)
         adj_eigs, _ = dense_sym_eig(op.a_tilde.to_dense())
         lap_eigs, _ = dense_sym_eig(lap.to_dense())
@@ -100,7 +100,7 @@ def _cmd_spectra(args) -> dict:
             "isolated_nodes": int(op.isolated.sum()),
         }
     # order-1 closed form: adjacency must equal (norm-adjacency + I) / 2
-    op1 = build_fp_adjacency(incidence_matrix(complex_, 1))
+    op1 = ops[1]
     deg = op1.node_degrees.astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
@@ -211,14 +211,10 @@ def _cmd_rewire(args) -> dict:
             fh.write(f"#n={graph.n}\n")
             for u, v in graph.edges:
                 fh.write(f"{u}\t{v}\n")
-    from .nullmodel import _adjacency_sets, triangle_count
-
-    base = triangle_count(_adjacency_sets(g))
-    achieved = triangle_count(_adjacency_sets(graph)) / base - 1.0
     return {
         "seed": seed,
         "target_rho2": args.target_rho2,
-        "achieved_rho2": achieved,
+        "achieved_rho2": log.achieved_rho2,
         "accepted": len(log.accepted),
         "attempts": log.attempts,
         "chains": [list(c) for c in log.accepted],

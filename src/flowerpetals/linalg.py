@@ -139,19 +139,16 @@ class SparseMatrix:
 
 
 def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """CSR matrix-vector product with ascending-column summation order."""
+    """CSR matrix-vector product: the one-column case of ``spmm_dense``."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (m.cols,):
         raise ValueError(f"vector length {x.shape} incompatible with {m.shape}")
-    if m.nnz == 0:
-        return np.zeros(m.rows)
-    products = m.values * x[m.col_indices]
-    # bincount accumulates in input order = ascending column within each row
-    return np.bincount(m._row_ids(), weights=products, minlength=m.rows)
+    return spmm_dense(m, x[:, None])[:, 0]
 
 
 def spmm_dense(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    """CSR times dense block: columnwise spmv, same deterministic order."""
+    """CSR times dense block with ascending-column summation order in
+    every row, so repeated runs are bit-identical."""
     x = _as_float_matrix(x)
     if m.cols != x.shape[0]:
         raise ValueError(f"shapes {m.shape} and {x.shape} do not align")
@@ -159,6 +156,7 @@ def spmm_dense(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     if m.nnz == 0 or d == 0:
         return np.zeros((m.rows, d))
     products = m.values[:, None] * x[m.col_indices, :]
+    # bincount accumulates in input order = ascending column within each row
     flat_bins = (m._row_ids()[:, None] * d + np.arange(d, dtype=np.int64)).ravel()
     out = np.bincount(flat_bins, weights=products.ravel(), minlength=m.rows * d)
     return out.reshape(m.rows, d)
@@ -176,6 +174,8 @@ def dense_sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix must be square")
     if n > EIG_SIZE_CAP:
         raise ValueError(f"size {n} exceeds the verification cap {EIG_SIZE_CAP}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix holds a NaN or infinite entry")
     if n and np.max(np.abs(a - a.T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
         raise ValueError("matrix is not symmetric")
     try:

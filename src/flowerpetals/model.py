@@ -121,7 +121,6 @@ class ForwardTape:
     act: tuple[np.ndarray, ...] | None  # post-rectifier (depth-2 only)
     z: np.ndarray  # concatenated petal outputs
     logits: np.ndarray
-    log_probs: np.ndarray | None
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -197,10 +196,9 @@ def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
         )
 
 
-def forward_embedding(
-    params: HigcnParams, feats: PropagatedFeatures
-) -> tuple[ForwardTape, np.ndarray]:
-    """Run the petal filters and transforms; stop at the concatenation Z."""
+def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> ForwardTape:
+    """Run the petal filters and transforms up to the concatenation Z and
+    the logits."""
     _check_compat(params, feats)
     filtered = _filtered_sums(params, feats)
     if params.depth == 2:
@@ -211,15 +209,13 @@ def forward_embedding(
         pre = act = None
         outs = [s @ t[0] for s, t in zip(filtered, params.theta)]
     z = np.hstack(outs)
-    tape = ForwardTape(
+    return ForwardTape(
         filtered=tuple(filtered),
         pre=None if pre is None else tuple(pre),
         act=None if act is None else tuple(act),
         z=z,
         logits=z @ params.w,
-        log_probs=None,
     )
-    return tape, z
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -232,9 +228,8 @@ def forward(
     params: HigcnParams, feats: PropagatedFeatures
 ) -> tuple[ForwardTape, np.ndarray]:
     """Full forward pass to row-wise log-probabilities."""
-    tape, _ = forward_embedding(params, feats)
-    log_probs = _log_softmax(tape.logits)
-    return replace(tape, log_probs=log_probs), log_probs
+    tape = forward_embedding(params, feats)
+    return tape, _log_softmax(tape.logits)
 
 
 def _masked_nll(
@@ -338,7 +333,7 @@ def l1_loss_and_grad(
     if mask.size == 0:
         raise ValueError("mask must select at least one node")
     targets = np.asarray(targets, dtype=np.float64)
-    tape, _ = forward_embedding(params, feats)
+    tape = forward_embedding(params, feats)
     pred = tape.logits[:, 0]
     resid = pred[mask] - targets[mask]
     loss = float(np.abs(resid).mean()) + _decay_term(params, weight_decay, False)
@@ -350,7 +345,7 @@ def l1_loss_and_grad(
 
 def predict_signal(params: HigcnParams, feats: PropagatedFeatures) -> np.ndarray:
     """Identity-head predictions (one scalar per node)."""
-    tape, _ = forward_embedding(params, feats)
+    tape = forward_embedding(params, feats)
     return tape.logits[:, 0].copy()
 
 
@@ -383,7 +378,7 @@ def readout_loss_and_grad(
 ) -> tuple[float, HigcnParams]:
     """Graph classification on a disjoint union of graphs with ``sizes``
     nodes each: pooled logits, mean NLL over the masked graphs, L2 decay."""
-    tape, _ = forward_embedding(params, feats)
+    tape = forward_embedding(params, feats)
     pooled, sizes = _pool_logits(tape.logits, sizes, readout)
     loss, dpooled = _masked_nll(_log_softmax(pooled), labels, mask)
     loss += _decay_term(params, weight_decay, False)
@@ -397,7 +392,7 @@ def predict_graph_labels(
     params: HigcnParams, feats: PropagatedFeatures, sizes, readout: str
 ) -> np.ndarray:
     """Predicted class of every graph of a disjoint union."""
-    tape, _ = forward_embedding(params, feats)
+    tape = forward_embedding(params, feats)
     return np.argmax(_pool_logits(tape.logits, sizes, readout)[0], axis=1)
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "SaturationError",
     "RewireLog",
     "rewire_add_triangle",
-    "rewire_remove_triangle",
     "relative_density",
     "rewire_to_target",
     "triangle_count",
@@ -45,10 +44,12 @@ class SaturationError(RuntimeError):
 
 @dataclass
 class RewireLog:
-    """Accepted chains as (A, B, C, D, E) tuples plus the attempt counter."""
+    """Accepted chains as (A, B, C, D, E) tuples, the attempt counter, and
+    the triangle density gain rho_2 reached after the last accepted chain."""
 
     accepted: list[tuple[int, int, int, int, int]] = field(default_factory=list)
     attempts: int = 0
+    achieved_rho2: float = 0.0
 
 
 def triangle_count(adj: list[set[int]]) -> int:
@@ -155,54 +156,6 @@ def rewire_add_triangle(
     return _graph_from_sets(g, adj), chain
 
 
-def rewire_remove_triangle(
-    g: Graph, seed: int | np.random.Generator, max_attempts: int | None = None
-) -> tuple[Graph, tuple[int, int, int, int, int]]:
-    """Best-effort inverse move: break one triangle, degrees preserved.
-
-    Reverses the relink: removes a triangle edge [B,C] (B, C neighbors of
-    some A) and a disjoint edge [D,E], adds [B,D] and [C,E]. A candidate is
-    kept only if the triangle count strictly drops; raises SaturationError
-    when no such configuration is found.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    budget = max_attempts if max_attempts is not None else 10 * max(g.n, 1)
-    adj = _adjacency_sets(g)
-    before = triangle_count(adj)
-    for _ in range(budget):
-        a_candidates = [v for v, nbrs in enumerate(adj) if len(nbrs) >= 2]
-        if not a_candidates:
-            break
-        a = _choice(rng, a_candidates)
-        nbrs = sorted(adj[a])
-        pairs = [(b, c) for b in nbrs for c in nbrs if b < c and c in adj[b]]
-        if not pairs:
-            continue
-        b, c = _choice(rng, pairs)
-        oriented = []
-        for d in range(g.n):
-            if d in (a, b, c):
-                continue
-            for e in sorted(adj[d]):
-                if e in (a, b, c):
-                    continue
-                if d not in adj[b] and e not in adj[c] and d != e:
-                    oriented.append((d, e))
-        if not oriented:
-            continue
-        d, e = _choice(rng, oriented)
-        trial = [set(s) for s in adj]
-        trial[b].discard(c), trial[c].discard(b)
-        trial[d].discard(e), trial[e].discard(d)
-        trial[b].add(d), trial[d].add(b)
-        trial[c].add(e), trial[e].add(c)
-        if triangle_count(trial) < before:
-            return _graph_from_sets(g, trial), (a, b, c, d, e)
-    raise SaturationError(
-        f"no triangle-removing chain in {budget} attempts", graph=g
-    )
-
-
 def relative_density(
     original: SimplicialComplex, modified: SimplicialComplex, p: int
 ) -> float:
@@ -219,8 +172,9 @@ def rewire_to_target(
     """Rewire until the triangle density gain reaches the target.
 
     Stops at the first accepted rewire meeting or exceeding ``target_rho2``
-    (one-rewire overshoot possible). Saturation before the target raises,
-    carrying the partial graph, log, and achieved density.
+    (one-rewire overshoot possible); ``log.achieved_rho2`` holds the density
+    reached, counted from the running triangle total. Saturation before the
+    target raises, carrying the partial graph, log, and achieved density.
     """
     adj = _adjacency_sets(g)
     base = total = triangle_count(adj)
@@ -228,21 +182,20 @@ def rewire_to_target(
         raise ValueError("target density undefined: graph has no triangles")
     rng = np.random.default_rng(seed)
     log = RewireLog()
-    rho = 0.0
     budget = 10 * max(g.n, 1)
-    while rho < target_rho2:
+    while log.achieved_rho2 < target_rho2:
         try:
             chain, used, gain = _rewire_once(adj, rng, budget)
         except SaturationError:
             log.attempts += budget
             raise SaturationError(
-                f"saturated at rho_2={rho:.4f} before target {target_rho2}",
+                f"saturated at rho_2={log.achieved_rho2:.4f} before target {target_rho2}",
                 graph=_graph_from_sets(g, adj),
                 log=log,
-                achieved_rho2=rho,
+                achieved_rho2=log.achieved_rho2,
             ) from None
         log.accepted.append(chain)
         log.attempts += used
         total += gain
-        rho = total / base - 1.0
+        log.achieved_rho2 = total / base - 1.0
     return _graph_from_sets(g, adj), log

@@ -613,8 +613,9 @@ def graph_classify(
 
     The graphs train as one disjoint union, lifted once; FP operators are
     local, so its operators are the block diagonals of the per-graph ones.
-    Graphs without features get degree one-hots whose dimension is capped by
-    the training fold's maximum degree (larger degrees clamp to the cap).
+    Given features propagate once per run. Graphs without features get
+    degree one-hots whose dimension is capped by the training fold's maximum
+    degree (larger degrees clamp to the cap), propagated once per fold.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != len(graphs):
@@ -629,19 +630,22 @@ def graph_classify(
     ops = petal_operators(clique_lift(union, cfg.P), cfg.P)
     graph_of = np.repeat(np.arange(len(graphs)), sizes)
     degrees = union.degrees()
+    given_feats = (
+        None if union.features is None else propagate_features(ops, union.features, cfg.K)
+    )
 
     fold_curves = []
     for fold_idx, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(perm, val_idx)
-        if union.features is not None:
-            x = union.features
+        if given_feats is not None:
+            feats = given_feats
         else:
             cap = int(degrees[np.isin(graph_of, train_idx)].max())
             x = np.zeros((union.n, cap + 1))
             x[np.arange(union.n), np.minimum(degrees, cap)] = 1.0
-        feats = propagate_features(ops, x, cfg.K)
+            feats = propagate_features(ops, x, cfg.K)
         params = init_params(
-            cfg.P, cfg.K, x.shape[1], cfg.hidden, n_classes, cfg.alpha,
+            cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,
         )
         state = AdamState.zeros_like(params)

@@ -6,9 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import flowerpetals.cli
+import flowerpetals.nullmodel
 import flowerpetals.tasks
 from flowerpetals.cli import run
 from flowerpetals.complexes import load_graph
+from flowerpetals.nullmodel import _adjacency_sets, triangle_count
 from flowerpetals.model import init_params, save_checkpoint
 from flowerpetals.tasks import TrainConfig, fit_node_params
 from flowerpetals.synthetic import (
@@ -59,12 +62,16 @@ def write_coauthorship(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_graph_dataset(path):
+def write_graph_dataset(path, degree_features=False):
+    """Write a triangles-vs-hexagons dataset; with ``degree_features`` every
+    node carries its degree as a given one-column feature."""
     graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
     with open(path, "w") as fh:
         for g, lab in zip(graphs, labels):
-            fh.write(json.dumps({"n": g.n, "edges": [list(e) for e in g.edges],
-                                 "label": int(lab)}) + "\n")
+            record = {"n": g.n, "edges": [list(e) for e in g.edges], "label": int(lab)}
+            if degree_features:
+                record["features"] = [[float(d)] for d in g.degrees()]
+            fh.write(json.dumps(record) + "\n")
     return len(graphs)
 
 
@@ -100,10 +107,12 @@ class TestLift:
 
 
 class TestSpectra:
-    def test_k3_psd_verdict(self, work):
+    def test_k3_psd_verdict(self, work, monkeypatch):
+        ops = count_calls(monkeypatch, flowerpetals.cli, "build_fp_adjacency")
         out = work / "spectra.json"
         code = run(["spectra", "--edges", str(work / "k3.tsv"), "-p", "2", "--out", str(out)])
         assert code == 0
+        assert len(ops) == 2  # the closed-form check reuses the order-1 operator
         payload = read_json(out)
         for order in ("1", "2"):
             entry = payload["orders"][order]
@@ -127,19 +136,24 @@ class TestShwl:
 
 
 class TestRewire:
-    def test_rewire_writes_edges_and_log(self, work):
+    def test_rewire_writes_edges_and_log(self, work, monkeypatch):
         edges = work / "er.tsv"
         g = planted_two_block(40, p_in=0.35, p_out=0.1, seed=0)
         edges.write_text("".join(f"{u}\t{v}\n" for u, v in g.edges))
         out = work / "rw.json"
         out_edges = work / "rw.tsv"
+        counts = count_calls(monkeypatch, flowerpetals.nullmodel, "triangle_count")
         code = run(["rewire", "--edges", str(edges), "--target-rho2", "0.1",
                     "--seed", "5", "--out", str(out), "--out-edges", str(out_edges)])
         assert code == 0
+        assert len(counts) == 1  # the input's; the rest is a running total
         payload = read_json(out)
         assert payload["achieved_rho2"] >= 0.1
         assert payload["accepted"] == len(payload["chains"])
         assert out_edges.read_text().startswith("#n=40\n")
+        base = triangle_count(_adjacency_sets(load_graph(str(edges))))
+        rewired = triangle_count(_adjacency_sets(load_graph(str(out_edges))))
+        assert payload["achieved_rho2"] == rewired / base - 1.0
 
     def test_saturation_exit_code(self, work):
         assert run(["rewire", "--edges", str(work / "k4.tsv"), "--target-rho2", "0.5"]) == 3
@@ -227,6 +241,19 @@ class TestOneSetUpPerRun:
         assert len(lifts) == 1 and lifts[0][0].n == sum(r["n"] for r in records)
         assert len(ops) == 2  # one operator per order, P=2
         assert len(props) == 10  # one propagation per fold
+
+    def test_graphclass_propagates_given_features_once(self, work, monkeypatch):
+        write_graph_dataset(work / "gs.jsonl", degree_features=True)
+        (work / "gcfg.json").write_text(
+            json.dumps({"task": "graphclass", "epochs": 2, "hidden": 4, "K": 2})
+        )
+        props = count_calls(monkeypatch, flowerpetals.tasks, "propagate_features")
+        code = run(["graphclass", "--dataset", str(work / "gs.jsonl"),
+                    "--config", str(work / "gcfg.json"), "--out", str(work / "gc.json")])
+        assert code == 0
+        assert len(props) == 1  # given features do not depend on the fold
+        assert props[0][1].shape[1] == 1
+        assert len(read_json(work / "gc.json")["runs"]) == 10
 
     def test_impute_builds_operators_once_for_all_seeds(self, work, monkeypatch):
         write_coauthorship(work / "cc.tsv")

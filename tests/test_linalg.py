@@ -131,6 +131,11 @@ class TestDenseSymEig:
         with pytest.raises(ValueError):
             dense_sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            dense_sym_eig(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_rejects_oversize(self):
         with pytest.raises(ValueError):
             dense_sym_eig(np.zeros((513, 513)))

@@ -338,8 +338,8 @@ class TestGraphReadout:
         ref_pred = []
         for gi, (n, seed) in enumerate(zip(ns, seeds)):
             g_feats = graph_feats(n, 3, seed)
-            tape, z = forward_embedding(params, g_feats)
-            vec = z.mean(axis=0) if readout == "mean" else z.sum(axis=0)
+            tape = forward_embedding(params, g_feats)
+            vec = tape.z.mean(axis=0) if readout == "mean" else tape.z.sum(axis=0)
             logits = vec @ params.w
             ref_pred.append(int(np.argmax(logits)))
             if gi not in mask:

@@ -8,7 +8,6 @@ from flowerpetals.nullmodel import (
     SaturationError,
     relative_density,
     rewire_add_triangle,
-    rewire_remove_triangle,
     rewire_to_target,
     triangle_count,
     _adjacency_sets,
@@ -80,6 +79,7 @@ class TestRewireToTarget:
         g = er_graph(30, 0.25, seed=2)
         out, log = rewire_to_target(g, 0.0, seed=0)
         assert out.edges == g.edges and log.accepted == []
+        assert log.achieved_rho2 == 0.0
 
     def test_overshoot_is_at_most_one_rewire(self):
         g = er_graph(128, 0.1, seed=1)
@@ -87,6 +87,7 @@ class TestRewireToTarget:
         base = n2(g)
         achieved = n2(out) / base - 1.0
         assert achieved >= 0.2
+        assert log.achieved_rho2 == achieved
         # replay the accepted chains: density crosses the target only at the
         # very last one
         adj = _adjacency_sets(g)
@@ -122,21 +123,8 @@ class TestRewireToTarget:
         assert err.value.graph is not None
         assert err.value.achieved_rho2 < 50.0
         assert err.value.achieved_rho2 == n2(err.value.graph) / n2(g) - 1.0
+        assert err.value.log.achieved_rho2 == err.value.achieved_rho2
 
     def test_no_triangles_rejected(self):
         with pytest.raises(ValueError):
             rewire_to_target(P5, 0.5, seed=0)
-
-
-class TestRewireRemoveTriangle:
-    def test_reduces_triangles_and_preserves_degrees(self):
-        g = er_graph(40, 0.2, seed=6)
-        assert n2(g) > 0
-        out, _ = rewire_remove_triangle(g, seed=0)
-        assert n2(out) < n2(g)
-        assert np.array_equal(out.degrees(), g.degrees())
-        assert out.num_edges == g.num_edges
-
-    def test_saturates_when_nothing_to_remove(self):
-        with pytest.raises(SaturationError):
-            rewire_remove_triangle(P5, seed=0)
