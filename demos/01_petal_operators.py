@@ -30,7 +30,7 @@ for p in (1, 2):
     op = build_fp_adjacency(h)
     lap = build_fp_laplacian(op)
     eigs, _ = dense_sym_eig(op.a_tilde.to_dense())
-    print(f"\norder {p}: incidence {h.h.shape}, degrees {op.node_degrees.tolist()}")
+    print(f"\norder {p}: incidence {(h.n, h.n_p)}, degrees {op.node_degrees.tolist()}")
     print(f"  adjacency spectrum in [{eigs.min():+.3f}, {eigs.max():.3f}]")
     root = np.sqrt(op.node_degrees.astype(float))
     nonzero = root > 0

@@ -2,8 +2,12 @@
 
 All subcommands emit deterministic JSON (sorted keys, seeds surfaced in the
 output) so a rerun with the same inputs and seed is byte-identical. Exit
-codes: 0 success, 1 usage error, 2 data error, 3 numerical or saturation
-error.
+codes: 0 success, 1 usage error, 2 data error (including an input that
+cannot be read), 3 numerical or saturation error, 4 internal error (a bug:
+one line on stderr, the traceback at FP_LOG=debug).
+
+Run it as ``flowerpetals <command> ...`` or ``python -m flowerpetals.cli
+<command> ...``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,9 @@ from .tasks import (
 
 __all__ = ["run", "main"]
 
-USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
+USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
+
+logger = logging.getLogger("flowerpetals")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -310,8 +316,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _to_json(_COMMANDS[args.command](args))
-    except (DataError, FileNotFoundError) as exc:
+        _write(_to_json(_COMMANDS[args.command](args)), args.out)
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except (SaturationError, ConvergenceError, FloatingPointError) as exc:
@@ -323,9 +329,16 @@ def run(argv) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    _write(text, args.out)
+    except Exception as exc:
+        logger.debug("internal error", exc_info=True)
+        print(f"error: internal error ({type(exc).__name__}: {exc})", file=sys.stderr)
+        return INTERNAL_ERROR
     return 0
 
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

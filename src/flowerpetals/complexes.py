@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import SparseMatrix
-
 __all__ = [
     "DataError",
     "Graph",
@@ -88,11 +86,7 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.array([len(s) for s in self.adjacency], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -143,39 +137,39 @@ class SimplicialComplex:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Node-by-simplex 0/1 incidence for one petal order.
+    """Node-by-simplex 0/1 incidence H_p for one petal order, stored as the
+    member rows of its p-simplices.
 
-    Column j marks the p+1 member nodes of the j-th p-simplex (in the
-    complex's lexicographic column order); row sums are the node degrees
-    d_p(u) in the core-petal bipartite graph.
+    ``members`` is an (n_p, p+1) array whose row j holds the ascending nodes
+    of the j-th p-simplex (in the complex's lexicographic order), so
+    H_p[v, j] = 1 iff v is in row j. Node degrees d_p(u) in the core-petal
+    bipartite graph are the counts of each node across the rows.
     """
 
     p: int
-    h: SparseMatrix
+    n: int
+    members: np.ndarray
 
     def __post_init__(self):
         if self.p < 1:
             raise DataError("incidence order must be >= 1")
-        if self.h.nnz:
-            if not np.all(self.h.values == 1.0):
-                raise DataError("incidence entries must all be 1.0")
-            per_col = np.bincount(self.h.col_indices, minlength=self.h.cols)
-            if not np.all(per_col == self.p + 1):
-                raise DataError(f"every column must have exactly {self.p + 1} ones")
-        elif self.h.cols:
-            raise DataError("non-empty petal with empty incidence")
-
-    @property
-    def n(self) -> int:
-        return self.h.rows
+        members = np.array(self.members, dtype=np.int64)
+        if members.ndim != 2 or members.shape[1] != self.p + 1:
+            raise DataError(f"every simplex must have exactly {self.p + 1} nodes")
+        if members.size and (members.min() < 0 or members.max() >= self.n):
+            raise DataError(f"simplex node out of range for n={self.n}")
+        if np.any(members[:, 1:] <= members[:, :-1]):
+            raise DataError("simplex nodes must be strictly ascending")
+        members.flags.writeable = False
+        object.__setattr__(self, "members", members)
 
     @property
     def n_p(self) -> int:
-        return self.h.cols
+        return len(self.members)
 
     def node_degrees(self) -> np.ndarray:
         """d_p(u): number of p-simplices containing each node."""
-        return np.diff(self.h.row_starts).astype(np.int64)
+        return np.bincount(self.members.ravel(), minlength=self.n)
 
 
 def node_count_header(path, text: str) -> int | None:
@@ -315,17 +309,5 @@ def incidence_matrix(k: SimplicialComplex, p: int) -> IncidenceMatrix:
     """Build H_p for a complex: entry (v, j) is 1 iff node v is in simplex j."""
     if p < 1 or p > max(k.simplices, default=0):
         raise ValueError(f"order {p} outside the complex's stored orders")
-    simps = k.simplices.get(p, ())
-    # iterating columns in lexicographic order keeps each row's columns ascending
-    cols_per_node: list[list[int]] = [[] for _ in range(k.n)]
-    for j, simplex in enumerate(simps):
-        for v in simplex:
-            cols_per_node[v].append(j)
-    counts = np.array([len(c) for c in cols_per_node], dtype=np.int64)
-    row_starts = np.zeros(k.n + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_starts[1:])
-    col_indices = np.array(
-        [j for cols in cols_per_node for j in cols], dtype=np.int64
-    )
-    h = SparseMatrix(k.n, len(simps), row_starts, col_indices, np.ones(len(col_indices)))
-    return IncidenceMatrix(p, h)
+    members = np.array(k.simplices.get(p, ()), dtype=np.int64).reshape(-1, p + 1)
+    return IncidenceMatrix(p, k.n, members)

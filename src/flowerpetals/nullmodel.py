@@ -62,11 +62,7 @@ def triangle_count(adj: list[set[int]]) -> int:
 
 
 def _adjacency_sets(g: Graph) -> list[set[int]]:
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+    return [set(s) for s in g.adjacency]
 
 
 def _graph_from_sets(g: Graph, adj: list[set[int]]) -> Graph:

@@ -31,12 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FpOperator:
-    """Symmetric order-p adjacency with its node degrees and isolation mask."""
+    """Symmetric order-p adjacency with its node degrees."""
 
     p: int
     a_tilde: SparseMatrix
     node_degrees: np.ndarray
-    isolated: np.ndarray
 
     def __post_init__(self):
         a = self.a_tilde
@@ -50,19 +49,19 @@ class FpOperator:
         ):
             raise ValueError("adjacency must be symmetric to 1e-12")
         deg = np.ascontiguousarray(self.node_degrees, dtype=np.int64)
-        iso = np.ascontiguousarray(self.isolated, dtype=bool)
-        if deg.shape != (a.rows,) or iso.shape != (a.rows,):
-            raise ValueError("degree/isolation vectors must have length n")
-        if not np.array_equal(iso, deg == 0):
-            raise ValueError("isolation mask inconsistent with degrees")
+        if deg.shape != (a.rows,):
+            raise ValueError("degree vector must have length n")
         deg.flags.writeable = False
-        iso.flags.writeable = False
         object.__setattr__(self, "node_degrees", deg)
-        object.__setattr__(self, "isolated", iso)
 
     @property
     def n(self) -> int:
         return self.a_tilde.rows
+
+    @property
+    def isolated(self) -> np.ndarray:
+        """Nodes touching no p-simplex (d_p = 0)."""
+        return self.node_degrees == 0
 
 
 @dataclass(frozen=True)
@@ -100,17 +99,13 @@ class PropagatedFeatures:
         return self.blocks[1][0].shape[1]
 
 
-def _pair_counts(h: IncidenceMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """COO triplets of H_p H_p^T: entry (u, v) counts shared p-simplices."""
-    p = h.p
-    if h.n_p == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, np.zeros(0)
-    members = h.h.transpose()  # col-major view: row j lists simplex j's nodes
-    simp = members.col_indices.reshape(h.n_p, p + 1)
-    rows = np.repeat(simp, p + 1, axis=1).ravel()
-    cols = np.tile(simp, (1, p + 1)).ravel()
-    return rows, cols, np.ones(len(rows))
+def _pair_pattern(h: IncidenceMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """COO pattern of H_p H_p^T: one (u, v) pair per simplex holding both
+    nodes, so summing duplicates counts the shared p-simplices."""
+    width = h.p + 1
+    rows = np.repeat(h.members, width, axis=1).ravel()
+    cols = np.tile(h.members, (1, width)).ravel()
+    return rows, cols
 
 
 def build_fp_adjacency(h: IncidenceMatrix) -> FpOperator:
@@ -120,14 +115,13 @@ def build_fp_adjacency(h: IncidenceMatrix) -> FpOperator:
     the 0^{-1/2} * 0 = 0 convention; an empty petal yields the zero operator.
     """
     deg = h.node_degrees()
-    rows, cols, vals = _pair_counts(h)
-    if len(vals):
-        scale = np.zeros(h.n)
-        nz = deg > 0
-        scale[nz] = 1.0 / np.sqrt(deg[nz].astype(np.float64))
-        vals = vals * (scale[rows] * scale[cols]) / (h.p + 1)
+    rows, cols = _pair_pattern(h)
+    scale = np.zeros(h.n)
+    nz = deg > 0
+    scale[nz] = 1.0 / np.sqrt(deg[nz].astype(np.float64))
+    vals = scale[rows] * scale[cols] / (h.p + 1)
     a_tilde = SparseMatrix.from_coo(h.n, h.n, rows, cols, vals)
-    return FpOperator(h.p, a_tilde, deg, deg == 0)
+    return FpOperator(h.p, a_tilde, deg)
 
 
 def build_fp_laplacian(op: FpOperator) -> SparseMatrix:
@@ -143,13 +137,11 @@ def build_fp_laplacian(op: FpOperator) -> SparseMatrix:
 def walk_operator(h: IncidenceMatrix) -> SparseMatrix:
     """Column-stochastic two-step walk matrix H D_h^{-1} H^T D_v^{-1}."""
     deg = h.node_degrees()
-    rows, cols, vals = _pair_counts(h)
-    if len(vals):
-        inv_deg = np.zeros(h.n)
-        nz = deg > 0
-        inv_deg[nz] = 1.0 / deg[nz].astype(np.float64)
-        vals = vals * inv_deg[cols] / (h.p + 1)
-    return SparseMatrix.from_coo(h.n, h.n, rows, cols, vals)
+    rows, cols = _pair_pattern(h)
+    inv_deg = np.zeros(h.n)
+    nz = deg > 0
+    inv_deg[nz] = 1.0 / deg[nz].astype(np.float64)
+    return SparseMatrix.from_coo(h.n, h.n, rows, cols, inv_deg[cols] / (h.p + 1))
 
 
 def two_step_walk(h: IncidenceMatrix, pi0: WalkState, steps: int) -> WalkState:
@@ -169,11 +161,7 @@ def two_step_walk(h: IncidenceMatrix, pi0: WalkState, steps: int) -> WalkState:
     if np.any(pi0.pi[deg == 0] != 0):
         raise ValueError("probability mass on a node isolated in this petal")
 
-    members = h.h.transpose()
-    simplex_nodes = [
-        tuple(members.col_indices[members.row_starts[j] : members.row_starts[j + 1]])
-        for j in range(h.n_p)
-    ]
+    simplex_nodes = h.members.tolist()
     pi = pi0.pi.copy()
     for _ in range(steps // 2):
         up = np.zeros(h.n_p)

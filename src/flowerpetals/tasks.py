@@ -19,7 +19,6 @@ from .complexes import (
     incidence_matrix,
     node_count_header,
 )
-from .linalg import SparseMatrix
 from .model import (
     AdamState,
     HigcnParams,
@@ -337,7 +336,7 @@ def petal_operators(k: SimplicialComplex, p_max: int) -> list[FpOperator]:
         if p in k.simplices:
             h = incidence_matrix(k, p)
         else:
-            h = IncidenceMatrix(p, SparseMatrix.zeros(k.n, 0))
+            h = IncidenceMatrix(p, k.n, np.zeros((0, p + 1)))
         ops.append(build_fp_adjacency(h))
     return ops
 
@@ -615,7 +614,7 @@ def graph_classify(
     local, so its operators are the block diagonals of the per-graph ones.
     Given features propagate once per run. Graphs without features get
     degree one-hots whose dimension is capped by the training fold's maximum
-    degree (larger degrees clamp to the cap), propagated once per fold.
+    degree (larger degrees clamp to the cap), propagated once per distinct cap.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != len(graphs):
@@ -630,20 +629,21 @@ def graph_classify(
     ops = petal_operators(clique_lift(union, cfg.P), cfg.P)
     graph_of = np.repeat(np.arange(len(graphs)), sizes)
     degrees = union.degrees()
-    given_feats = (
-        None if union.features is None else propagate_features(ops, union.features, cfg.K)
-    )
+    feats_by_cap: dict[int | None, PropagatedFeatures] = {}  # None: given features
 
     fold_curves = []
     for fold_idx, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(perm, val_idx)
-        if given_feats is not None:
-            feats = given_feats
-        else:
+        cap = None
+        if union.features is None:
             cap = int(degrees[np.isin(graph_of, train_idx)].max())
-            x = np.zeros((union.n, cap + 1))
-            x[np.arange(union.n), np.minimum(degrees, cap)] = 1.0
-            feats = propagate_features(ops, x, cfg.K)
+        if cap not in feats_by_cap:
+            x = union.features
+            if cap is not None:
+                x = np.zeros((union.n, cap + 1))
+                x[np.arange(union.n), np.minimum(degrees, cap)] = 1.0
+            feats_by_cap[cap] = propagate_features(ops, x, cfg.K)
+        feats = feats_by_cap[cap]
         params = init_params(
             cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,

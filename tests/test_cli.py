@@ -1,7 +1,11 @@
 """CLI contracts: help, JSON shapes, exit codes, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,7 @@ import flowerpetals.cli
 import flowerpetals.nullmodel
 import flowerpetals.tasks
 from flowerpetals.cli import run
-from flowerpetals.complexes import load_graph
+from flowerpetals.complexes import Graph, load_graph
 from flowerpetals.nullmodel import _adjacency_sets, triangle_count
 from flowerpetals.model import init_params, save_checkpoint
 from flowerpetals.tasks import TrainConfig, fit_node_params
@@ -62,10 +66,14 @@ def write_coauthorship(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_graph_dataset(path, degree_features=False):
+def write_graph_dataset(path, degree_features=False, hub=False):
     """Write a triangles-vs-hexagons dataset; with ``degree_features`` every
-    node carries its degree as a given one-column feature."""
+    node carries its degree as a given one-column feature, and with ``hub``
+    a 5-leaf star is appended, the one graph holding a node of degree 5."""
     graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
+    if hub:
+        graphs = graphs + [Graph(6, tuple((0, leaf) for leaf in range(1, 6)))]
+        labels = list(labels) + [0]
     with open(path, "w") as fh:
         for g, lab in zip(graphs, labels):
             record = {"n": g.n, "edges": [list(e) for e in g.edges], "label": int(lab)}
@@ -240,7 +248,19 @@ class TestOneSetUpPerRun:
         assert len(records) == n_graphs
         assert len(lifts) == 1 and lifts[0][0].n == sum(r["n"] for r in records)
         assert len(ops) == 2  # one operator per order, P=2
-        assert len(props) == 10  # one propagation per fold
+        assert len(props) == 1  # every fold caps the 2-regular graphs' degrees at 2
+
+    def test_graphclass_propagates_once_per_distinct_cap(self, work, monkeypatch):
+        write_graph_dataset(work / "gs.jsonl", hub=True)
+        (work / "gcfg.json").write_text(
+            json.dumps({"task": "graphclass", "epochs": 2, "hidden": 4, "K": 2})
+        )
+        props = count_calls(monkeypatch, flowerpetals.tasks, "propagate_features")
+        code = run(["graphclass", "--dataset", str(work / "gs.jsonl"),
+                    "--config", str(work / "gcfg.json"), "--out", str(work / "gc.json")])
+        assert code == 0
+        # cap 5 while the hub trains, cap 2 in the one fold validating it
+        assert sorted(p[1].shape[1] for p in props) == [3, 6]
 
     def test_graphclass_propagates_given_features_once(self, work, monkeypatch):
         write_graph_dataset(work / "gs.jsonl", degree_features=True)
@@ -272,6 +292,30 @@ class TestOneSetUpPerRun:
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         assert run(["lift", "--edges", str(tmp_path / "nope.tsv")]) == 2
+
+    def test_directory_as_input_is_data_error(self, tmp_path, capsys):
+        assert run(["lift", "--edges", str(tmp_path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_unexpected_exception_is_internal_error(self, work, monkeypatch, capsys):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(flowerpetals.cli._COMMANDS, "lift", broken)
+        assert run(["lift", "--edges", str(work / "k3.tsv")]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: internal error (RuntimeError: boom)\n"
+
+    def test_module_entry_point_runs_the_cli(self, work):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": "src"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowerpetals.cli", "spectra",
+             "--edges", str(work / "k3.tsv"), "--max-order", "0"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "error: max_order must be >= 1" in proc.stderr
 
     def test_unknown_subcommand_is_usage_error(self):
         assert run(["bogus"]) == 1

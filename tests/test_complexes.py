@@ -8,6 +8,7 @@ import pytest
 from flowerpetals.complexes import (
     DataError,
     Graph,
+    IncidenceMatrix,
     SimplicialComplex,
     clique_lift,
     incidence_matrix,
@@ -116,17 +117,18 @@ class TestCliqueLift:
 class TestIncidenceMatrix:
     def test_k3_triangle_column(self):
         h = incidence_matrix(clique_lift(Graph(3, ((0, 1), (0, 2), (1, 2))), 2), 2)
-        assert h.h.shape == (3, 1)
-        assert np.array_equal(h.h.to_dense(), [[1.0], [1.0], [1.0]])
+        assert (h.n, h.n_p) == (3, 1)
+        assert np.array_equal(h.members, [[0, 1, 2]])
 
     def test_k3_edge_incidence_row_sums(self):
         h = incidence_matrix(clique_lift(Graph(3, ((0, 1), (0, 2), (1, 2))), 1), 1)
-        assert h.h.shape == (3, 3)
+        assert (h.n, h.n_p) == (3, 3)
         assert np.array_equal(h.node_degrees(), [2, 2, 2])
 
     def test_empty_petal(self):
         h = incidence_matrix(clique_lift(Graph(6, C6_EDGES), 2), 2)
-        assert h.h.shape == (6, 0)
+        assert (h.n, h.n_p) == (6, 0)
+        assert h.members.shape == (0, 3)
 
     def test_out_of_range_order(self):
         with pytest.raises(ValueError):
@@ -139,4 +141,14 @@ class TestIncidenceMatrix:
             lifted = clique_lift(g, 3)
             for p in (1, 2, 3):
                 h = incidence_matrix(lifted, p)
-                assert h.h.values.sum() == (p + 1) * lifted.count(p)
+                assert h.node_degrees().sum() == (p + 1) * lifted.count(p)
+
+    @pytest.mark.parametrize("members", [
+        [[0, 1, 2]],  # a row of the wrong width for p = 1
+        [[1, 1]],  # a repeated node
+        [[0, 3]],  # a node >= n
+        [[-1, 2]],  # a node < 0
+    ])
+    def test_invalid_members_rejected(self, members):
+        with pytest.raises(DataError):
+            IncidenceMatrix(1, 3, np.array(members))
