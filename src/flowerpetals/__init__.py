@@ -15,13 +15,7 @@ from .complexes import (
     incidence_matrix,
     load_graph,
 )
-from .isomorphism import (
-    ColoringState,
-    distinguish,
-    hwl_refine,
-    shwl_refine,
-    wl_refine,
-)
+from .isomorphism import distinguish, refine
 from .linalg import ConvergenceError, SparseMatrix, dense_sym_eig, spmm_dense, spmv
 from .model import (
     AdamState,

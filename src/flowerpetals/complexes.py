@@ -53,13 +53,13 @@ class Graph:
         if tuple(sorted(self.edges)) != self.edges:
             raise DataError("edges must be lexicographically sorted")
         if self.features is not None:
-            feats = np.ascontiguousarray(self.features, dtype=np.float64)
+            feats = np.array(self.features, dtype=np.float64, order="C")
             if feats.ndim != 2 or feats.shape[0] != self.n:
                 raise DataError(f"features must be n x d, got {feats.shape}")
             feats.flags.writeable = False
             object.__setattr__(self, "features", feats)
         if self.labels is not None:
-            labels = np.ascontiguousarray(self.labels, dtype=np.int64)
+            labels = np.array(self.labels, dtype=np.int64)
             if labels.shape != (self.n,):
                 raise DataError(f"labels must have length n, got {labels.shape}")
             if len(labels) and labels.min() < 0:

@@ -5,85 +5,74 @@ simplices) until the partition stops changing. WL hashes neighbor color
 multisets on the pairwise graph; HWL hashes over flower-petals bipartite
 neighborhoods for every simplex; SHWL keeps the hash rule for nodes but
 updates higher simplices by plain coefficient-1 summation of integer
-color codes. Hashes are 64-bit digests with an explicit collision table;
-codes are re-densified each round (keyed by the previous color, so the
-partition can only refine, never merge).
+color codes.
+
+Refinement runs on integer arrays, as label compression by sorting in the
+WL subtree kernel: every item's neighborhood is a CSR row, each round
+sorts the neighbor colors within every row, deduplicates the (own color,
+sorted neighbor colors) signatures, and digests each distinct signature
+once. Digests are 64-bit with an explicit collision table; codes are
+re-densified each round as ranks of (previous color, rule, value), so the
+partition can only refine, never merge.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 
-from .complexes import Graph, SimplicialComplex, clique_lift
+import numpy as np
 
-__all__ = [
-    "ColoringState",
-    "wl_refine",
-    "hwl_refine",
-    "shwl_refine",
-    "wl_color_rounds",
-    "hwl_color_rounds",
-    "shwl_color_rounds",
-    "distinguish",
-]
+from .complexes import Graph, SimplicialComplex, clique_lift, incidence_matrix
 
-Item = tuple[int, int]  # (simplex order, index); nodes are order 0
+__all__ = ["refine", "distinguish"]
+
 METHODS = ("wl", "hwl", "shwl")
+Structure = Graph | SimplicialComplex
 
 
-@dataclass(frozen=True)
-class ColoringState:
-    """Colors for every item after one refinement round."""
-
-    round: int
-    colors: dict[Item, int]
-
-    @property
-    def histogram(self) -> dict[int, Counter]:
-        """Per-order multiset of color ids."""
-        out: dict[int, Counter] = {}
-        for (order, _), color in self.colors.items():
-            out.setdefault(order, Counter())[color] += 1
-        return out
-
-    def partition(self, order: int | None = None) -> frozenset[frozenset[Item]]:
-        """Color classes, optionally restricted to one simplex order."""
-        groups: dict[int, set[Item]] = {}
-        for item, color in self.colors.items():
-            if order is None or item[0] == order:
-                groups.setdefault(color, set()).add(item)
-        return frozenset(frozenset(g) for g in groups.values())
+def _blocks(s: Structure) -> list[tuple[int, int]]:
+    """(order, count) of a structure's items in item order: its nodes, then
+    the p-simplices of every stored order p ascending."""
+    if isinstance(s, Graph):
+        return [(0, s.n)]
+    return [(0, s.n)] + [(p, s.count(p)) for p in sorted(s.simplices)]
 
 
-class _Structure:
-    """Uniform refinement view: items plus their update neighborhoods."""
+def _pairs(s: Structure) -> tuple[np.ndarray, np.ndarray]:
+    """Directed (item, neighbor) pairs in the structure's own item ids.
 
-    def __init__(self, items: list[Item], neighbors: dict[Item, list[Item]]):
-        self.items = items
-        self.neighbors = neighbors
+    A graph node's neighbors are its adjacent nodes; in a complex a node's
+    neighbors are the simplices containing it and a simplex's are its nodes.
+    """
+    if isinstance(s, Graph):
+        u, v = np.array(s.edges, dtype=np.int64).reshape(-1, 2).T
+        return _cat([u, v]), _cat([v, u])
+    src, dst, base = [], [], s.n
+    for p in sorted(s.simplices):
+        members = incidence_matrix(s, p).members
+        simplex = np.repeat(np.arange(base, base + len(members)), p + 1)
+        src += [simplex, members.ravel()]
+        dst += [members.ravel(), simplex]
+        base += len(members)
+    return _cat(src), _cat(dst)
 
-    @classmethod
-    def from_graph(cls, g: Graph) -> "_Structure":
-        items = [(0, v) for v in range(g.n)]
-        neighbors = {
-            (0, v): [(0, u) for u in sorted(g.adjacency[v])] for v in range(g.n)
-        }
-        return cls(items, neighbors)
 
-    @classmethod
-    def from_complex(cls, k: SimplicialComplex) -> "_Structure":
-        items: list[Item] = [(0, v) for v in range(k.n)]
-        neighbors: dict[Item, list[Item]] = {(0, v): [] for v in range(k.n)}
-        for p in sorted(k.simplices):
-            for j, simplex in enumerate(k.simplices[p]):
-                item = (p, j)
-                items.append(item)
-                neighbors[item] = [(0, v) for v in simplex]
-                for v in simplex:
-                    neighbors[(0, v)].append(item)
-        return cls(items, neighbors)
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+
+
+def _dense_ranks(keys: list[np.ndarray]) -> np.ndarray:
+    """Rank of every position among the distinct key tuples, the first key
+    most significant; equal tuples share a rank."""
+    ranked = np.lexsort(keys[::-1])
+    step = np.zeros(len(ranked), dtype=np.int64)
+    for key in keys:
+        key = key[ranked]
+        step[1:] |= key[1:] != key[:-1]
+    ranks = np.empty(len(ranked), dtype=np.int64)
+    ranks[ranked] = np.cumsum(step)
+    return ranks
 
 
 def _digest(payload: tuple, table: dict[int, tuple]) -> int:
@@ -96,74 +85,84 @@ def _digest(payload: tuple, table: dict[int, tuple]) -> int:
     return code
 
 
-def _joint_rounds(
-    structures: list[_Structure], method: str
-) -> list[list[ColoringState]]:
-    """Refine all structures in one shared color namespace.
+def refine(structures: Sequence[Structure], method: str) -> Iterator[np.ndarray]:
+    """Refine structures in one shared color namespace, one round at a time.
 
-    Returns, per round, one ColoringState per structure; stops at the first
-    round whose joint partition no longer refines the previous one.
+    WL refines graphs; HWL and SHWL refine simplicial complexes. Yields the
+    color of every item for round 0 (all zero), 1, ..., and stops after the
+    first round whose joint partition no longer refines the previous one.
+    Items are laid out structure by structure, each as its nodes followed
+    by its p-simplices for every stored order p ascending.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    colorings = [{item: 0 for item in s.items} for s in structures]
-    history = [[ColoringState(0, dict(c)) for c in colorings]]
-    total = sum(len(s.items) for s in structures)
-    digests: dict[int, tuple] = {}
-    joint_classes = 1
-    for rnd in range(1, total + 2):
-        raw: list[dict[Item, tuple]] = []
-        for s, colors in zip(structures, colorings):
-            codes = {}
-            for item in s.items:
-                own = colors[item]
-                nbrs = [colors[o] for o in s.neighbors[item]]
-                if method == "shwl" and item[0] > 0:
-                    # nonvanishing linear rule: all coefficients 1
-                    codes[item] = (own, 1, own + sum(nbrs))
-                else:
-                    sig = (own, tuple(sorted(nbrs)))
-                    codes[item] = (own, 0, _digest(sig, digests))
-            raw.append(codes)
-        dense = {
-            key: i
-            for i, key in enumerate(sorted({k for c in raw for k in c.values()}))
-        }
-        colorings = [
-            {item: dense[code] for item, code in codes.items()} for codes in raw
-        ]
-        history.append([ColoringState(rnd, dict(c)) for c in colorings])
-        if len(dense) == joint_classes:
-            break
-        joint_classes = len(dense)
-    return history
+    kind = Graph if method == "wl" else SimplicialComplex
+    if not all(isinstance(s, kind) for s in structures):
+        raise TypeError(f"{method} refines {kind.__name__} structures")
+    blocks = [_blocks(s) for s in structures]
+    order = _cat([np.repeat([p for p, _ in b], [c for _, c in b]) for b in blocks])
+    total = len(order)
+    colors = np.zeros(total, dtype=np.int64)
+    yield colors
+
+    # neighborhoods are built only once a round past 0 is asked for
+    src, dst, base = [], [], 0
+    for s, b in zip(structures, blocks):
+        a, c = _pairs(s)
+        src.append(a + base)
+        dst.append(c + base)
+        base += sum(count for _, count in b)
+    src = _cat(src)
+    by_row = np.argsort(src, kind="stable")
+    row, idx = src[by_row], _cat(dst)[by_row]
+    length = np.bincount(row, minlength=total)
+    starts = np.cumsum(length) - length
+    summed = (order > 0) if method == "shwl" else np.zeros(total, dtype=bool)
+    # one group per (row length, rule): its rows and the positions of their entries
+    rule = 2 * length + summed
+    groups = []
+    for r in np.unique(rule).tolist():
+        rows = np.flatnonzero(rule == r)
+        groups.append((rows, starts[rows, None] + np.arange(r // 2), r % 2))
+
+    table: dict[int, tuple] = {}
+    classes = 1
+    for _ in range(total + 1):
+        shift = row * classes
+        nbrs = np.sort(shift + colors[idx]) - shift  # ascending within each row
+        value = np.empty(total, dtype=np.uint64)
+        for rows, pos, is_sum in groups:
+            own, nbr = colors[rows], nbrs[pos]
+            if is_sum:  # nonvanishing linear rule: all coefficients 1
+                value[rows] = own + nbr.sum(axis=1)
+                continue
+            sig = _dense_ranks([own, *nbr.T])
+            rep = np.empty(sig.max() + 1, dtype=np.int64)  # one row per distinct signature
+            rep[sig] = np.arange(len(rows))
+            payloads = np.column_stack([own, nbr])[rep].tolist()
+            codes = [_digest((p[0], tuple(p[1:])), table) for p in payloads]
+            value[rows] = np.array(codes, dtype=np.uint64)[sig]
+        colors = _dense_ranks([2 * colors + summed, value])
+        yield colors
+        joint = int(colors.max(initial=-1)) + 1
+        if joint == classes:
+            return
+        classes = joint
 
 
-def wl_color_rounds(g: Graph) -> list[ColoringState]:
-    return [states[0] for states in _joint_rounds([_Structure.from_graph(g)], "wl")]
-
-
-def hwl_color_rounds(k: SimplicialComplex) -> list[ColoringState]:
-    return [states[0] for states in _joint_rounds([_Structure.from_complex(k)], "hwl")]
-
-
-def shwl_color_rounds(k: SimplicialComplex) -> list[ColoringState]:
-    return [states[0] for states in _joint_rounds([_Structure.from_complex(k)], "shwl")]
-
-
-def wl_refine(g: Graph) -> list[dict[int, Counter]]:
-    """Histogram per round of node-color refinement until stable."""
-    return [s.histogram for s in wl_color_rounds(g)]
-
-
-def hwl_refine(k: SimplicialComplex) -> list[dict[int, Counter]]:
-    """Histogram per round; every simplex refined over its petal neighborhoods."""
-    return [s.histogram for s in hwl_color_rounds(k)]
-
-
-def shwl_refine(k: SimplicialComplex) -> list[dict[int, Counter]]:
-    """Histogram per round; higher simplices updated by summation."""
-    return [s.histogram for s in shwl_color_rounds(k)]
+def _histograms(colors: np.ndarray, structures: Sequence[Structure]) -> list[dict]:
+    """Per structure, the color multiset of every order that has items."""
+    out, start = [], 0
+    for s in structures:
+        hist = {}
+        for p, count in _blocks(s):
+            if count:
+                counts = np.bincount(colors[start : start + count])
+                present = np.flatnonzero(counts)
+                hist[p] = dict(zip(present.tolist(), counts[present].tolist()))
+            start += count
+        out.append(hist)
+    return out
 
 
 def distinguish(
@@ -172,24 +171,17 @@ def distinguish(
     """Run two graphs through one refinement in lockstep.
 
     Returns ("distinguished", rounds) at the first histogram mismatch, or
-    ("inconclusive", rounds) once the joint coloring stabilizes. HWL and
-    SHWL lift both graphs to clique complexes of order ``p_max`` first.
+    ("inconclusive", rounds) once the joint coloring stabilizes. Each round
+    is {"round": r, "a": {order: {color: count}}, "b": ...}. HWL and SHWL
+    lift both graphs to clique complexes of order ``p_max`` first.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    if method == "wl":
-        structures = [_Structure.from_graph(a), _Structure.from_graph(b)]
-    else:
-        structures = [
-            _Structure.from_complex(clique_lift(a, p_max)),
-            _Structure.from_complex(clique_lift(b, p_max)),
-        ]
+    pair = [a, b] if method == "wl" else [clique_lift(a, p_max), clique_lift(b, p_max)]
     rounds = []
-    verdict = "inconclusive"
-    for state_a, state_b in _joint_rounds(structures, method):
-        ha, hb = state_a.histogram, state_b.histogram
-        rounds.append({"round": state_a.round, "a": ha, "b": hb})
+    for rnd, colors in enumerate(refine(pair, method)):
+        ha, hb = _histograms(colors, pair)
+        rounds.append({"round": rnd, "a": ha, "b": hb})
         if ha != hb:
-            verdict = "distinguished"
-            break
-    return verdict, rounds
+            return "distinguished", rounds
+    return "inconclusive", rounds

@@ -39,7 +39,8 @@ class SparseMatrix:
 
     ``row_starts`` has length ``rows + 1``; ``col_indices`` are strictly
     ascending within each row (no duplicates). Instances are immutable:
-    the backing arrays are marked read-only at construction.
+    the backing arrays are read-only copies made at construction, so the
+    caller's own arrays stay writable.
     """
 
     rows: int
@@ -49,9 +50,9 @@ class SparseMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        rs = np.ascontiguousarray(self.row_starts, dtype=np.int64)
-        ci = np.ascontiguousarray(self.col_indices, dtype=np.int64)
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
+        rs = np.array(self.row_starts, dtype=np.int64)
+        ci = np.array(self.col_indices, dtype=np.int64)
+        vals = np.array(self.values, dtype=np.float64)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative dimensions")
         if rs.shape != (self.rows + 1,):

@@ -48,7 +48,7 @@ class FpOperator:
             and (a.nnz == 0 or np.max(np.abs(a.values - t.values)) <= 1e-12)
         ):
             raise ValueError("adjacency must be symmetric to 1e-12")
-        deg = np.ascontiguousarray(self.node_degrees, dtype=np.int64)
+        deg = np.array(self.node_degrees, dtype=np.int64)
         if deg.shape != (a.rows,):
             raise ValueError("degree vector must have length n")
         deg.flags.writeable = False
@@ -72,7 +72,7 @@ class WalkState:
     pi: np.ndarray
 
     def __post_init__(self):
-        pi = np.ascontiguousarray(self.pi, dtype=np.float64)
+        pi = np.array(self.pi, dtype=np.float64)
         if pi.ndim != 1:
             raise ValueError("pi must be a vector")
         if len(pi) and pi.min() < 0:

@@ -70,7 +70,7 @@ class SplitSpec:
     test: np.ndarray
 
     def __post_init__(self):
-        parts = [np.asarray(p, dtype=np.int64) for p in (self.train, self.val, self.test)]
+        parts = [np.array(p, dtype=np.int64) for p in (self.train, self.val, self.test)]
         allidx = np.concatenate(parts)
         if len(np.unique(allidx)) != len(allidx):
             raise ValueError("split parts must be disjoint")
@@ -438,7 +438,7 @@ class CoauthorshipComplex:
     signals: dict[int, np.ndarray]
 
     def __post_init__(self):
-        sig = {p: np.ascontiguousarray(v, dtype=np.float64) for p, v in self.signals.items()}
+        sig = {p: np.array(v, dtype=np.float64) for p, v in self.signals.items()}
         if 0 not in sig or sig[0].shape != (self.complex.n,):
             raise DataError("node signals (order 0) of length n are required")
         for p, v in sig.items():

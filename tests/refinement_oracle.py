@@ -1,0 +1,87 @@
+"""Reference colour refinement on dicts of (order, index) items.
+
+A direct transcription of the WL/HWL/SHWL update rules, one item at a
+time: every item's signature is digested on its own, and the dense colour
+ids are the ranks of the sorted (own, rule, value) keys. The array
+implementation in ``flowerpetals.isomorphism`` must give the same colour
+ids, verdicts and histograms.
+"""
+
+import hashlib
+from collections import Counter
+
+from flowerpetals.complexes import clique_lift
+
+Item = tuple[int, int]  # (simplex order, index); nodes are order 0
+
+
+def graph_neighbors(g) -> dict[Item, list[Item]]:
+    return {(0, v): [(0, u) for u in sorted(g.adjacency[v])] for v in range(g.n)}
+
+
+def complex_neighbors(k) -> dict[Item, list[Item]]:
+    neighbors: dict[Item, list[Item]] = {(0, v): [] for v in range(k.n)}
+    for p in sorted(k.simplices):
+        for j, simplex in enumerate(k.simplices[p]):
+            neighbors[(p, j)] = [(0, v) for v in simplex]
+            for v in simplex:
+                neighbors[(0, v)].append((p, j))
+    return neighbors
+
+
+def _digest(payload: tuple, table: dict[int, tuple]) -> int:
+    raw = hashlib.blake2b(repr(payload).encode("ascii"), digest_size=8).digest()
+    code = int.from_bytes(raw, "big")
+    seen = table.setdefault(code, payload)
+    if seen != payload:
+        raise RuntimeError(f"64-bit hash collision between {seen} and {payload}")
+    return code
+
+
+def reference_rounds(structures: list[dict[Item, list[Item]]], method: str) -> list[list[dict]]:
+    """Per round, one {item: colour} dict per structure, until stable."""
+    colorings = [{item: 0 for item in s} for s in structures]
+    history = [colorings]
+    total = sum(len(s) for s in structures)
+    digests: dict[int, tuple] = {}
+    joint_classes = 1
+    for _ in range(1, total + 2):
+        raw = []
+        for s, colors in zip(structures, colorings):
+            codes = {}
+            for item, nbrs in s.items():
+                own = colors[item]
+                nbr_colors = [colors[o] for o in nbrs]
+                if method == "shwl" and item[0] > 0:
+                    codes[item] = (own, 1, own + sum(nbr_colors))
+                else:
+                    codes[item] = (own, 0, _digest((own, tuple(sorted(nbr_colors))), digests))
+            raw.append(codes)
+        dense = {key: i for i, key in enumerate(sorted({k for c in raw for k in c.values()}))}
+        colorings = [{item: dense[code] for item, code in codes.items()} for codes in raw]
+        history.append(colorings)
+        if len(dense) == joint_classes:
+            break
+        joint_classes = len(dense)
+    return history
+
+
+def histogram(colors: dict[Item, int]) -> dict[int, Counter]:
+    out: dict[int, Counter] = {}
+    for (order, _), color in colors.items():
+        out.setdefault(order, Counter())[color] += 1
+    return out
+
+
+def reference_distinguish(a, b, method: str, p_max: int = 2) -> tuple[str, list[dict]]:
+    if method == "wl":
+        structures = [graph_neighbors(a), graph_neighbors(b)]
+    else:
+        structures = [complex_neighbors(clique_lift(a, p_max)), complex_neighbors(clique_lift(b, p_max))]
+    rounds = []
+    for rnd, (ca, cb) in enumerate(reference_rounds(structures, method)):
+        ha, hb = histogram(ca), histogram(cb)
+        rounds.append({"round": rnd, "a": ha, "b": hb})
+        if ha != hb:
+            return "distinguished", rounds
+    return "inconclusive", rounds

@@ -20,6 +20,15 @@ K4_EDGES = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
 C6_EDGES = tuple(sorted((min(i, (i + 1) % 6), max(i, (i + 1) % 6)) for i in range(6)))
 
 
+class TestGraph:
+    def test_callers_arrays_stay_writable(self):
+        features, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+        g = Graph(3, (), features, labels)
+        features[0, 0], labels[0] = 1.0, 1  # the caller may still write its own arrays
+        assert g.features[0, 0] == 0.0 and g.labels[0] == 0
+        assert not g.features.flags.writeable and not g.labels.flags.writeable
+
+
 class TestLoadGraph:
     def test_canonicalization_drops_self_loops(self, tmp_path, caplog):
         path = tmp_path / "edges.tsv"

@@ -1,17 +1,16 @@
 """Refinement behavior, witness pairs, soundness, and partition properties."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from refinement_oracle import reference_distinguish
 
+from flowerpetals import isomorphism
+from flowerpetals.cli import _histogram_payload
 from flowerpetals.complexes import Graph, clique_lift
-from flowerpetals.isomorphism import (
-    distinguish,
-    hwl_refine,
-    shwl_color_rounds,
-    shwl_refine,
-    wl_color_rounds,
-    wl_refine,
-)
+from flowerpetals.isomorphism import distinguish, refine
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 TWO_TRIANGLES = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
@@ -32,19 +31,43 @@ def relabel(g, perm):
     return Graph(g.n, edges)
 
 
+def item_orders(structure):
+    """Simplex order of every item, in the item layout ``refine`` uses."""
+    if isinstance(structure, Graph):
+        return np.zeros(structure.n, dtype=np.int64)
+    orders = sorted(structure.simplices)
+    return np.repeat([0, *orders], [structure.n, *(structure.count(p) for p in orders)])
+
+
+def histograms(structure, method):
+    """Per round, the colour multiset of every simplex order that has items."""
+    orders = item_orders(structure)
+    return [
+        {p: Counter(colors[orders == p].tolist()) for p in dict.fromkeys(orders.tolist())}
+        for colors in refine([structure], method)
+    ]
+
+
+def node_partition(colors, n):
+    groups = {}
+    for v in range(n):
+        groups.setdefault(int(colors[v]), set()).add(v)
+    return frozenset(frozenset(g) for g in groups.values())
+
+
 class TestWl:
     def test_k3_stays_monochrome(self):
-        rounds = wl_refine(K3)
+        rounds = histograms(K3, "wl")
         for hist in rounds:
             assert len(hist[0]) == 1
 
     def test_star_splits_center_from_leaves(self):
-        rounds = wl_refine(Graph(4, ((0, 1), (0, 2), (0, 3))))
+        rounds = histograms(Graph(4, ((0, 1), (0, 2), (0, 3))), "wl")
         assert sorted(rounds[1][0].values()) == [1, 3]
         assert sorted(rounds[-1][0].values()) == [1, 3]
 
     def test_two_triangles_and_c6_share_histograms(self):
-        a, b = wl_refine(TWO_TRIANGLES), wl_refine(C6)
+        a, b = histograms(TWO_TRIANGLES, "wl"), histograms(C6, "wl")
         assert len(a) == len(b)
         # every node is degree 2: refinement stabilizes immediately
         for ha, hb in zip(a, b):
@@ -53,19 +76,19 @@ class TestWl:
 
 class TestHwl:
     def test_k3_orbit_classes(self):
-        hist = hwl_refine(clique_lift(K3, 2))[-1]
+        hist = histograms(clique_lift(K3, 2), "hwl")[-1]
         assert list(hist[0].values()) == [3]
         assert list(hist[1].values()) == [3]
         assert list(hist[2].values()) == [1]
 
     def test_two_triangles_vs_c6_differ_at_round_one(self):
-        ha = hwl_refine(clique_lift(TWO_TRIANGLES, 2))
-        hb = hwl_refine(clique_lift(C6, 2))
+        ha = histograms(clique_lift(TWO_TRIANGLES, 2), "hwl")
+        hb = histograms(clique_lift(C6, 2), "hwl")
         assert ha[0].get(2) != hb[0].get(2)  # simplex counts differ already
 
     def test_round_zero_histogram_reflects_counts_only(self):
         lifted = clique_lift(TWO_TRIANGLES, 2)
-        hist = hwl_refine(lifted)[0]
+        hist = histograms(lifted, "hwl")[0]
         assert hist[0] == {0: 6} and hist[1] == {0: 6} and hist[2] == {0: 2}
 
 
@@ -79,8 +102,8 @@ class TestShwl:
         for trial in range(10):
             g = random_graph(rng, int(rng.integers(5, 12)))
             perm = rng.permutation(g.n)
-            a = shwl_refine(clique_lift(g, 2))
-            b = shwl_refine(clique_lift(relabel(g, perm), 2))
+            a = histograms(clique_lift(g, 2), "shwl")
+            b = histograms(clique_lift(relabel(g, perm), 2), "shwl")
             assert a == b, trial
 
     def test_triangle_free_node_partition_matches_wl(self):
@@ -101,19 +124,19 @@ class TestShwl:
             )
             cases.append(Graph(left + right, edges))
         for g in cases:
-            wl_final = wl_color_rounds(g)[-1].partition(order=0)
-            shwl_final = shwl_color_rounds(clique_lift(g, 2))[-1].partition(order=0)
+            wl_final = node_partition(list(refine([g], "wl"))[-1], g.n)
+            shwl_final = node_partition(list(refine([clique_lift(g, 2)], "shwl"))[-1], g.n)
             assert wl_final == shwl_final, g.edges
 
     def test_monotone_refinement(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             g = random_graph(rng, int(rng.integers(5, 14)))
-            rounds = shwl_color_rounds(clique_lift(g, 3))
+            rounds = list(refine([clique_lift(g, 3)], "shwl"))
             for prev, cur in zip(rounds, rounds[1:]):
                 parents = {}
-                for item, color in cur.colors.items():
-                    parents.setdefault(color, set()).add(prev.colors[item])
+                for item, color in enumerate(cur.tolist()):
+                    parents.setdefault(color, set()).add(int(prev[item]))
                 assert all(len(p) == 1 for p in parents.values())
 
 
@@ -144,3 +167,54 @@ class TestDistinguish:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             distinguish(K3, C6, "k-wl")
+
+    def test_structure_must_suit_method(self):
+        with pytest.raises(TypeError):
+            next(refine([K3], "shwl"))  # SHWL refines complexes, not graphs
+        with pytest.raises(TypeError):
+            next(refine([clique_lift(K3, 2)], "wl"))
+
+
+class TestAgainstReference:
+    """The array refinement gives the dict-of-tuples reference's bytes."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(8)
+        fixed = [
+            (Graph(0, ()), Graph(0, ())),
+            (Graph(1, ()), Graph(1, ())),
+            (Graph(1, ()), Graph(2, ())),
+            (Graph(4, ()), Graph(4, ((0, 1),))),  # edgeless: orders 1+ are empty
+            (C6, TWO_TRIANGLES),  # triangle-free against two triangles
+            (C6, relabel(C6, [3, 1, 4, 0, 5, 2])),
+            (K3, Graph(3, ((0, 1), (1, 2)))),
+        ]
+        random = []
+        for _ in range(100):
+            n = int(rng.integers(1, 10))
+            g = random_graph(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
+            other = random_graph(rng, n, 0.5) if rng.random() < 0.5 else g
+            random.append((g, relabel(other, rng.permutation(n))))
+        return fixed + random
+
+    @pytest.mark.parametrize("method", ["wl", "hwl", "shwl"])
+    def test_verdicts_and_histograms_match_reference(self, method):
+        verdicts = Counter()
+        for a, b in self.pairs():
+            for p_max in (1, 2, 3):
+                verdict, rounds = distinguish(a, b, method, p_max)
+                ref_verdict, ref_rounds = reference_distinguish(a, b, method, p_max)
+                assert verdict == ref_verdict, (a, b, p_max)
+                assert repr(_histogram_payload(rounds)) == repr(_histogram_payload(ref_rounds))
+                verdicts[verdict] += 1
+        assert verdicts["distinguished"] and verdicts["inconclusive"]
+
+    def test_digest_collision_raises(self, monkeypatch):
+        real = hashlib.blake2b
+        monkeypatch.setattr(
+            isomorphism.hashlib, "blake2b", lambda data, digest_size: real(b"", digest_size=digest_size)
+        )
+        path = Graph(3, ((0, 1), (1, 2)))
+        with pytest.raises(RuntimeError, match="collision"):
+            distinguish(path, path, "wl")

@@ -68,6 +68,12 @@ class TestSparseMatrix:
         with pytest.raises(ValueError):
             m.values[0] = 3.0
 
+    def test_callers_arrays_stay_writable(self):
+        row_starts, cols, values = np.array([0, 1, 2]), np.array([0, 1]), np.ones(2)
+        m = SparseMatrix(2, 2, row_starts, cols, values)
+        row_starts[1], cols[0], values[0] = 0, 1, 5.0  # the caller may still write its own arrays
+        assert np.array_equal(m.to_dense(), np.eye(2))
+
 
 class TestSpmmDense:
     def test_identity_block(self):

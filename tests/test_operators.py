@@ -6,6 +6,7 @@ import pytest
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
 from flowerpetals.linalg import dense_sym_eig, spmv
 from flowerpetals.operators import (
+    FpOperator,
     WalkState,
     build_fp_adjacency,
     build_fp_laplacian,
@@ -22,6 +23,22 @@ K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 def petal(g, p, max_order=None):
     lifted = clique_lift(g, max_order or max(p, 2))
     return incidence_matrix(lifted, p)
+
+
+class TestCallersArraysStayWritable:
+    def test_fp_operator(self):
+        op = build_fp_adjacency(petal(K3, 1))
+        degrees = op.node_degrees.copy()
+        copy = FpOperator(1, op.a_tilde, degrees)
+        degrees[0] = 0  # the caller may still write its own array
+        assert np.array_equal(copy.node_degrees, [2, 2, 2])
+        assert not copy.node_degrees.flags.writeable
+
+    def test_walk_state(self):
+        pi = np.array([1.0, 0.0, 0.0])
+        state = WalkState(1, pi)
+        pi[0] = 0.5  # the caller may still write its own array
+        assert state.pi[0] == 1.0 and not state.pi.flags.writeable
 
 
 class TestAdjacency:

@@ -1,15 +1,19 @@
-"""Property tests of the FP operators on random small graphs.
+"""Property tests of the FP operators and colour refinement on random
+small graphs.
 
 Each property draws a graph with at most 10 nodes and a petal order p in
-{1, 2, 3}, and checks the order-p adjacency against the paper's definition
-A_p = 1/(p+1) D_p^{-1/2} H_p H_p^T D_p^{-1/2}, with H_p built densely from
-the simplex lists of the clique complex.
+{1, 2, 3}. The operator properties check the order-p adjacency against the
+paper's definition A_p = 1/(p+1) D_p^{-1/2} H_p H_p^T D_p^{-1/2}, with H_p
+built densely from the simplex lists of the clique complex. The refinement
+property checks WL, HWL and SHWL for permutation invariance and monotone
+refinement.
 """
 
 import numpy as np
 import pytest
 
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
+from flowerpetals.isomorphism import refine
 from flowerpetals.operators import build_fp_adjacency
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -68,13 +72,38 @@ def test_adjacency_is_symmetric_with_spectrum_in_unit_interval(g, p):
     assert eigs.min() >= -1e-10 and eigs.max() <= 1 + 1e-10
 
 
+def relabel(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return perm, Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
 @examples
 @given(graphs(), orders, st.randoms(use_true_random=False))
 def test_relabelling_nodes_permutes_adjacency(g, p, rnd):
-    perm = list(range(g.n))
-    rnd.shuffle(perm)
-    relabelled = Graph.from_edge_list(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    perm, relabelled = relabel(g, rnd)
     a = operator(g, p).a_tilde.to_dense()
     b = operator(relabelled, p).a_tilde.to_dense()
     # node u of g is node perm[u] of the relabelled graph
     assert np.allclose(b[np.ix_(perm, perm)], a, rtol=0.0, atol=1e-12)
+
+
+@examples
+@given(graphs(), orders, st.sampled_from(["wl", "hwl", "shwl"]), st.randoms(use_true_random=False))
+def test_refinement_is_permutation_invariant_and_monotone(g, p, method, rnd):
+    _, relabelled = relabel(g, rnd)
+    if method == "wl":
+        a, b, counts = g, relabelled, [g.n]
+    else:
+        a, b = clique_lift(g, p), clique_lift(relabelled, p)
+        counts = [g.n, *(a.count(q) for q in sorted(a.simplices))]
+    rounds_a, rounds_b = list(refine([a], method)), list(refine([b], method))
+    assert len(rounds_a) == len(rounds_b)
+    # items are nodes, then each order's simplices: one block per order
+    bounds = np.cumsum([0, *counts])
+    for ca, cb in zip(rounds_a, rounds_b):
+        for lo, hi in zip(bounds, bounds[1:]):
+            assert sorted(ca[lo:hi].tolist()) == sorted(cb[lo:hi].tolist())
+    for prev, cur in zip(rounds_a, rounds_a[1:]):
+        # every colour class of a round lies inside one class of the round before
+        assert len(set(zip(cur.tolist(), prev.tolist()))) == len(set(cur.tolist()))

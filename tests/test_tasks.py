@@ -14,6 +14,7 @@ from flowerpetals.synthetic import (
 from flowerpetals.tasks import (
     ConstantSignalError,
     CoauthorshipComplex,
+    SplitSpec,
     TrainConfig,
     compute_homophily,
     disjoint_union,
@@ -51,6 +52,12 @@ class TestSplits:
         s = make_splits(23, (0.5, 0.25, 0.25), seed=9)
         union = np.sort(np.concatenate([s.train, s.val, s.test]))
         assert np.array_equal(union, np.arange(23))
+
+    def test_callers_arrays_stay_writable(self):
+        train = np.array([0, 1])
+        s = SplitSpec(train, np.array([2]), np.array([3]))
+        train[0] = 3  # the caller may still write its own array
+        assert np.array_equal(s.train, [0, 1]) and not s.train.flags.writeable
 
 
 class TestKendallTau:
@@ -272,6 +279,12 @@ class TestCoauthorshipIO:
         sig = dict(zip(cc.complex.simplices[1], cc.signals[1]))
         assert sig[(0, 1)] == 4.0 and sig[(0, 2)] == 0.0 and sig[(1, 2)] == 0.0
         assert np.array_equal(cc.node_signals, [5, 6, 0, 1])
+
+    def test_callers_signals_stay_writable(self):
+        nodes = np.array([5.0, 6.0, 0.0])
+        cc = CoauthorshipComplex(clique_lift(Graph(3, ((0, 1),)), 1), {0: nodes})
+        nodes[0] = 1.0  # the caller may still write its own array
+        assert cc.node_signals[0] == 5.0 and not cc.node_signals.flags.writeable
 
     def test_malformed_line_reported(self, tmp_path):
         path = tmp_path / "bad.tsv"
