@@ -153,9 +153,14 @@ def _cmd_graphclass(args) -> dict:
     return payload
 
 
+def _feature_columns(g: Graph) -> str:
+    return "no features" if g.features is None else f"{g.features.shape[1]} feature columns"
+
+
 def _load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
-    """JSON-lines dataset: one object per graph with n, edges, label,
-    optional features."""
+    """JSON-lines dataset: one object per graph with n, edges, a
+    non-negative label, and optional features, which every record gives at
+    one width or none gives."""
     graphs, labels = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -167,16 +172,23 @@ def _load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
                 if obj["n"] < 1:
                     raise DataError("a graph needs at least one node")
                 features = obj.get("features")
-                graphs.append(
-                    Graph.from_edge_list(
-                        obj["n"],
-                        [tuple(e) for e in obj["edges"]],
-                        features=np.asarray(features, dtype=np.float64)
-                        if features is not None
-                        else None,
-                    )
+                g = Graph.from_edge_list(
+                    obj["n"],
+                    [tuple(e) for e in obj["edges"]],
+                    features=np.asarray(features, dtype=np.float64)
+                    if features is not None
+                    else None,
                 )
-                labels.append(int(obj["label"]))
+                if graphs and _feature_columns(g) != _feature_columns(graphs[0]):
+                    raise DataError(
+                        f"{_feature_columns(g)}, but the first record has "
+                        f"{_feature_columns(graphs[0])}"
+                    )
+                label = int(obj["label"])
+                if label < 0:
+                    raise DataError(f"negative label {label}")
+                graphs.append(g)
+                labels.append(label)
             except (KeyError, ValueError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: bad graph record ({exc})") from None
     return graphs, np.asarray(labels, dtype=np.int64)

@@ -24,9 +24,14 @@ __all__ = [
     "init_params",
     "forward",
     "forward_embedding",
+    "nll",
+    "nll_grad",
     "loss_and_grad",
+    "signal_forward",
+    "l1_grad",
     "l1_loss_and_grad",
-    "predict_signal",
+    "readout_forward",
+    "readout_grad",
     "readout_loss_and_grad",
     "predict_graph_labels",
     "adam_step",
@@ -232,20 +237,26 @@ def forward(
     return tape, _log_softmax(tape.logits)
 
 
+def nll(log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
+    """Mean negative log-likelihood over the masked rows."""
+    return -float(log_probs[mask, labels[mask]].mean())
+
+
 def _masked_nll(
     log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Mean negative log-likelihood over the masked rows, and its gradient
-    at the logits (zero on the other rows)."""
+    """:func:`nll` over the masked rows, and its gradient at the logits
+    (zero on the other rows)."""
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("mask must select at least one row")
-    picked = np.asarray(labels, dtype=np.int64)[mask]
+    labels = np.asarray(labels, dtype=np.int64)
+    picked = labels[mask]
     c = log_probs.shape[1]
     if picked.min() < 0 or picked.max() >= c:
         raise ValueError(f"labels on the mask must lie in [0, {c})")
     m = len(mask)
-    loss = -float(log_probs[mask, picked].mean())
+    loss = nll(log_probs, labels, mask)
     softmax = np.exp(log_probs[mask])
     softmax[np.arange(m), picked] -= 1.0
     dlogits = np.zeros_like(log_probs)
@@ -303,6 +314,17 @@ def _decay_term(params: HigcnParams, weight_decay: float, decay_gamma: bool) -> 
     return 0.5 * weight_decay * reg
 
 
+def nll_grad(
+    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, log_probs: np.ndarray,
+    labels: np.ndarray, mask: np.ndarray, weight_decay: float = 0.0, decay_gamma: bool = False,
+) -> tuple[float, HigcnParams]:
+    """:func:`loss_and_grad` from the tape and log-probabilities of an
+    existing :func:`forward` at ``params``."""
+    loss, dlogits = _masked_nll(log_probs, labels, mask)
+    loss += _decay_term(params, weight_decay, decay_gamma)
+    return loss, _backprop(params, feats, tape, dlogits, weight_decay, decay_gamma)
+
+
 def loss_and_grad(
     params: HigcnParams,
     feats: PropagatedFeatures,
@@ -313,9 +335,33 @@ def loss_and_grad(
 ) -> tuple[float, HigcnParams]:
     """Masked mean negative log-likelihood plus L2 decay, with exact grads."""
     tape, log_probs = forward(params, feats)
-    loss, dlogits = _masked_nll(log_probs, labels, mask)
-    loss += _decay_term(params, weight_decay, decay_gamma)
-    return loss, _backprop(params, feats, tape, dlogits, weight_decay, decay_gamma)
+    return nll_grad(params, feats, tape, log_probs, labels, mask, weight_decay, decay_gamma)
+
+
+def signal_forward(
+    params: HigcnParams, feats: PropagatedFeatures
+) -> tuple[ForwardTape, np.ndarray]:
+    """Forward pass to the identity-head output (one scalar per node)."""
+    tape = forward_embedding(params, feats)
+    return tape, tape.logits[:, 0]
+
+
+def l1_grad(
+    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, pred: np.ndarray,
+    targets: np.ndarray, mask: np.ndarray, weight_decay: float = 0.0,
+) -> tuple[float, HigcnParams]:
+    """:func:`l1_loss_and_grad` from the tape and output of an existing
+    :func:`signal_forward` at ``params``."""
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.size == 0:
+        raise ValueError("mask must select at least one node")
+    targets = np.asarray(targets, dtype=np.float64)
+    resid = pred[mask] - targets[mask]
+    loss = float(np.abs(resid).mean()) + _decay_term(params, weight_decay, False)
+
+    dlogits = np.zeros_like(tape.logits)
+    dlogits[mask, 0] = np.sign(resid) / len(mask)
+    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
 
 
 def l1_loss_and_grad(
@@ -329,42 +375,44 @@ def l1_loss_and_grad(
 
     Regression variant used for signal imputation: C = 1 and no softmax.
     """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("mask must select at least one node")
-    targets = np.asarray(targets, dtype=np.float64)
-    tape = forward_embedding(params, feats)
-    pred = tape.logits[:, 0]
-    resid = pred[mask] - targets[mask]
-    loss = float(np.abs(resid).mean()) + _decay_term(params, weight_decay, False)
-
-    dlogits = np.zeros_like(tape.logits)
-    dlogits[mask, 0] = np.sign(resid) / len(mask)
-    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
+    tape, pred = signal_forward(params, feats)
+    return l1_grad(params, feats, tape, pred, targets, mask, weight_decay)
 
 
-def predict_signal(params: HigcnParams, feats: PropagatedFeatures) -> np.ndarray:
-    """Identity-head predictions (one scalar per node)."""
-    tape = forward_embedding(params, feats)
-    return tape.logits[:, 0].copy()
-
-
-def _pool_logits(
-    logits: np.ndarray, sizes, readout: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-graph logits of a disjoint union whose graphs hold ``sizes``
-    consecutive rows: the segment sum of the node logits, or its mean.
+def readout_forward(
+    params: HigcnParams, feats: PropagatedFeatures, sizes, readout: str
+) -> tuple[ForwardTape, np.ndarray]:
+    """Forward pass over a disjoint union whose graphs hold ``sizes``
+    consecutive rows, to each graph's pooled logits: the segment sum of its
+    node logits, or their mean.
 
     Pooling the logits equals pooling Z first, since the output map is
-    linear. Returns the pooled logits and the sizes as an array.
+    linear.
     """
     if readout not in ("mean", "sum"):
         raise ValueError("readout must be 'mean' or 'sum'")
+    tape = forward_embedding(params, feats)
+    n = len(tape.logits)
     sizes = np.asarray(sizes, dtype=np.int64)
-    if sizes.ndim != 1 or not len(sizes) or sizes.min() < 1 or sizes.sum() != len(logits):
-        raise ValueError(f"graph sizes must be positive and sum to {len(logits)} nodes")
-    pooled = np.add.reduceat(logits, np.cumsum(sizes) - sizes, axis=0)
-    return (pooled / sizes[:, None] if readout == "mean" else pooled), sizes
+    if sizes.ndim != 1 or not len(sizes) or sizes.min() < 1 or sizes.sum() != n:
+        raise ValueError(f"graph sizes must be positive and sum to {n} nodes")
+    pooled = np.add.reduceat(tape.logits, np.cumsum(sizes) - sizes, axis=0)
+    return tape, (pooled / sizes[:, None] if readout == "mean" else pooled)
+
+
+def readout_grad(
+    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, pooled: np.ndarray,
+    sizes, labels: np.ndarray, mask: np.ndarray, readout: str, weight_decay: float = 0.0,
+) -> tuple[float, HigcnParams]:
+    """:func:`readout_loss_and_grad` from the tape and pooled logits of an
+    existing :func:`readout_forward` at ``params``."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    loss, dpooled = _masked_nll(_log_softmax(pooled), labels, mask)
+    loss += _decay_term(params, weight_decay, False)
+    if readout == "mean":
+        dpooled /= sizes[:, None]
+    dlogits = np.repeat(dpooled, sizes, axis=0)
+    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
 
 
 def readout_loss_and_grad(
@@ -378,22 +426,17 @@ def readout_loss_and_grad(
 ) -> tuple[float, HigcnParams]:
     """Graph classification on a disjoint union of graphs with ``sizes``
     nodes each: pooled logits, mean NLL over the masked graphs, L2 decay."""
-    tape = forward_embedding(params, feats)
-    pooled, sizes = _pool_logits(tape.logits, sizes, readout)
-    loss, dpooled = _masked_nll(_log_softmax(pooled), labels, mask)
-    loss += _decay_term(params, weight_decay, False)
-    if readout == "mean":
-        dpooled /= sizes[:, None]
-    dlogits = np.repeat(dpooled, sizes, axis=0)
-    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
+    tape, pooled = readout_forward(params, feats, sizes, readout)
+    return readout_grad(
+        params, feats, tape, pooled, sizes, labels, mask, readout, weight_decay
+    )
 
 
 def predict_graph_labels(
     params: HigcnParams, feats: PropagatedFeatures, sizes, readout: str
 ) -> np.ndarray:
     """Predicted class of every graph of a disjoint union."""
-    tape = forward_embedding(params, feats)
-    return np.argmax(_pool_logits(tape.logits, sizes, readout)[0], axis=1)
+    return np.argmax(readout_forward(params, feats, sizes, readout)[1], axis=1)
 
 
 @dataclass

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -25,12 +26,15 @@ from .model import (
     adam_step,
     forward,
     init_params,
-    l1_loss_and_grad,
-    loss_and_grad,
-    predict_graph_labels,
-    predict_signal,
-    readout_loss_and_grad,
+    l1_grad,
+    nll,
+    nll_grad,
+    readout_forward,
+    readout_grad,
+    signal_forward,
 )
+# not called here; perfbench/spans.py wraps these bindings
+from .model import loss_and_grad, predict_graph_labels, readout_loss_and_grad  # noqa: F401
 from .operators import FpOperator, PropagatedFeatures, build_fp_adjacency, propagate_features
 
 __all__ = [
@@ -156,12 +160,19 @@ class TrainConfig:
     split_ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     _EPOCH_DEFAULTS = {"node": 1000, "impute": 500, "graphclass": 200}
+    _LOWER_BOUNDS = {"P": 1, "K": 0, "hidden": 1, "epochs": 1, "patience": 0}
 
     def __post_init__(self):
         for f in fields(self):
             check, kind = _FIELD_TYPES[f.type]
             if not check(getattr(self, f.name)):
                 raise DataError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
+        for key, low in self._LOWER_BOUNDS.items():
+            value = getattr(self, key)
+            if value is not None and value < low:
+                raise DataError(f"{key} must be at least {low}, got {value}")
+        if self.theta_depth not in (1, 2):
+            raise DataError(f"theta_depth must be 1 or 2, got {self.theta_depth}")
         if self.task not in self._EPOCH_DEFAULTS:
             raise DataError(f"unknown task {self.task!r}")
         if self.readout not in ("mean", "sum"):
@@ -347,39 +358,59 @@ def petal_features(
     return propagate_features(petal_operators(k, p_max), x, k_max)
 
 
-def _nll(params: HigcnParams, feats, labels, mask) -> float:
-    _, log_probs = forward(params, feats)
-    return -float(log_probs[mask, labels[mask]].mean())
+# what _adam_fit keeps: a parameter set, its epoch and forward output, and the curves
+_Fit = namedtuple("_Fit", "params epoch out train_curve val_curve")
 
 
-def _fit_node_model(feats, labels, split: SplitSpec, cfg: TrainConfig, seed: int):
-    """Adam with early stopping on validation loss; returns the best-epoch
-    parameters and the per-epoch loss curves."""
-    d = feats.d
-    n_classes = int(labels.max()) + 1
-    params = init_params(
-        cfg.P, cfg.K, d, cfg.hidden, n_classes, cfg.alpha, seed, cfg.theta_depth
-    )
+def _adam_fit(params, cfg: TrainConfig, run_forward, gradient, validate=None, patience=None):
+    """Adam from ``params`` for ``cfg.resolved_epochs`` epochs, running the
+    model forward once per parameter set.
+
+    ``run_forward(params)`` returns a tape and its output, and
+    ``gradient(params, tape, out)`` the training loss and gradients from
+    them. The forward after each Adam step is both that epoch's validation
+    read ``validate(out)`` and the tape of the next epoch's gradient. With
+    ``patience``, lower reads are better: the fit keeps the parameters of
+    the first best read and stops after the read that leaves it more than
+    ``patience`` epochs old. Otherwise it keeps the last parameters.
+    """
     state = AdamState.zeros_like(params)
-    best = (np.inf, params, 0)
-    stale = 0
+    tape, out = run_forward(params)
+    kept, best, stale = (params, 0, out), np.inf, 0
     train_curve, val_curve = [], []
     for epoch in range(cfg.resolved_epochs):
-        loss, grads = loss_and_grad(
-            params, feats, labels, split.train, cfg.weight_decay, cfg.decay_gamma
-        )
+        loss, grads = gradient(params, tape, out)
+        del tape, out  # one tape at a time: release it before the next forward
         params, state = adam_step(params, grads, state, cfg.lr)
-        val_loss = _nll(params, feats, labels, split.val)
+        tape, out = run_forward(params)
         train_curve.append(loss)
-        val_curve.append(val_loss)
-        if val_loss < best[0]:
-            best = (val_loss, params, epoch)
-            stale = 0
+        if validate is not None:
+            val_curve.append(validate(out))
+        if patience is None:
+            kept = (params, epoch, out)
+        elif val_curve[-1] < best:
+            kept, best, stale = (params, epoch, out), val_curve[-1], 0
         else:
             stale += 1
-            if stale > cfg.patience:
+            if stale > patience:
                 break
-    return best[1], best[2], train_curve, val_curve
+    return _Fit(*kept, train_curve, val_curve)
+
+
+def _fit_node_model(feats, labels, split: SplitSpec, cfg: TrainConfig, seed: int) -> _Fit:
+    """Adam with early stopping on validation loss; keeps the best-epoch
+    parameters and their log-probabilities."""
+    n_classes = int(labels.max()) + 1
+    params = init_params(
+        cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha, seed, cfg.theta_depth
+    )
+    return _adam_fit(
+        params, cfg, lambda p: forward(p, feats),
+        lambda p, tape, log_probs: nll_grad(
+            p, feats, tape, log_probs, labels, split.train, cfg.weight_decay, cfg.decay_gamma
+        ),
+        validate=lambda log_probs: nll(log_probs, labels, split.val), patience=cfg.patience,
+    )
 
 
 def fit_node_params(
@@ -395,23 +426,19 @@ def fit_node_params(
     runs, fitted = [], []
     for seed in cfg.seeds:
         split = make_splits(g.n, cfg.split_ratios, seed)
-        params, best_epoch, train_curve, val_curve = _fit_node_model(
-            feats, g.labels, split, cfg, seed
-        )
-        # keep only the log-probabilities: the tape would outlive this seed
-        log_probs = forward(params, feats)[1]
-        acc = accuracy(log_probs, g.labels, split.test)
+        fit = _fit_node_model(feats, g.labels, split, cfg, seed)
+        acc = accuracy(fit.out, g.labels, split.test)
         runs.append(
             {
                 "seed": seed,
                 "accuracy": acc,
                 "micro_f1": acc,
-                "best_epoch": best_epoch,
-                "train_loss_curve": train_curve,
-                "val_loss_curve": val_curve,
+                "best_epoch": fit.epoch,
+                "train_loss_curve": fit.train_curve,
+                "val_loss_curve": fit.val_curve,
             }
         )
-        fitted.append(params)
+        fitted.append(fit.params)
     return MetricsReport.from_runs(
         "node", "accuracy", runs, extras={"n": g.n, "counts": complex_.counts()}
     ), fitted
@@ -560,17 +587,12 @@ def impute_signals(
 
         feats = propagate_features(ops, x, cfg.K)
         params = init_params(cfg.P, cfg.K, 1, cfg.hidden, 1, cfg.alpha, seed, cfg.theta_depth)
-        state = AdamState.zeros_like(params)
-        curve = []
-        for _ in range(cfg.resolved_epochs):
-            loss, grads = l1_loss_and_grad(
-                params, feats, targets, known, cfg.weight_decay
-            )
-            params, state = adam_step(params, grads, state, cfg.lr)
-            curve.append(loss)
-        pred = predict_signal(params, feats)
+        fit = _adam_fit(
+            params, cfg, lambda p: signal_forward(p, feats),
+            lambda p, tape, pred: l1_grad(p, feats, tape, pred, targets, known, cfg.weight_decay),
+        )
         try:
-            tau = kendall_tau(truth, pred)
+            tau = kendall_tau(truth, fit.out)
         except ConstantSignalError:
             tau = 0.0
             flags.add("constant-signal")
@@ -579,7 +601,7 @@ def impute_signals(
                 "seed": seed,
                 "kendall_tau": float(tau),
                 "known_fraction": known_fraction,
-                "train_loss_curve": curve,
+                "train_loss_curve": fit.train_curve,
             }
         )
     return MetricsReport.from_runs(
@@ -593,14 +615,16 @@ def impute_signals(
 
 def disjoint_union(graphs: list[Graph]) -> tuple[Graph, np.ndarray]:
     """Stack graphs into one: node ids shift by the sizes of the graphs
-    before, and given features stack when every graph has them. Returns
-    the union and each graph's node count."""
+    before, and given features stack, so every graph must have features of
+    one width, or none may have them. Returns the union and each graph's
+    node count."""
     sizes = np.array([g.n for g in graphs], dtype=np.int64)
     offsets = (np.cumsum(sizes) - sizes).tolist()
     edges = tuple((u + o, v + o) for g, o in zip(graphs, offsets) for u, v in g.edges)
-    features = None
-    if all(g.features is not None for g in graphs):
-        features = np.vstack([g.features for g in graphs])
+    widths = {None if g.features is None else g.features.shape[1] for g in graphs}
+    if len(widths) > 1:
+        raise DataError("every graph needs features of one width, or none may have them")
+    features = None if None in widths else np.vstack([g.features for g in graphs])
     return Graph(int(sizes.sum()), edges, features), sizes
 
 
@@ -648,16 +672,14 @@ def graph_classify(
             cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,
         )
-        state = AdamState.zeros_like(params)
-        curve = []
-        for _ in range(cfg.resolved_epochs):
-            _, grads = readout_loss_and_grad(
-                params, feats, sizes, labels, train_idx, cfg.readout, cfg.weight_decay
-            )
-            params, state = adam_step(params, grads, state, cfg.lr)
-            pred = predict_graph_labels(params, feats, sizes, cfg.readout)[val_idx]
-            curve.append(float(np.mean(pred == labels[val_idx])))
-        fold_curves.append(curve)
+        fit = _adam_fit(
+            params, cfg, lambda p: readout_forward(p, feats, sizes, cfg.readout),
+            lambda p, tape, pooled: readout_grad(
+                p, feats, tape, pooled, sizes, labels, train_idx, cfg.readout, cfg.weight_decay
+            ),
+            validate=lambda pooled: accuracy(pooled, labels, val_idx),
+        )
+        fold_curves.append(fit.val_curve)
 
     per_epoch = np.array(fold_curves).mean(axis=0)
     best_epoch = int(np.argmax(per_epoch))

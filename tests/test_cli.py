@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import flowerpetals.cli
+import flowerpetals.model
 import flowerpetals.nullmodel
 import flowerpetals.tasks
 from flowerpetals.cli import run
@@ -288,6 +289,34 @@ class TestOneSetUpPerRun:
         assert len(read_json(work / "i.json")["runs"]) == 3
         assert len(ops) == 2  # one operator per order, P=2
 
+    def test_one_forward_per_parameter_set(self, work, monkeypatch):
+        """Each parameter set runs forward once: the forward after an Adam
+        step is both that epoch's validation read and the next epoch's tape."""
+        forwards = count_calls(monkeypatch, flowerpetals.model, "forward_embedding")
+        argv = node_train_argv(work, json.dumps(
+            {"task": "node", "epochs": 60, "patience": 3, "seeds": [0, 1], "hidden": 4}))
+        assert run(argv + ["--out", str(work / "t.json"),
+                           "--save-model", str(work / "m.ck")]) == 0
+        epochs_run = [len(r["train_loss_curve"]) for r in read_json(work / "t.json")["runs"]]
+        assert min(epochs_run) < 60  # early stopping cut at least one seed short
+        assert len(forwards) == sum(e + 1 for e in epochs_run)
+
+        forwards.clear()
+        write_graph_dataset(work / "gs.jsonl")
+        (work / "gcfg.json").write_text(
+            json.dumps({"task": "graphclass", "epochs": 4, "hidden": 4, "K": 2}))
+        assert run(["graphclass", "--dataset", str(work / "gs.jsonl"),
+                    "--config", str(work / "gcfg.json"), "--out", str(work / "gc.json")]) == 0
+        assert len(forwards) == 10 * (4 + 1)
+
+        forwards.clear()
+        write_coauthorship(work / "cc.tsv")
+        (work / "icfg.json").write_text(json.dumps(
+            {"task": "impute", "epochs": 3, "hidden": 4, "K": 2, "seeds": [0, 1, 2]}))
+        assert run(["impute", "--simplices", str(work / "cc.tsv"),
+                    "--config", str(work / "icfg.json"), "--out", str(work / "i.json")]) == 0
+        assert len(forwards) == 3 * (3 + 1)
+
 
 class TestExitCodes:
     def test_missing_file_is_data_error(self, tmp_path, capsys):
@@ -353,7 +382,9 @@ class TestExitCodes:
         assert not out.exists() and not model.exists()
 
     @pytest.mark.parametrize("entry", ['"seeds": 5', '"P": "x"', '"epochs": "x"',
-                                       '"decay_gamma": 1', '"hidden": true'])
+                                       '"decay_gamma": 1', '"hidden": true',
+                                       '"epochs": 0', '"P": 0', '"K": -1', '"hidden": 0',
+                                       '"patience": -1', '"theta_depth": 3'])
     def test_config_value_of_wrong_type_is_data_error(self, work, capsys, entry):
         key = entry.split(":")[0].strip('"')
         argv = node_train_argv(work, '{"task": "node", %s}' % entry)
@@ -378,6 +409,22 @@ class TestExitCodes:
         write_graph_dataset(path)
         lines = path.read_text().splitlines()
         lines[3] = json.dumps({"n": 0, "edges": [], "label": 0})
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["graphclass", "--dataset", str(path)]) == 2
+        assert f"{path}:4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given, record", [
+        (True, {"n": 3, "edges": [[0, 1]], "label": 0}),
+        (False, {"n": 3, "edges": [[0, 1]], "label": 0, "features": [[1.0]] * 3}),
+        (True, {"n": 3, "edges": [[0, 1]], "label": 0, "features": [[1.0, 2.0]] * 3}),
+        (True, {"n": 3, "edges": [[0, 1]], "label": -1, "features": [[1.0]] * 3}),
+    ], ids=["featureless-among-featured", "featured-among-featureless", "wider-features",
+            "negative-label"])
+    def test_inconsistent_graph_record_names_path_and_line(self, work, capsys, given, record):
+        path = work / "gs.jsonl"
+        write_graph_dataset(path, degree_features=given)
+        lines = path.read_text().splitlines()
+        lines[3] = json.dumps(record)
         path.write_text("\n".join(lines) + "\n")
         assert run(["graphclass", "--dataset", str(path)]) == 2
         assert f"{path}:4:" in capsys.readouterr().err

@@ -1,12 +1,13 @@
 """Property tests of the FP operators and colour refinement on random
-small graphs.
+small graphs, and of the model checkpoint format.
 
-Each property draws a graph with at most 10 nodes and a petal order p in
-{1, 2, 3}. The operator properties check the order-p adjacency against the
-paper's definition A_p = 1/(p+1) D_p^{-1/2} H_p H_p^T D_p^{-1/2}, with H_p
-built densely from the simplex lists of the clique complex. The refinement
-property checks WL, HWL and SHWL for permutation invariance and monotone
-refinement.
+Each graph property draws a graph with at most 10 nodes and a petal order p
+in {1, 2, 3}. The operator properties check the order-p adjacency against
+the paper's definition A_p = 1/(p+1) D_p^{-1/2} H_p H_p^T D_p^{-1/2}, with
+H_p built densely from the simplex lists of the clique complex. The
+refinement property checks WL, HWL and SHWL for permutation invariance and
+monotone refinement. The checkpoint property saves and loads parameter sets
+of random shapes and values.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
 from flowerpetals.isomorphism import refine
+from flowerpetals.model import init_params, load_checkpoint, save_checkpoint
 from flowerpetals.operators import build_fp_adjacency
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -107,3 +109,28 @@ def test_refinement_is_permutation_invariant_and_monotone(g, p, method, rnd):
     for prev, cur in zip(rounds_a, rounds_a[1:]):
         # every colour class of a round lies inside one class of the round before
         assert len(set(zip(cur.tolist(), prev.tolist()))) == len(set(cur.tolist()))
+
+
+@examples
+@given(
+    st.integers(1, 3), st.integers(0, 4), st.integers(1, 4), st.integers(1, 4),
+    st.integers(1, 3), st.sampled_from([1, 2]), st.floats(1e-6, 1.0),
+    st.integers(0, 2**63 - 1),
+)
+def test_checkpoint_round_trip_is_bit_exact(
+    tmp_path_factory, p_max, k_max, d, h, c, depth, alpha, seed
+):
+    rng = np.random.default_rng(seed)
+    # values over the whole float64 range, subnormals and signed zeros included
+    params = init_params(p_max, k_max, d, h, c, alpha, seed, depth).map_arrays(
+        lambda _, a: rng.standard_normal(a.shape) * np.exp2(rng.integers(-1074, 1000, a.shape))
+    )
+    path = tmp_path_factory.mktemp("ck") / "model.ck"
+    save_checkpoint(params, path)
+    loaded = load_checkpoint(path)
+    assert (loaded.p_max, loaded.k_max, loaded.alpha, loaded.seed, loaded.depth, loaded.dims) == (
+        p_max, k_max, alpha, seed, depth, (d, h, c)
+    )
+    for (name, a), (_, b) in zip(params.named_arrays(), loaded.named_arrays(), strict=True):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import training_oracle
 
 from flowerpetals.complexes import DataError, Graph, clique_lift
 from flowerpetals.model import init_params, predict_graph_labels
@@ -22,6 +23,7 @@ from flowerpetals.tasks import (
     impute_signals,
     kendall_tau,
     load_coauthorship,
+    fit_node_params,
     make_splits,
     petal_features,
     train_node_classification,
@@ -201,14 +203,14 @@ class TestNodeClassification:
         from flowerpetals.model import forward
 
         split = make_splits(g.n, cfg.split_ratios, 3)
-        params, _, _, _ = _fit_node_model(feats, g.labels, split, cfg, 3)
+        params = _fit_node_model(feats, g.labels, split, cfg, 3).params
 
         class PermutedSplit:
             train = perm[split.train]
             val = perm[split.val]
             test = perm[split.test]
 
-        pparams, _, _, _ = _fit_node_model(pfeats, permuted.labels, PermutedSplit, cfg, 3)
+        pparams = _fit_node_model(pfeats, permuted.labels, PermutedSplit, cfg, 3).params
         _, log_probs = forward(params, feats)
         _, plog_probs = forward(pparams, pfeats)
         base_acc = float(np.mean(np.argmax(log_probs[split.test], 1) == g.labels[split.test]))
@@ -326,11 +328,58 @@ class TestGraphClassification:
             (u + off, v + off) for g, off in zip(graphs, (0, 8, 13)) for u, v in g.edges
         )
         assert np.array_equal(union.features, np.vstack([g.features for g in graphs]))
-        # without features on every graph, the union has none
+        assert disjoint_union([Graph(4, ()), Graph(2, ())])[0].features is None
+        # given features are never dropped: every graph has them at one width, or none
         bare = Graph(graphs[0].n, graphs[0].edges)
-        assert disjoint_union([bare, graphs[1]])[0].features is None
+        wide = Graph(3, (), np.ones((3, graphs[0].features.shape[1] + 1)))
+        for mixed in ([bare, graphs[1]], [graphs[1], bare], [graphs[0], wide]):
+            with pytest.raises(DataError, match="one width"):
+                disjoint_union(mixed)
 
     def test_missing_labels_rejected(self):
         graphs, labels = triangles_vs_hexagons(per_class=6, seed=2)
         with pytest.raises(DataError):
             graph_classify(graphs, labels[:-1], TrainConfig(task="graphclass"))
+
+
+class TestAgainstTwoForwardOracle:
+    """The one-forward trainer against the loops in tests/training_oracle.py,
+    which run a second forward per epoch for the validation read."""
+
+    @pytest.mark.parametrize("depth, decay_gamma", [(1, False), (2, False), (2, True)])
+    def test_node_early_stopping_matches(self, depth, decay_gamma):
+        g = planted_two_block(40, seed=2)
+        cfg = TrainConfig(task="node", seeds=(0, 3, 5), epochs=150, patience=5, K=3,
+                          hidden=8, theta_depth=depth, decay_gamma=decay_gamma)
+        report, params = fit_node_params(g, cfg)
+        want_report, want_params = training_oracle.fit_node_params(g, cfg)
+        assert all(len(r["val_loss_curve"]) < cfg.epochs for r in report.runs)
+        assert report.to_dict() == want_report.to_dict()
+        for got, want in zip(params, want_params, strict=True):
+            for (name, a), (_, b) in zip(got.named_arrays(), want.named_arrays()):
+                assert a.tobytes() == b.tobytes(), name
+
+    def test_stopping_rule_keeps_the_first_best_read(self):
+        """Scripted reads: a tie with the best is not an improvement, and the
+        fit stops after the read that leaves the best more than ``patience``
+        epochs old. Zero gradients leave Adam's parameters unchanged."""
+        from flowerpetals.tasks import _adam_fit
+
+        params = init_params(1, 1, 2, 2, 2, 0.5, seed=0)
+        zero = params.map_arrays(lambda _, a: np.zeros_like(a))
+        reads = iter([9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5])
+        fit = _adam_fit(params, TrainConfig(epochs=20), lambda p: (None, next(reads)),
+                        lambda p, tape, out: (out, zero), validate=float, patience=2)
+        assert fit.val_curve == [3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
+        assert (fit.epoch, fit.out) == (3, 1.0)
+        assert fit.train_curve == [9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("readout, features", [("mean", False), ("sum", True)])
+    def test_graphclass_val_curves_match(self, readout, features):
+        graphs, labels = triangles_vs_hexagons(per_class=6, seed=4)
+        if features:
+            graphs = [Graph(g.n, g.edges, g.degrees()[:, None] / 3.0) for g in graphs]
+        cfg = TrainConfig(task="graphclass", epochs=12, patience=3, K=3, hidden=8,
+                          readout=readout)
+        got = graph_classify(graphs, labels, cfg).to_dict()
+        assert got == training_oracle.graph_classify(graphs, labels, cfg).to_dict()

@@ -1,0 +1,141 @@
+"""Reference training loops that run the model forward twice per epoch.
+
+A direct transcription of node classification and graph classification as
+they were before validation was fused into the next epoch's forward. Each
+epoch takes the loss and gradients from ``loss_and_grad`` (or
+``readout_loss_and_grad``), takes one Adam step, then runs a second forward
+on the stepped parameters for the validation read. Node classification
+also runs one more forward on the best parameters for the test accuracy.
+``flowerpetals.tasks`` must give the same curves, best epochs, accuracies
+and parameters bit for bit.
+"""
+
+import numpy as np
+
+from flowerpetals.complexes import clique_lift
+from flowerpetals.model import (
+    AdamState,
+    adam_step,
+    forward,
+    init_params,
+    loss_and_grad,
+    predict_graph_labels,
+    readout_loss_and_grad,
+)
+from flowerpetals.operators import propagate_features
+from flowerpetals.tasks import (
+    MetricsReport,
+    disjoint_union,
+    make_splits,
+    petal_features,
+    petal_operators,
+)
+
+
+def fit_node_params(g, cfg):
+    """The report and best-epoch parameters of ``tasks.fit_node_params``."""
+    complex_ = clique_lift(g, cfg.P)
+    feats = petal_features(complex_, g.features, cfg.P, cfg.K)
+    labels = g.labels
+    runs, fitted = [], []
+    for seed in cfg.seeds:
+        split = make_splits(g.n, cfg.split_ratios, seed)
+        params = init_params(
+            cfg.P, cfg.K, feats.d, cfg.hidden, int(labels.max()) + 1, cfg.alpha, seed,
+            cfg.theta_depth,
+        )
+        state = AdamState.zeros_like(params)
+        best = (np.inf, params, 0)
+        stale = 0
+        train_curve, val_curve = [], []
+        for epoch in range(cfg.resolved_epochs):
+            loss, grads = loss_and_grad(
+                params, feats, labels, split.train, cfg.weight_decay, cfg.decay_gamma
+            )
+            params, state = adam_step(params, grads, state, cfg.lr)
+            _, log_probs = forward(params, feats)
+            val_loss = -float(log_probs[split.val, labels[split.val]].mean())
+            train_curve.append(loss)
+            val_curve.append(val_loss)
+            if val_loss < best[0]:
+                best = (val_loss, params, epoch)
+                stale = 0
+            else:
+                stale += 1
+                if stale > cfg.patience:
+                    break
+        log_probs = forward(best[1], feats)[1]
+        pred = np.argmax(log_probs[split.test], axis=1)
+        acc = float(np.mean(pred == labels[split.test]))
+        runs.append(
+            {
+                "seed": seed,
+                "accuracy": acc,
+                "micro_f1": acc,
+                "best_epoch": best[2],
+                "train_loss_curve": train_curve,
+                "val_loss_curve": val_curve,
+            }
+        )
+        fitted.append(best[1])
+    report = MetricsReport.from_runs(
+        "node", "accuracy", runs, extras={"n": g.n, "counts": complex_.counts()}
+    )
+    return report, fitted
+
+
+def graph_classify(graphs, labels, cfg):
+    """The report of ``tasks.graph_classify``."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n_classes = int(labels.max()) + 1
+    seed0 = cfg.seeds[0]
+    perm = np.random.default_rng(seed0).permutation(len(graphs))
+    folds = np.array_split(perm, 10)
+    union, sizes = disjoint_union(graphs)
+    ops = petal_operators(clique_lift(union, cfg.P), cfg.P)
+    graph_of = np.repeat(np.arange(len(graphs)), sizes)
+    degrees = union.degrees()
+    fold_curves = []
+    for fold_idx, val_idx in enumerate(folds):
+        train_idx = np.setdiff1d(perm, val_idx)
+        x = union.features
+        if x is None:
+            cap = int(degrees[np.isin(graph_of, train_idx)].max())
+            x = np.zeros((union.n, cap + 1))
+            x[np.arange(union.n), np.minimum(degrees, cap)] = 1.0
+        feats = propagate_features(ops, x, cfg.K)
+        params = init_params(
+            cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
+            seed0 * 1000 + fold_idx, cfg.theta_depth,
+        )
+        state = AdamState.zeros_like(params)
+        curve = []
+        for _ in range(cfg.resolved_epochs):
+            _, grads = readout_loss_and_grad(
+                params, feats, sizes, labels, train_idx, cfg.readout, cfg.weight_decay
+            )
+            params, state = adam_step(params, grads, state, cfg.lr)
+            pred = predict_graph_labels(params, feats, sizes, cfg.readout)[val_idx]
+            curve.append(float(np.mean(pred == labels[val_idx])))
+        fold_curves.append(curve)
+    per_epoch = np.array(fold_curves).mean(axis=0)
+    best_epoch = int(np.argmax(per_epoch))
+    runs = [
+        {
+            "fold": i,
+            "accuracy": curves[best_epoch],
+            "micro_f1": curves[best_epoch],
+            "val_curve": curves,
+        }
+        for i, curves in enumerate(fold_curves)
+    ]
+    return MetricsReport.from_runs(
+        "graphclass",
+        "accuracy",
+        runs,
+        extras={
+            "best_epoch": best_epoch,
+            "max_mean_val_accuracy": float(per_epoch[best_epoch]),
+            "seed": seed0,
+        },
+    )
