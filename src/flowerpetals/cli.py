@@ -111,8 +111,8 @@ def _cmd_spectra(args) -> dict:
     inv_sqrt = np.zeros_like(deg)
     inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
     dense_a = np.zeros((g.n, g.n))
-    for u, v in g.edges:
-        dense_a[u, v] = dense_a[v, u] = 1.0
+    u, v = g.edge_rows.T
+    dense_a[u, v] = dense_a[v, u] = 1.0
     reference = 0.5 * (inv_sqrt[:, None] * dense_a * inv_sqrt[None, :] + np.eye(g.n))
     if op1.isolated.any():
         reference[op1.isolated, :] = 0.0
@@ -158,9 +158,9 @@ def _feature_columns(g: Graph) -> str:
 
 
 def _load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
-    """JSON-lines dataset: one object per graph with n, edges, a
-    non-negative label, and optional features, which every record gives at
-    one width or none gives."""
+    """JSON-lines dataset: one object per graph with an integer n, integer
+    edge endpoints, a non-negative integer label, and optional finite
+    features, which every record gives at one width or none gives."""
     graphs, labels = [], []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -169,22 +169,18 @@ def _load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
                 continue
             try:
                 obj = json.loads(text)
-                if obj["n"] < 1:
+                n, edges, label = obj["n"], obj["edges"], obj["label"]
+                # not float, and not bool: JSON true/false load as a subclass of int
+                if any(type(x) is not int for x in (n, label, *(x for e in edges for x in e))):
+                    raise DataError("n, label and every edge endpoint must be integers")
+                if n < 1:
                     raise DataError("a graph needs at least one node")
-                features = obj.get("features")
-                g = Graph.from_edge_list(
-                    obj["n"],
-                    [tuple(e) for e in obj["edges"]],
-                    features=np.asarray(features, dtype=np.float64)
-                    if features is not None
-                    else None,
-                )
+                g = Graph.from_edge_list(n, edges, features=obj.get("features"))
                 if graphs and _feature_columns(g) != _feature_columns(graphs[0]):
                     raise DataError(
                         f"{_feature_columns(g)}, but the first record has "
                         f"{_feature_columns(graphs[0])}"
                     )
-                label = int(obj["label"])
                 if label < 0:
                     raise DataError(f"negative label {label}")
                 graphs.append(g)

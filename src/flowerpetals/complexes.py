@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -27,35 +28,73 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def _simplex_rows(rows, width: int, n: int, what: str) -> np.ndarray:
+    """The one check of simplex rows: ``rows`` as a read-only (m, width)
+    int64 array of integer (not float or bool) nodes in 0..n-1, each row
+    strictly ascending, the rows strictly ascending in lexicographic order.
+    A read-only int64 array is taken as is, anything else copied."""
+    try:
+        arr = np.asarray(rows)
+    except ValueError:
+        raise DataError(f"every {what} must have {width} nodes") from None
+    if arr.size == 0:
+        arr = np.zeros((0, width), dtype=np.int64)
+    elif arr.dtype.kind not in "iu":
+        raise DataError(f"{what} nodes must be integers, got {arr.dtype} entries")
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise DataError(f"every {what} must have {width} nodes, got shape {arr.shape}")
+    if arr is rows and rows.flags.writeable:
+        arr = arr.copy()  # never freeze the caller's own array
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
+    bad = (arr[:, 0] < 0) | (arr[:, -1] >= n) | (arr[:, 1:] <= arr[:, :-1]).any(axis=1)
+    if bad.any():
+        row = arr[bad.argmax()].tolist()
+        raise DataError(f"{what} {row} must list distinct ascending nodes in 0..{n - 1}")
+    keys = _row_keys(arr)
+    bad = keys[1:] <= keys[:-1]
+    if bad.any():
+        j = bad.argmax()
+        raise DataError(f"{what} {arr[j + 1].tolist()} follows {arr[j].tolist()}: rows must "
+                        "be sorted and duplicate-free")
+    arr.flags.writeable = False
+    return arr
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One bytes key per row of non-negative integers: big-endian bytes of
+    one length compare, sort and ``searchsorted`` as the rows would."""
+    big = np.ascontiguousarray(rows, dtype=">i8")
+    return big.view(f"S{8 * rows.shape[1]}").ravel()
+
+
+def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether each query occurs in the ascending ``keys``."""
+    return np.searchsorted(keys, queries, "right") > np.searchsorted(keys, queries)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph with optional node features and labels.
 
     Edges are (u, v) pairs with u < v, deduplicated and lexicographically
-    sorted; no self-loops.
+    sorted; no self-loops. ``edge_rows`` holds them as the read-only (m, 2)
+    array that the lift reads.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
+    edge_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise DataError(f"self-loop at node {u}")
-            if not (0 <= u < v < self.n):
-                raise DataError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if (u, v) in seen:
-                raise DataError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-        if tuple(sorted(self.edges)) != self.edges:
-            raise DataError("edges must be lexicographically sorted")
+        object.__setattr__(self, "edge_rows", _simplex_rows(self.edges, 2, self.n, "edge"))
         if self.features is not None:
             feats = np.array(self.features, dtype=np.float64, order="C")
             if feats.ndim != 2 or feats.shape[0] != self.n:
                 raise DataError(f"features must be n x d, got {feats.shape}")
+            if not np.isfinite(feats).all():
+                raise DataError("features must be finite")
             feats.flags.writeable = False
             object.__setattr__(self, "features", feats)
         if self.labels is not None:
@@ -70,63 +109,58 @@ class Graph:
     @classmethod
     def from_edge_list(cls, n, edges, features=None, labels=None) -> "Graph":
         """Canonicalize an iterable of (u, v) pairs: orient, dedup, sort."""
-        canon = {(min(u, v), max(u, v)) for u, v in edges}
-        return cls(n, tuple(sorted(canon)), features, labels)
+        rows = np.sort(np.asarray(list(edges)), axis=-1)
+        if rows.ndim == 2 and rows.shape[1] == 2:
+            rows = rows[np.lexsort(rows.T[::-1])]
+            rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+        return cls(n, tuple(zip(*rows.T.tolist())), features, labels)
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        neigh = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            neigh[u].add(v)
-            neigh[v].add(u)
-        return tuple(frozenset(s) for s in neigh)
+        both = np.concatenate([self.edge_rows, self.edge_rows[:, ::-1]])
+        both = both[np.argsort(both[:, 0], kind="stable")]
+        ends = np.cumsum(self.degrees())
+        return tuple(frozenset(s.tolist()) for s in np.split(both[:, 1], ends)[: self.n])
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return np.array([len(s) for s in self.adjacency], dtype=np.int64)
+        return np.bincount(self.edge_rows.ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Per-order simplex lists: ``simplices[p]`` are the p-simplices as
-    sorted node tuples in lexicographic order, for p = 1..max_order.
+    """Per-order simplex rows: ``simplices[p]`` is the read-only (n_p, p+1)
+    int64 array of the p-simplices of each stored order p >= 1, each row its
+    ascending nodes and the rows in lexicographic order. Any sequence of
+    rows (tuples included) is accepted and stored as such an array.
 
     Downward closure is required: every (p-1)-face of a stored p-simplex
     with p - 1 >= 1 must itself be stored.
     """
 
     n: int
-    simplices: dict[int, tuple[tuple[int, ...], ...]] = field(default_factory=dict)
+    simplices: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "simplices", dict(self.simplices))
-        for p, simps in self.simplices.items():
+        stored = {}
+        for p, rows in self.simplices.items():
             if p < 1:
                 raise DataError(f"order {p} is not allowed")
-            prev = None
-            for s in simps:
-                if len(s) != p + 1 or tuple(sorted(set(s))) != s:
-                    raise DataError(f"{s} is not a sorted {p}-simplex")
-                if not (0 <= s[0] and s[-1] < self.n):
-                    raise DataError(f"simplex {s} out of range for n={self.n}")
-                if prev is not None and s <= prev:
-                    raise DataError("simplices must be sorted and duplicate-free")
-                prev = s
-        for p in sorted(self.simplices):
+            stored[p] = _simplex_rows(rows, p + 1, self.n, f"{p}-simplex")
+        for p, rows in stored.items():
             if p == 1:
                 continue
-            faces = set(self.simplices.get(p - 1, ()))
-            for s in self.simplices[p]:
-                for i in range(p + 1):
-                    if s[:i] + s[i + 1 :] not in faces:
-                        raise DataError(f"missing face of {s}: closure violated")
-
-    @property
-    def max_order(self) -> int:
-        return max((p for p, s in self.simplices.items() if s), default=0)
+            cols = np.arange(p)  # face i of a row drops its column i
+            faces = rows[:, cols + (cols >= np.arange(p + 1)[:, None])].reshape(-1, p)
+            found = _in_sorted(_row_keys(stored.get(p - 1, rows[:0, 1:])), _row_keys(faces))
+            if not found.all():
+                j = found.argmin()
+                face, row = faces[j].tolist(), rows[j // (p + 1)].tolist()
+                raise DataError(f"missing face {face} of {row}: closure violated")
+        object.__setattr__(self, "simplices", stored)
 
     def count(self, p: int) -> int:
         return len(self.simplices.get(p, ()))
@@ -153,14 +187,7 @@ class IncidenceMatrix:
     def __post_init__(self):
         if self.p < 1:
             raise DataError("incidence order must be >= 1")
-        members = np.array(self.members, dtype=np.int64)
-        if members.ndim != 2 or members.shape[1] != self.p + 1:
-            raise DataError(f"every simplex must have exactly {self.p + 1} nodes")
-        if members.size and (members.min() < 0 or members.max() >= self.n):
-            raise DataError(f"simplex node out of range for n={self.n}")
-        if np.any(members[:, 1:] <= members[:, :-1]):
-            raise DataError("simplex nodes must be strictly ascending")
-        members.flags.writeable = False
+        members = _simplex_rows(self.members, self.p + 1, self.n, f"{self.p}-simplex")
         object.__setattr__(self, "members", members)
 
     @property
@@ -233,7 +260,7 @@ def load_graph(
 
     features = _load_feature_csv(feature_path, n) if feature_path else None
     labels = _load_label_csv(label_path, n) if label_path else None
-    return Graph(n, tuple(sorted(set(raw_edges))), features, labels)
+    return Graph.from_edge_list(n, raw_edges, features, labels)
 
 
 def _load_feature_csv(path, n: int) -> np.ndarray:
@@ -249,6 +276,8 @@ def _load_feature_csv(path, n: int) -> np.ndarray:
                 row = [float(tok) for tok in text.split(",")]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{path}:{lineno}: non-finite feature value")
             if width is None:
                 width = len(row)
             elif len(row) != width:
@@ -283,25 +312,29 @@ def clique_lift(g: Graph, max_order: int = 2) -> SimplicialComplex:
     """Lift a graph to its clique complex up to the given order.
 
     ``simplices[p]`` holds every (p+1)-clique. Built by incremental
-    extension: each p-clique is grown by a node adjacent to all members
-    with id above the clique's max, which enumerates every clique once.
+    extension on arrays: each p-clique row is grown by every forward
+    neighbour (higher id) of its last node, and a candidate is kept when
+    each earlier member forms an edge with it. This enumerates every clique
+    once, and rows come out in lexicographic order.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    adj = g.adjacency
-    simplices: dict[int, tuple[tuple[int, ...], ...]] = {1: g.edges}
-    current = g.edges
+    edges = g.edge_rows
+    keys = edges[:, 0] * g.n + edges[:, 1]  # ascending, as the edges are sorted
+    starts = np.searchsorted(edges[:, 0], np.arange(g.n + 1))  # forward-neighbour CSR
+    simplices = {1: edges}
+    rows = edges
     for p in range(2, max_order + 1):
-        grown = []
-        for clique in current:
-            candidates = set(adj[clique[0]])
-            for member in clique[1:]:
-                candidates &= adj[member]
-            for w in sorted(candidates):
-                if w > clique[-1]:
-                    grown.append(clique + (w,))
-        simplices[p] = tuple(grown)
-        current = simplices[p]
+        first = starts[rows[:, -1]]
+        count = starts[rows[:, -1] + 1] - first
+        parent = np.repeat(np.arange(len(rows)), count)
+        shift = np.repeat(first - (np.cumsum(count) - count), count)
+        grown = edges[np.arange(len(parent)) + shift, 1]
+        keep = np.ones(len(grown), dtype=bool)
+        for col in range(p - 1):  # the last member is adjacent by construction
+            keep &= _in_sorted(keys, rows[parent, col] * g.n + grown)
+        rows = np.concatenate([rows[parent[keep]], grown[keep, None]], axis=1)
+        simplices[p] = rows
     return SimplicialComplex(g.n, simplices)
 
 
@@ -309,5 +342,4 @@ def incidence_matrix(k: SimplicialComplex, p: int) -> IncidenceMatrix:
     """Build H_p for a complex: entry (v, j) is 1 iff node v is in simplex j."""
     if p < 1 or p > max(k.simplices, default=0):
         raise ValueError(f"order {p} outside the complex's stored orders")
-    members = np.array(k.simplices.get(p, ()), dtype=np.int64).reshape(-1, p + 1)
-    return IncidenceMatrix(p, k.n, members)
+    return IncidenceMatrix(p, k.n, k.simplices.get(p, ()))

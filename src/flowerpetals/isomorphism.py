@@ -23,7 +23,7 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from .complexes import Graph, SimplicialComplex, clique_lift, incidence_matrix
+from .complexes import Graph, SimplicialComplex, clique_lift
 
 __all__ = ["refine", "distinguish"]
 
@@ -46,11 +46,10 @@ def _pairs(s: Structure) -> tuple[np.ndarray, np.ndarray]:
     neighbors are the simplices containing it and a simplex's are its nodes.
     """
     if isinstance(s, Graph):
-        u, v = np.array(s.edges, dtype=np.int64).reshape(-1, 2).T
+        u, v = s.edge_rows.T
         return _cat([u, v]), _cat([v, u])
     src, dst, base = [], [], s.n
-    for p in sorted(s.simplices):
-        members = incidence_matrix(s, p).members
+    for p, members in sorted(s.simplices.items()):
         simplex = np.repeat(np.arange(base, base + len(members)), p + 1)
         src += [simplex, members.ravel()]
         dst += [members.ravel(), simplex]

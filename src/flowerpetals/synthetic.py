@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import Graph, SimplicialComplex
-from .tasks import CoauthorshipComplex
+from .tasks import CoauthorshipComplex, _close_downward
 
 # distinct stream tags so a generator never replays the byte stream of a
 # downstream consumer (splits, inits) seeded with the same bare seed
@@ -100,10 +100,8 @@ def triangle_task(
 
     perm = rng.permutation(n)
     inv = np.argsort(perm)
-    perm_edges = tuple(
-        sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in edges)
-    )
-    return Graph(n, perm_edges, features[inv], labels[inv])
+    edges = perm[np.array(edges, dtype=np.int64)].tolist()
+    return Graph.from_edge_list(n, edges, features[inv], labels[inv])
 
 
 def triangles_vs_hexagons(
@@ -116,10 +114,7 @@ def triangles_vs_hexagons(
     for _ in range(per_class):
         graphs.append(Graph(3, ((0, 1), (0, 2), (1, 2))))
         labels.append(0)
-        hexagon = tuple(
-            sorted((min(i, (i + 1) % 6), max(i, (i + 1) % 6)) for i in range(6))
-        )
-        graphs.append(Graph(6, hexagon))
+        graphs.append(Graph.from_edge_list(6, _cycle(6)))
         labels.append(1)
     order = rng.permutation(len(graphs))
     return [graphs[i] for i in order], np.asarray(labels, dtype=np.int64)[order]
@@ -163,21 +158,7 @@ def coauthorship_complex(
             for m in members:
                 totals[m] += count
 
-    # downward closure with zero-signal implied faces
-    for p in sorted(papers, reverse=True):
-        if p <= 1:
-            continue
-        for s in list(papers[p]):
-            for i in range(p + 1):
-                face = s[:i] + s[i + 1 :]
-                papers.setdefault(p - 1, {}).setdefault(face, 0.0)
-
-    orders = {}
-    signals = {}
-    for p, table in sorted(papers.items()):
-        ordered = tuple(sorted(table))
-        orders[p] = ordered
-        signals[p] = np.array([table[s] for s in ordered])
+    orders, signals = _close_downward(papers)
     node_signals = np.floor(totals + rng.poisson(noise_scale, size=n_authors))
     signals[0] = node_signals.astype(np.float64)
     return CoauthorshipComplex(SimplicialComplex(n_authors, orders), signals)

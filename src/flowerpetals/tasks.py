@@ -4,6 +4,7 @@ coauthorship complexes, graph classification, plus splits and metrics."""
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
@@ -327,8 +328,7 @@ def compute_homophily(g: Graph) -> float:
         raise DataError("homophily needs node labels")
     if g.num_edges == 0:
         raise ValueError("homophily undefined on an edgeless graph")
-    same = sum(1 for u, v in g.edges if g.labels[u] == g.labels[v])
-    return same / g.num_edges
+    return float(np.mean(g.labels[g.edge_rows[:, 0]] == g.labels[g.edge_rows[:, 1]]))
 
 
 def accuracy(log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -342,14 +342,12 @@ def accuracy(log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> flo
 
 def petal_operators(k: SimplicialComplex, p_max: int) -> list[FpOperator]:
     """Flower-petals operators for orders 1..p_max; missing orders are empty."""
-    ops = []
-    for p in range(1, p_max + 1):
-        if p in k.simplices:
-            h = incidence_matrix(k, p)
-        else:
-            h = IncidenceMatrix(p, k.n, np.zeros((0, p + 1)))
-        ops.append(build_fp_adjacency(h))
-    return ops
+    return [
+        build_fp_adjacency(
+            incidence_matrix(k, p) if p in k.simplices else IncidenceMatrix(p, k.n, ())
+        )
+        for p in range(1, p_max + 1)
+    ]
 
 
 def petal_features(
@@ -488,23 +486,17 @@ class CoauthorshipComplex:
         return self.signals[0]
 
 
-def _close_downward(
-    n: int, simplices: dict[int, dict[tuple, float]]
-) -> tuple[dict[int, tuple], dict[int, np.ndarray]]:
-    """Add missing faces (signal 0) so the complex is downward closed."""
+def _close_downward(simplices: dict[int, dict[tuple, float]]) -> tuple[dict, dict]:
+    """Add missing faces (signal 0) so the complex is downward closed; return
+    each order's simplices in lexicographic order and their signals."""
     for p in sorted(simplices, reverse=True):
         if p <= 1:
             continue
         for s in list(simplices[p]):
             for i in range(p + 1):
-                face = s[:i] + s[i + 1 :]
-                simplices.setdefault(p - 1, {}).setdefault(face, 0.0)
-    orders = {}
-    signals = {}
-    for p, table in sorted(simplices.items()):
-        ordered = tuple(sorted(table))
-        orders[p] = ordered
-        signals[p] = np.array([table[s] for s in ordered], dtype=np.float64)
+                simplices.setdefault(p - 1, {}).setdefault(s[:i] + s[i + 1 :], 0.0)
+    orders = {p: sorted(table) for p, table in sorted(simplices.items())}
+    signals = {p: np.array([simplices[p][s] for s in rows]) for p, rows in orders.items()}
     return orders, signals
 
 
@@ -539,8 +531,8 @@ def load_coauthorship(path) -> CoauthorshipComplex:
                 signal = float(parts[2])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed line {text!r}") from None
-            if signal < 0:
-                raise DataError(f"{path}:{lineno}: negative signal")
+            if not math.isfinite(signal) or signal < 0:
+                raise DataError(f"{path}:{lineno}: signal must be finite and non-negative")
             if len(nodes) != order + 1 or len(set(nodes)) != len(nodes):
                 raise DataError(
                     f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes"
@@ -554,7 +546,7 @@ def load_coauthorship(path) -> CoauthorshipComplex:
     n = declared_n if declared_n is not None else max_node + 1
     if n < max_node + 1:
         raise DataError(f"{path}: header n={n} smaller than max node id {max_node}")
-    orders, signals = _close_downward(n, raw)
+    orders, signals = _close_downward(raw)
     signals[0] = np.array([node_signals.get(v, 0.0) for v in range(n)])
     return CoauthorshipComplex(SimplicialComplex(n, orders), signals)
 

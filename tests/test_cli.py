@@ -429,6 +429,40 @@ class TestExitCodes:
         assert run(["graphclass", "--dataset", str(path)]) == 2
         assert f"{path}:4:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "label": 1.7},
+        {"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "label": True},
+        {"n": 6.0, "edges": [[0, 1], [0, 2], [1, 2]], "label": 0},
+        {"n": 3, "edges": [[0, 0.5], [0, 2], [1, 2]], "label": 0},
+        {"n": 3, "edges": [[0.0, 1], [0, 2], [1, 2]], "label": 0},
+        {"n": 3, "edges": [[0, True], [0, 2], [1, 2]], "label": 0},
+        {"n": 3, "edges": [[0, 1]], "label": 0, "features": [[1.0], [float("nan")], [1.0]]},
+    ], ids=["float-label", "bool-label", "float-n", "fractional-endpoint", "float-endpoint",
+            "bool-endpoint", "nan-feature"])
+    def test_graph_record_numbers_must_be_integers_and_finite(self, work, capsys, record):
+        path = work / "gs.jsonl"
+        write_graph_dataset(path, degree_features="features" in record)
+        lines = path.read_text().splitlines()
+        lines[3] = json.dumps(record)
+        path.write_text("\n".join(lines) + "\n")
+        assert run(["graphclass", "--dataset", str(path)]) == 2
+        assert f"{path}:4:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_path_and_line(self, work, capsys, value):
+        argv = node_train_argv(work, json.dumps({"task": "node", "epochs": 2}))
+        lines = (work / "f.csv").read_text().splitlines()
+        lines[4] = f"{value},1.0"
+        (work / "f.csv").write_text("\n".join(lines) + "\n")
+        assert run(argv) == 2
+        assert f"{work / 'f.csv'}:5:" in capsys.readouterr().err
+
+    def test_non_finite_coauthorship_signal_names_path_and_line(self, work, capsys):
+        path = work / "cc.tsv"
+        path.write_text("#n=3\n0\t0\t5\n0\t1\tnan\n0\t2\t1\n1\t0,1\t4\n")
+        assert run(["impute", "--simplices", str(path)]) == 2
+        assert f"{path}:3:" in capsys.readouterr().err
+
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "short.ck"
         save_checkpoint(init_params(2, 3, 4, 5, 2, 0.5, seed=0), path)

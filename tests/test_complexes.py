@@ -28,6 +28,21 @@ class TestGraph:
         assert g.features[0, 0] == 0.0 and g.labels[0] == 0
         assert not g.features.flags.writeable and not g.labels.flags.writeable
 
+    @pytest.mark.parametrize("edges, n", [
+        (((1, 1),), 3),  # self-loop
+        (((1, 0),), 3),  # u > v
+        (((0, 3),), 3),  # node >= n
+        (((-1, 0),), 3),  # node < 0
+        (((0, 1), (0, 1)), 3),  # duplicate edge
+        (((0, 2), (0, 1)), 3),  # unsorted edges
+        (((0, 1, 2),), 3),  # a row that is not a pair
+        (((0, 1.0),), 3),  # a non-integer endpoint
+    ], ids=["self-loop", "descending", "too-large", "negative", "duplicate", "unsorted",
+            "wrong-width", "float"])
+    def test_invalid_edges_rejected(self, edges, n):
+        with pytest.raises(DataError):
+            Graph(n, edges)
+
 
 class TestLoadGraph:
     def test_canonicalization_drops_self_loops(self, tmp_path, caplog):
@@ -89,6 +104,7 @@ class TestCliqueLift:
 
     def test_matches_subset_enumeration_oracle(self):
         rng = np.random.default_rng(7)
+        cases = [Graph(0, ()), Graph(1, ()), Graph(5, ())]  # no edges to grow
         for trial in range(12):
             n = int(rng.integers(3, 13))
             edges = tuple(
@@ -97,19 +113,20 @@ class TestCliqueLift:
                 for v in range(u + 1, n)
                 if rng.random() < 0.45
             )
-            g = Graph(n, edges)
-            lifted = clique_lift(g, 3)
-            edge_set = set(edges)
-            for p in (1, 2, 3):
-                expected = tuple(
-                    subset
-                    for subset in itertools.combinations(range(n), p + 1)
+            cases.append(Graph(n, edges))
+        for trial, g in enumerate(cases):
+            lifted = clique_lift(g, 4)
+            edge_set = set(g.edges)
+            for p in (1, 2, 3, 4):
+                expected = [
+                    list(subset)
+                    for subset in itertools.combinations(range(g.n), p + 1)
                     if all(
                         (a, b) in edge_set
                         for a, b in itertools.combinations(subset, 2)
                     )
-                )
-                assert lifted.simplices[p] == expected, (trial, p)
+                ]
+                assert lifted.simplices[p].tolist() == expected, (trial, p)
 
     def test_downward_closure_on_er_corpus(self):
         # construction argument plus the type's own closure validation
@@ -121,6 +138,30 @@ class TestCliqueLift:
     def test_closure_violation_rejected(self):
         with pytest.raises(DataError, match="closure"):
             SimplicialComplex(3, {1: ((0, 1),), 2: ((0, 1, 2),)})
+
+    @pytest.mark.parametrize("simplices", [
+        {1: ((0, 1, 2),)},  # a 1-simplex of the wrong width
+        {1: ((1, 1),)},  # a repeated node
+        {1: ((0, 1), (0, 2)), 2: ((0, 2, 1),)},  # nodes out of order
+        {1: ((0, 4),)},  # a node >= n
+        {1: ((0, 2), (0, 1))},  # rows out of lexicographic order
+        {1: ((0, 1), (0, 1))},  # a duplicate row
+        {1: ((0, 1.5),)},  # a non-integer entry
+        {0: ((0,),)},  # order 0 is the nodes, not a stored order
+    ], ids=["wrong-width", "repeated-node", "unsorted-row", "too-large", "unsorted-rows",
+            "duplicate", "float", "order-0"])
+    def test_invalid_rows_rejected(self, simplices):
+        with pytest.raises(DataError):
+            SimplicialComplex(4, simplices)
+
+    @pytest.mark.parametrize("simplices", [
+        {1: ((0, 1), (1, 2)), 2: ((0, 1, 2),)},  # order 2 lacks the middle face (0, 2)
+        {1: K4_EDGES, 2: ((0, 1, 2), (0, 1, 3), (0, 2, 3)), 3: ((0, 1, 2, 3),)},  # (1, 2, 3)
+        {1: K4_EDGES, 3: ((0, 1, 2, 3),)},  # order 3 without order 2
+    ], ids=["order-2", "order-3", "order-below-absent"])
+    def test_missing_face_rejected(self, simplices):
+        with pytest.raises(DataError, match="closure"):
+            SimplicialComplex(4, simplices)
 
 
 class TestIncidenceMatrix:
@@ -157,6 +198,9 @@ class TestIncidenceMatrix:
         [[1, 1]],  # a repeated node
         [[0, 3]],  # a node >= n
         [[-1, 2]],  # a node < 0
+        [[0, 2], [0, 1]],  # rows out of lexicographic order
+        [[0, 1], [0, 1]],  # a duplicate row
+        [[0, 1.5]],  # a non-integer node
     ])
     def test_invalid_members_rejected(self, members):
         with pytest.raises(DataError):

@@ -6,8 +6,10 @@ in {1, 2, 3}. The operator properties check the order-p adjacency against
 the paper's definition A_p = 1/(p+1) D_p^{-1/2} H_p H_p^T D_p^{-1/2}, with
 H_p built densely from the simplex lists of the clique complex. The
 refinement property checks WL, HWL and SHWL for permutation invariance and
-monotone refinement. The checkpoint property saves and loads parameter sets
-of random shapes and values.
+monotone refinement. The rewiring property replays the accepted moves of
+``rewire_to_target`` against triangle recounts of the clique lift. The
+checkpoint property saves and loads parameter sets of random shapes and
+values.
 """
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
 from flowerpetals.isomorphism import refine
 from flowerpetals.model import init_params, load_checkpoint, save_checkpoint
+from flowerpetals.nullmodel import SaturationError, rewire_to_target
 from flowerpetals.operators import build_fp_adjacency
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -109,6 +112,34 @@ def test_refinement_is_permutation_invariant_and_monotone(g, p, method, rnd):
     for prev, cur in zip(rounds_a, rounds_a[1:]):
         # every colour class of a round lies inside one class of the round before
         assert len(set(zip(cur.tolist(), prev.tolist()))) == len(set(cur.tolist()))
+
+
+def triangles(n, edges):
+    return clique_lift(Graph.from_edge_list(n, edges), 2).count(2)
+
+
+@examples
+@given(graphs(), st.floats(0.01, 2.0), st.integers(0, 2**32 - 1))
+def test_rewiring_keeps_degrees_and_each_move_adds_triangles(g, target, seed):
+    base = triangles(g.n, g.edges)
+    if base == 0:
+        with pytest.raises(ValueError):
+            rewire_to_target(g, target, seed)
+        return
+    try:
+        out, log = rewire_to_target(g, target, seed)
+    except SaturationError as exc:  # the moves made before saturation still count
+        out, log = exc.graph, exc.log
+    assert np.array_equal(out.degrees(), g.degrees())
+    edges, count = set(g.edges), base
+    for a, b, c, d, e in log.accepted:
+        edges -= {(min(b, d), max(b, d)), (min(c, e), max(c, e))}
+        edges |= {(min(b, c), max(b, c)), (min(d, e), max(d, e))}
+        after = triangles(g.n, edges)
+        assert after > count
+        count = after
+    assert sorted(edges) == list(out.edges)
+    assert log.achieved_rho2 == triangles(out.n, out.edges) / base - 1.0
 
 
 @examples

@@ -275,10 +275,10 @@ class TestCoauthorshipIO:
         )
         cc = load_coauthorship(path)
         assert cc.n == 4
-        assert cc.complex.simplices[2] == ((0, 1, 2),)
+        assert cc.complex.simplices[2].tolist() == [[0, 1, 2]]
         # closure adds the two missing faces of the triangle with signal 0
-        assert cc.complex.simplices[1] == ((0, 1), (0, 2), (1, 2))
-        sig = dict(zip(cc.complex.simplices[1], cc.signals[1]))
+        assert cc.complex.simplices[1].tolist() == [[0, 1], [0, 2], [1, 2]]
+        sig = dict(zip(map(tuple, cc.complex.simplices[1].tolist()), cc.signals[1]))
         assert sig[(0, 1)] == 4.0 and sig[(0, 2)] == 0.0 and sig[(1, 2)] == 0.0
         assert np.array_equal(cc.node_signals, [5, 6, 0, 1])
 
