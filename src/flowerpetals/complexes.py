@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .linalg import _fields_equal
+
 __all__ = [
     "DataError",
     "Graph",
@@ -87,6 +89,8 @@ class Graph:
     labels: np.ndarray | None = None
     edge_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         object.__setattr__(self, "edge_rows", _simplex_rows(self.edges, 2, self.n, "edge"))
         if self.features is not None:
@@ -144,6 +148,8 @@ class SimplicialComplex:
     n: int
     simplices: dict[int, np.ndarray] = field(default_factory=dict)
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         stored = {}
         for p, rows in self.simplices.items():
@@ -183,6 +189,8 @@ class IncidenceMatrix:
     p: int
     n: int
     members: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         if self.p < 1:

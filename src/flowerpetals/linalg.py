@@ -2,12 +2,15 @@
 
 Everything is 64-bit floats. Products use a fixed summation order
 (ascending column index within each row) so repeated runs are
-bit-identical. The eigensolver wraps LAPACK for small dense matrices.
+bit-identical: the kernel adds the row slots (entry j of every row
+longer than j) in ascending j, over a slot layout cached per matrix.
+The eigensolver wraps LAPACK for small dense matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +27,26 @@ EIG_SIZE_CAP = 512
 
 class ConvergenceError(RuntimeError):
     """The eigensolver did not converge."""
+
+
+def _fields_equal(a, b) -> bool:
+    """Value equality for frozen dataclasses that hold arrays: the compared
+    fields must be equal, arrays by ``np.array_equal`` (also inside dicts).
+    Caches kept outside the fields, such as a ``cached_property``, take no
+    part."""
+    if a.__class__ is not b.__class__:
+        return NotImplemented
+    return all(
+        _values_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare
+    )
+
+
+def _values_equal(x, y) -> bool:
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_values_equal(x[k], y[k]) for k in x)
+    return x == y
 
 
 def _as_float_matrix(x: np.ndarray) -> np.ndarray:
@@ -48,6 +71,8 @@ class SparseMatrix:
     row_starts: np.ndarray
     col_indices: np.ndarray
     values: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         rs = np.array(self.row_starts, dtype=np.int64)
@@ -138,6 +163,27 @@ class SparseMatrix:
             np.arange(self.rows, dtype=np.int64), np.diff(self.row_starts)
         )
 
+    @cached_property
+    def _slots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[tuple[int, int, int]]]:
+        """Row-slot layout of the entries, built on the first product.
+
+        ``order`` lists the rows by descending length (stable). Slot j holds
+        entry j of each of the first ``count`` rows of ``order``, the rows
+        longer than j; its column indices and values sit at
+        ``cols[start:stop]`` and ``vals[start:stop]`` for the slot's
+        ``(count, start, stop)``.
+        """
+        lengths = np.diff(self.row_starts)
+        order = np.argsort(-lengths, kind="stable")
+        counts = (self.rows - np.cumsum(np.bincount(lengths))[:-1]).tolist()
+        starts = self.row_starts[order]
+        # one short loop over the slots (the longest row's length) beats an
+        # argsort of all entries into slot-major order
+        entries = np.concatenate([starts[:c] + j for j, c in enumerate(counts)] + [starts[:0]])
+        bounds = np.cumsum([0] + counts).tolist()
+        slots = list(zip(counts, bounds[:-1], bounds[1:]))
+        return order, self.col_indices[entries], self.values[entries], slots
+
 
 def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """CSR matrix-vector product: the one-column case of ``spmm_dense``."""
@@ -149,18 +195,28 @@ def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
 
 def spmm_dense(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     """CSR times dense block with ascending-column summation order in
-    every row, so repeated runs are bit-identical."""
+    every row, so repeated runs are bit-identical.
+
+    Every output entry is ``0.0 + v1*x1 + v2*x2 + ...`` over its row's
+    entries in ascending column order: one gather of all the products, then
+    one in-place add per row slot, in slot order (see
+    ``SparseMatrix._slots``).
+    """
     x = _as_float_matrix(x)
     if m.cols != x.shape[0]:
         raise ValueError(f"shapes {m.shape} and {x.shape} do not align")
-    d = x.shape[1]
-    if m.nnz == 0 or d == 0:
-        return np.zeros((m.rows, d))
-    products = m.values[:, None] * x[m.col_indices, :]
-    # bincount accumulates in input order = ascending column within each row
-    flat_bins = (m._row_ids()[:, None] * d + np.arange(d, dtype=np.int64)).ravel()
-    out = np.bincount(flat_bins, weights=products.ravel(), minlength=m.rows * d)
-    return out.reshape(m.rows, d)
+    order, cols, vals, slots = m._slots
+    products = np.take(x, cols, axis=0)
+    np.multiply(vals[:, None], products, out=products)
+    acc = np.zeros((m.rows, x.shape[1]))
+    # the sums stay as silent on overflow and inf - inf as bincount's were
+    with np.errstate(over="ignore", invalid="ignore"):
+        for count, start, stop in slots:
+            head = acc[:count]
+            head += products[start:stop]
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 def dense_sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import IncidenceMatrix
-from .linalg import SparseMatrix, dense_sym_eig, spmm_dense
+from .linalg import SparseMatrix, _fields_equal, dense_sym_eig, spmm_dense
 
 __all__ = [
     "FpOperator",
@@ -37,15 +37,21 @@ class FpOperator:
     a_tilde: SparseMatrix
     node_degrees: np.ndarray
 
+    __eq__ = _fields_equal
+
     def __post_init__(self):
         a = self.a_tilde
         if a.rows != a.cols:
             raise ValueError("adjacency must be square")
-        t = a.transpose()
+        # the pattern is symmetric iff the mirrored keys c*n + r, sorted,
+        # are the CSR's own ascending keys r*n + c; the sort then puts each
+        # entry's mirror at the entry's position
+        rows, cols = a._row_ids(), a.col_indices
+        mirrored = cols * a.rows + rows
+        mirror = np.argsort(mirrored)
         if not (
-            np.array_equal(a.row_starts, t.row_starts)
-            and np.array_equal(a.col_indices, t.col_indices)
-            and (a.nnz == 0 or np.max(np.abs(a.values - t.values)) <= 1e-12)
+            np.array_equal(mirrored[mirror], rows * a.rows + cols)
+            and (a.nnz == 0 or np.max(np.abs(a.values - a.values[mirror])) <= 1e-12)
         ):
             raise ValueError("adjacency must be symmetric to 1e-12")
         deg = np.array(self.node_degrees, dtype=np.int64)

@@ -28,6 +28,12 @@ class TestGraph:
         assert g.features[0, 0] == 0.0 and g.labels[0] == 0
         assert not g.features.flags.writeable and not g.labels.flags.writeable
 
+    def test_value_equality(self):
+        assert Graph(3, (), np.zeros((3, 1))) == Graph(3, (), np.zeros((3, 1)))
+        assert Graph(3, (), np.zeros((3, 1))) != Graph(3, (), np.ones((3, 1)))
+        assert Graph(3, (), np.zeros((3, 1))) != Graph(3, ())
+        assert Graph(3, ((0, 1),), labels=[0, 1, 1]) != Graph(3, ((0, 1),), labels=[0, 1, 0])
+
     @pytest.mark.parametrize("edges, n", [
         (((1, 1),), 3),  # self-loop
         (((1, 0),), 3),  # u > v
@@ -135,6 +141,12 @@ class TestCliqueLift:
             lifted = clique_lift(g, 3)
             assert isinstance(lifted, SimplicialComplex)
 
+    def test_value_equality(self):
+        k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
+        assert clique_lift(k3, 2) == clique_lift(k3, 2)
+        assert clique_lift(k3, 2) != clique_lift(k3, 1)
+        assert clique_lift(k3, 2) != clique_lift(Graph(3, ((0, 1), (0, 2))), 2)
+
     def test_closure_violation_rejected(self):
         with pytest.raises(DataError, match="closure"):
             SimplicialComplex(3, {1: ((0, 1),), 2: ((0, 1, 2),)})
@@ -179,6 +191,12 @@ class TestIncidenceMatrix:
         h = incidence_matrix(clique_lift(Graph(6, C6_EDGES), 2), 2)
         assert (h.n, h.n_p) == (6, 0)
         assert h.members.shape == (0, 3)
+
+    def test_value_equality(self):
+        h = IncidenceMatrix(1, 3, np.array([[0, 1], [1, 2]]))
+        assert h == IncidenceMatrix(1, 3, np.array([[0, 1], [1, 2]]))
+        assert h != IncidenceMatrix(1, 3, np.array([[0, 1], [0, 2]]))
+        assert h != IncidenceMatrix(1, 4, np.array([[0, 1], [1, 2]]))
 
     def test_out_of_range_order(self):
         with pytest.raises(ValueError):

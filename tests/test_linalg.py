@@ -1,7 +1,9 @@
-"""CSR kernels and the Jacobi eigensolver against closed forms and oracles."""
+"""CSR kernels and the LAPACK eigensolver wrapper against closed forms and
+oracles."""
 
 import numpy as np
 import pytest
+from spmm_oracle import bincount_spmm, loop_spmm, same_bits
 
 from flowerpetals.linalg import (
     ConvergenceError,
@@ -15,6 +17,14 @@ from flowerpetals.linalg import (
 def random_sparse(rng, rows, cols, density=0.3):
     dense = np.where(rng.random((rows, cols)) < density, rng.normal(size=(rows, cols)), 0.0)
     return SparseMatrix.from_dense(dense), dense
+
+
+def assert_oracle_bits(m, x):
+    """``spmm_dense`` equals both oracles bit for bit."""
+    out = spmm_dense(m, x)
+    assert out.shape == (m.rows, x.shape[1])
+    for oracle in (loop_spmm, bincount_spmm):
+        assert same_bits(out, oracle(m, x)), oracle.__name__
 
 
 class TestSparseMatrix:
@@ -74,6 +84,13 @@ class TestSparseMatrix:
         row_starts[1], cols[0], values[0] = 0, 1, 5.0  # the caller may still write its own arrays
         assert np.array_equal(m.to_dense(), np.eye(2))
 
+    def test_value_equality(self):
+        a, b = SparseMatrix.identity(3), SparseMatrix.identity(3)
+        spmm_dense(a, np.ones((3, 2)))  # the cached slot layout takes no part
+        assert a == b and not a != b
+        assert a != SparseMatrix.zeros(3, 3)
+        assert a != SparseMatrix.from_dense(2 * np.eye(3))
+
 
 class TestSpmmDense:
     def test_identity_block(self):
@@ -97,6 +114,45 @@ class TestSpmmDense:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             spmm_dense(SparseMatrix.identity(3), np.ones((4, 2)))
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_oracle_bits_with_empty_rows(self, d):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            _, dense = random_sparse(rng, rows, cols, density=float(rng.random()))
+            dense[rng.random(rows) < 0.3] = 0.0  # empty rows
+            assert_oracle_bits(SparseMatrix.from_dense(dense), rng.normal(size=(cols, d)))
+
+    @pytest.mark.parametrize("d", [0, 1, 64])
+    @pytest.mark.parametrize("m", [
+        SparseMatrix.zeros(4, 3),  # nnz = 0
+        SparseMatrix.zeros(0, 3),  # rows = 0
+        SparseMatrix.from_dense([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]]),
+    ], ids=["nnz-0", "rows-0", "2x3"])
+    def test_oracle_bits_on_empty_shapes(self, m, d):
+        assert_oracle_bits(m, np.arange(3.0 * d).reshape(3, d))
+
+    def test_oracle_bits_on_non_contiguous_block(self):
+        rng = np.random.default_rng(4)
+        m, _ = random_sparse(rng, 12, 9)
+        x = rng.normal(size=(18, 10))[::2, ::3]
+        assert not x.flags.c_contiguous
+        assert_oracle_bits(m, x)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_oracle_bits_on_signed_zeros_nan_and_inf(self):
+        x = np.array([1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+        # column 0's products, row by row: -0.0; -0.0 twice; nan; inf then
+        # -inf; 0.0 * inf; none; -1 * nan then inf; a lone inf
+        m = SparseMatrix(8, 6, [0, 1, 3, 4, 6, 7, 7, 9, 10], [0, 1, 2, 3, 4, 5, 4, 3, 4, 4],
+                         [-0.0, -1.0, 1.0, 1.0, 1.0, 1.0, 0.0, -1.0, 1.0, 2.0])
+        x = np.c_[x, x[::-1]]
+        assert_oracle_bits(m, x)
+        out = spmm_dense(m, x)[:, 0]
+        assert not np.signbit(out[:2]).any()  # 0.0 + -0.0 is +0.0
+        assert np.isnan(out[[2, 3, 4, 6]]).all()
+        assert out[5] == 0.0 and out[7] == np.inf
 
 
 class TestDenseSymEig:

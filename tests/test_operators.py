@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
-from flowerpetals.linalg import dense_sym_eig, spmv
+from flowerpetals.linalg import SparseMatrix, dense_sym_eig, spmm_dense, spmv
 from flowerpetals.operators import (
     FpOperator,
     WalkState,
@@ -16,6 +16,7 @@ from flowerpetals.operators import (
     walk_operator,
 )
 from flowerpetals.synthetic import er_graph
+from flowerpetals.tasks import petal_operators
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 
@@ -39,6 +40,28 @@ class TestCallersArraysStayWritable:
         state = WalkState(1, pi)
         pi[0] = 0.5  # the caller may still write its own array
         assert state.pi[0] == 1.0 and not state.pi.flags.writeable
+
+
+class TestFpOperator:
+    def test_value_equality(self):
+        k = clique_lift(K3, 2)
+        a, b = petal_operators(k, 2), petal_operators(k, 2)
+        spmm_dense(a[0].a_tilde, np.ones((3, 1)))  # the cached slot layout takes no part
+        assert a == b
+        assert a[0] != a[1]
+        assert a[0] != FpOperator(1, a[0].a_tilde, [2, 2, 1])
+
+    def test_asymmetric_pattern_rejected(self):
+        with pytest.raises(ValueError, match="symmetric"):
+            FpOperator(1, SparseMatrix.from_dense([[0.0, 1.0], [0.0, 0.0]]), [1, 1])
+
+    def test_asymmetric_values_rejected(self):
+        def op(eps):
+            return FpOperator(1, SparseMatrix.from_dense([[1.0, 0.5], [0.5 + eps, 0.0]]), [1, 1])
+
+        op(1e-13)  # within the tolerance
+        with pytest.raises(ValueError, match="symmetric"):
+            op(1e-11)
 
 
 class TestAdjacency:

@@ -9,14 +9,18 @@ refinement property checks WL, HWL and SHWL for permutation invariance and
 monotone refinement. The rewiring property replays the accepted moves of
 ``rewire_to_target`` against triangle recounts of the clique lift. The
 checkpoint property saves and loads parameter sets of random shapes and
+values. The kernel property compares ``spmm_dense`` with its reference
+products bit for bit on random CSR matrices and blocks of any float64
 values.
 """
 
 import numpy as np
 import pytest
+from spmm_oracle import bincount_spmm, loop_spmm, same_bits
 
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
 from flowerpetals.isomorphism import refine
+from flowerpetals.linalg import SparseMatrix, spmm_dense
 from flowerpetals.model import init_params, load_checkpoint, save_checkpoint
 from flowerpetals.nullmodel import SaturationError, rewire_to_target
 from flowerpetals.operators import build_fp_adjacency
@@ -165,3 +169,29 @@ def test_checkpoint_round_trip_is_bit_exact(
     for (name, a), (_, b) in zip(params.named_arrays(), loaded.named_arrays(), strict=True):
         assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def sparse_products(draw):
+    """A CSR matrix with stored entries at random positions (empty rows and
+    stored zeros included) and a dense block; values may be any float64."""
+    rows, cols, d = draw(st.integers(0, 6)), draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    values = st.floats(allow_nan=True, allow_infinity=True)
+    stored = np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)),
+                      dtype=bool).reshape(rows, cols)
+    _, c = np.nonzero(stored)
+    v = draw(st.lists(values, min_size=len(c), max_size=len(c)))
+    x = draw(st.lists(values, min_size=cols * d, max_size=cols * d))
+    row_starts = np.r_[0, np.cumsum(stored.sum(axis=1))]
+    m = SparseMatrix(rows, cols, row_starts, c, np.array(v, dtype=np.float64))
+    return m, np.array(x, dtype=np.float64).reshape(cols, d)
+
+
+@examples
+@given(sparse_products())
+def test_spmm_dense_equals_the_reference_products_bit_for_bit(case):
+    m, x = case
+    with np.errstate(all="ignore"):
+        out = spmm_dense(m, x)
+        for oracle in (loop_spmm, bincount_spmm):
+            assert same_bits(out, oracle(m, x)), oracle.__name__
