@@ -74,7 +74,7 @@ def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.searchsorted(keys, queries, "right") > np.searchsorted(keys, queries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with optional node features and labels.
 
@@ -134,7 +134,7 @@ class Graph:
         return np.bincount(self.edge_rows.ravel(), minlength=self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex:
     """Per-order simplex rows: ``simplices[p]`` is the read-only (n_p, p+1)
     int64 array of the p-simplices of each stored order p >= 1, each row its
@@ -175,7 +175,7 @@ class SimplicialComplex:
         return {p: len(s) for p, s in sorted(self.simplices.items())}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceMatrix:
     """Node-by-simplex 0/1 incidence H_p for one petal order, stored as the
     member rows of its p-simplices.

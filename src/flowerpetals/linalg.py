@@ -33,7 +33,8 @@ def _fields_equal(a, b) -> bool:
     """Value equality for frozen dataclasses that hold arrays: the compared
     fields must be equal, arrays by ``np.array_equal`` (also inside dicts).
     Caches kept outside the fields, such as a ``cached_property``, take no
-    part."""
+    part. Its classes are declared ``eq=False``, so Python leaves them
+    unhashable, whatever their optional fields hold."""
     if a.__class__ is not b.__class__:
         return NotImplemented
     return all(
@@ -56,7 +57,7 @@ def _as_float_matrix(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseMatrix:
     """Compressed sparse row matrix of 64-bit floats.
 
@@ -120,14 +121,13 @@ class SparseMatrix:
         if len(r):
             if r.min() < 0 or r.max() >= rows or c.min() < 0 or c.max() >= cols:
                 raise ValueError("coordinate out of range")
-            order = np.lexsort((c, r))
-            r, c, v = r[order], c[order], v[order]
             key = r * cols + c
-            uniq, first = np.unique(key, return_index=True)
-            vals = np.bincount(
-                np.searchsorted(uniq, key), weights=v, minlength=len(uniq)
-            )
-            r, c, v = r[first], c[first], vals
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            # duplicates, which the stable sort keeps in input order, are summed
+            first = np.concatenate(([True], key[1:] != key[:-1]))
+            v = np.bincount(np.cumsum(first) - 1, weights=v[order])
+            r, c = r[order[first]], c[order[first]]
         row_starts = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(r, minlength=rows), out=row_starts[1:])
         return cls(rows, cols, row_starts, c, v)
@@ -193,14 +193,15 @@ def spmv(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
     return spmm_dense(m, x[:, None])[:, 0]
 
 
-def spmm_dense(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
+def spmm_dense(m: SparseMatrix, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """CSR times dense block with ascending-column summation order in
     every row, so repeated runs are bit-identical.
 
     Every output entry is ``0.0 + v1*x1 + v2*x2 + ...`` over its row's
     entries in ascending column order: one gather of all the products, then
     one in-place add per row slot, in slot order (see
-    ``SparseMatrix._slots``).
+    ``SparseMatrix._slots``). The result goes to ``out`` (an
+    ``m.rows x x.shape[1]`` block) when given, else to a new array.
     """
     x = _as_float_matrix(x)
     if m.cols != x.shape[0]:
@@ -214,7 +215,8 @@ def spmm_dense(m: SparseMatrix, x: np.ndarray) -> np.ndarray:
         for count, start, stop in slots:
             head = acc[:count]
             head += products[start:stop]
-    out = np.empty_like(acc)
+    if out is None:
+        out = np.empty_like(acc)
     out[order] = acc
     return out
 

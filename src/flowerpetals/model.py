@@ -121,9 +121,8 @@ class HigcnParams:
 class ForwardTape:
     """Intermediates of one forward pass, kept for reverse mode."""
 
-    filtered: tuple[np.ndarray, ...]  # per petal: sum_k gamma[p,k] blocks[p][k]
-    pre: tuple[np.ndarray, ...] | None  # pre-rectifier (depth-2 only)
-    act: tuple[np.ndarray, ...] | None  # post-rectifier (depth-2 only)
+    filtered: np.ndarray  # (P, n, d): filtered[p-1] = sum_k gamma[p,k] tensor[p-1, k]
+    pre: tuple[np.ndarray, ...] | None  # per petal, pre-rectifier (depth-2 only)
     z: np.ndarray  # concatenated petal outputs
     logits: np.ndarray
 
@@ -175,52 +174,32 @@ def init_params(
     return HigcnParams(p_max, k_max, alpha, gamma, tuple(theta), w, seed)
 
 
-def _filtered_sums(params: HigcnParams, feats: PropagatedFeatures) -> list[np.ndarray]:
-    sums = []
-    for p in range(1, params.p_max + 1):
-        petal = feats.blocks[p]
-        acc = params.gamma[p - 1, 0] * petal[0]
-        for k in range(1, params.k_max + 1):
-            acc = acc + params.gamma[p - 1, k] * petal[k]
-        sums.append(acc)
-    return sums
-
-
 def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
-    if feats.p_max < params.p_max:
-        raise ValueError(
-            f"features cover petals up to {feats.p_max}, params need {params.p_max}"
-        )
-    if feats.k_max < params.k_max:
-        raise ValueError(
-            f"features cover hops up to {feats.k_max}, params need {params.k_max}"
-        )
-    if feats.d != params.dims[0]:
-        raise ValueError(
-            f"feature width {feats.d} != transform input width {params.dims[0]}"
-        )
+    p_max, hops, _, d = feats.tensor.shape
+    if p_max < params.p_max:
+        raise ValueError(f"features cover petals up to {p_max}, params need {params.p_max}")
+    if hops <= params.k_max:
+        raise ValueError(f"features cover hops up to {hops - 1}, params need {params.k_max}")
+    if d != params.dims[0]:
+        raise ValueError(f"feature width {d} != transform input width {params.dims[0]}")
 
 
 def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> ForwardTape:
     """Run the petal filters and transforms up to the concatenation Z and
     the logits."""
     _check_compat(params, feats)
-    filtered = _filtered_sums(params, feats)
+    # the unoptimized einsum adds the hops in order, as a loop would; an
+    # optimized path goes through BLAS and drifts in the last bits
+    tensor = feats.tensor[: params.p_max, : params.k_max + 1]
+    filtered = np.einsum("pk,pknd->pnd", params.gamma, tensor)
     if params.depth == 2:
-        pre = [s @ t[0] for s, t in zip(filtered, params.theta)]
-        act = [np.maximum(a, 0.0) for a in pre]
-        outs = [a @ t[1] for a, t in zip(act, params.theta)]
+        pre = tuple(s @ t[0] for s, t in zip(filtered, params.theta))
+        outs = [np.maximum(a, 0.0) @ t[1] for a, t in zip(pre, params.theta)]
     else:
-        pre = act = None
+        pre = None
         outs = [s @ t[0] for s, t in zip(filtered, params.theta)]
     z = np.hstack(outs)
-    return ForwardTape(
-        filtered=tuple(filtered),
-        pre=None if pre is None else tuple(pre),
-        act=None if act is None else tuple(act),
-        z=z,
-        logits=z @ params.w,
-    )
+    return ForwardTape(filtered=filtered, pre=pre, z=z, logits=z @ params.w)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -279,28 +258,27 @@ def _backprop(
     not shrunk by default.
     """
     dw = tape.z.T @ dlogits + weight_decay * params.w
-    dz = dlogits @ params.w.T
     _, h, _ = params.dims
     dgamma = np.zeros_like(params.gamma)
     dtheta = []
-    for p in range(1, params.p_max + 1):
-        dy = dz[:, (p - 1) * h : p * h]
-        mats = params.theta[p - 1]
+    for i, mats in enumerate(params.theta):
+        # this petal's columns of dlogits @ w.T, without the full product
+        dy = dlogits @ params.w[i * h : (i + 1) * h].T
         if params.depth == 2:
-            act = tape.act[p - 1]
-            dt2 = act.T @ dy + weight_decay * mats[1]
+            pre = tape.pre[i]
+            dt2 = np.maximum(pre, 0.0).T @ dy + weight_decay * mats[1]
             dact = dy @ mats[1].T
-            dpre = np.where(tape.pre[p - 1] > 0.0, dact, 0.0)
-            dt1 = tape.filtered[p - 1].T @ dpre + weight_decay * mats[0]
+            dpre = np.where(pre > 0.0, dact, 0.0)
+            dt1 = tape.filtered[i].T @ dpre + weight_decay * mats[0]
             dfiltered = dpre @ mats[0].T
             dtheta.append((dt1, dt2))
         else:
-            dt1 = tape.filtered[p - 1].T @ dy + weight_decay * mats[0]
+            dt1 = tape.filtered[i].T @ dy + weight_decay * mats[0]
             dfiltered = dy @ mats[0].T
             dtheta.append((dt1,))
-        petal = feats.blocks[p]
+        # one reduction per hop: an einsum or matrix product here drifts
         for k in range(params.k_max + 1):
-            dgamma[p - 1, k] = np.sum(petal[k] * dfiltered)
+            dgamma[i, k] = np.sum(feats.tensor[i, k] * dfiltered)
     if decay_gamma:
         dgamma += weight_decay * params.gamma
     return replace(params, gamma=dgamma, theta=tuple(dtheta), w=dw)

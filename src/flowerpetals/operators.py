@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FpOperator:
     """Symmetric order-p adjacency with its node degrees."""
 
@@ -89,20 +89,34 @@ class WalkState:
 
 @dataclass(frozen=True)
 class PropagatedFeatures:
-    """Precomputed feature blocks: ``blocks[p][k]`` is the order-p adjacency
-    applied k times to the input features (k = 0 is the input itself)."""
+    """Precomputed feature blocks as one read-only (P, K+1, n, d) array:
+    ``tensor[p-1, k]`` is the order-p adjacency applied k times to the
+    input features (k = 0 is the input itself)."""
 
-    p_max: int
-    k_max: int
-    blocks: dict[int, list[np.ndarray]]
+    tensor: np.ndarray
+
+    @property
+    def p_max(self) -> int:
+        return self.tensor.shape[0]
+
+    @property
+    def k_max(self) -> int:
+        return self.tensor.shape[1] - 1
 
     @property
     def n(self) -> int:
-        return self.blocks[1][0].shape[0]
+        return self.tensor.shape[2]
 
     @property
     def d(self) -> int:
-        return self.blocks[1][0].shape[1]
+        return self.tensor.shape[3]
+
+    @property
+    def blocks(self) -> dict[int, list[np.ndarray]]:
+        """``blocks[p][k]``: views of ``tensor[p-1, k]``. Only the perfbench
+        ``_propagate`` observer reads this; it goes when perfbench reads the
+        package's own spans (ROADMAP item 1's follow-up)."""
+        return {p: list(petal) for p, petal in enumerate(self.tensor, start=1)}
 
 
 def _pair_pattern(h: IncidenceMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -188,26 +202,29 @@ def propagate_features(
 ) -> PropagatedFeatures:
     """Precompute adjacency powers applied to the feature block, per petal.
 
-    Powers are never materialized: block k is one sparse product applied to
-    block k-1.
+    ``ops`` are the operators of orders 1..P, in order. Powers are never
+    materialized: block k is one sparse product applied to block k-1,
+    written straight into its slot of the tensor.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("features must be an n x d matrix")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    blocks: dict[int, list[np.ndarray]] = {}
-    for op in ops:
+    orders = [op.p for op in ops]
+    if orders != list(range(1, len(ops) + 1)):
+        raise ValueError(f"operators must have orders 1..P in order, got {orders}")
+    tensor = np.empty((len(ops), k_max + 1) + x.shape)
+    for i, op in enumerate(ops):
         if op.n != x.shape[0]:
             raise ValueError(
                 f"operator order {op.p} has n={op.n}, features have {x.shape[0]} rows"
             )
-        petal = [x]
-        for _ in range(k_max):
-            petal.append(spmm_dense(op.a_tilde, petal[-1]))
-        blocks[op.p] = petal
-    p_max = max((op.p for op in ops), default=0)
-    return PropagatedFeatures(p_max, k_max, blocks)
+        tensor[i, 0] = x
+        for k in range(k_max):
+            spmm_dense(op.a_tilde, tensor[i, k], out=tensor[i, k + 1])
+    tensor.flags.writeable = False
+    return PropagatedFeatures(tensor)
 
 
 def spectral_filter_oracle(

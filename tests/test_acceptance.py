@@ -346,7 +346,7 @@ def _one_petal_bayes_rate(g: Graph, k_max: int) -> float:
     that nothing beats it.
     """
     feats = petal_features(clique_lift(g, 1), g.features, 1, k_max)
-    stack = np.stack([feats.blocks[1][k] for k in range(k_max + 1)], axis=1)
+    stack = np.stack([feats.tensor[0, k] for k in range(k_max + 1)], axis=1)
     flat = stack.reshape(g.n, -1)
     assert float(np.max(np.abs(flat - 1.0))) <= 5e-14, "stacks are not constant"
     majority = max(np.mean(g.labels == c) for c in np.unique(g.labels))

@@ -59,6 +59,23 @@ class TestSparseMatrix:
         assert m.nnz == 2
         assert np.array_equal(m.to_dense(), [[0, 3], [5, 0]])
 
+    def test_from_coo_sums_duplicates_in_input_order(self):
+        # per coordinate, the sum must be 0.0 + v1 + v2 + ... in input order;
+        # values over 16 orders of magnitude make any other order show
+        rng = np.random.default_rng(7)
+        n = 3000
+        r, c = rng.integers(0, 6, n), rng.integers(0, 7, n)
+        v = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, n)
+        v[(rng.random(n) < 0.2) | (r == 5)] = -0.0  # row 5 holds only -0.0
+        expected = {}
+        for key, val in zip(zip(r.tolist(), c.tolist()), v.tolist()):
+            expected[key] = expected.get(key, 0.0) + val
+        keys = sorted(expected)
+        m = SparseMatrix.from_coo(6, 7, r, c, v)
+        assert np.array_equal(m._row_ids(), [k[0] for k in keys])
+        assert np.array_equal(m.col_indices, [k[1] for k in keys])
+        assert m.values.tobytes() == np.array([expected[k] for k in keys]).tobytes()
+
     def test_transpose_round_trip(self):
         rng = np.random.default_rng(1)
         m, dense = random_sparse(rng, 7, 5)

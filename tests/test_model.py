@@ -3,6 +3,7 @@ Adam, strength, and checkpoint round-trips."""
 
 import numpy as np
 import pytest
+import training_oracle
 
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.model import (
@@ -115,7 +116,7 @@ class TestForward:
             }.get(name, a)
         )
         _, log_probs = forward(params, feats)
-        x = feats.blocks[1][0]
+        x = feats.tensor[0, 0]
         z = np.hstack([x, x])
         expected = z - np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - z.max(axis=1, keepdims=True)
         assert np.max(np.abs(log_probs - expected)) <= 1e-12
@@ -209,6 +210,79 @@ class TestGradients:
         params = init_params(2, 2, 2, 3, 2, 0.5, seed=61)
         with pytest.raises(ValueError):
             loss_and_grad(params, feats, np.zeros(4, dtype=int), np.array([], dtype=int))
+
+
+def tensor_case(name, depth):
+    """Params with random filters, and features, for one oracle case of
+    ``TestFeatureTensor``."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(30, 4))
+    # the features of "sliced" cover more petals and hops than the params use
+    p_max, k_max, feats_p, feats_k = {
+        "signed-zero": (2, 3, 2, 3), "k0": (2, 0, 2, 0), "sliced": (2, 2, 3, 4),
+    }[name]
+    gamma = rng.normal(size=(p_max, k_max + 1))
+    if name == "signed-zero":
+        x[:, [1, 3]] = 0.0
+        gamma = -np.abs(gamma)
+    feats = petal_features(clique_lift(er_graph(30, 0.3, seed=13), feats_p), x, feats_p, feats_k)
+    params = init_params(p_max, k_max, 4, 5, 3, 0.5, seed=14, depth=depth)
+    return params.map_arrays(lambda nm, a: gamma if nm == "gamma" else a), feats
+
+
+class TestFeatureTensor:
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("case", ["signed-zero", "k0", "sliced"])
+    def test_tape_and_gradients_equal_the_loop_oracle(self, case, depth):
+        params, feats = tensor_case(case, depth)
+        filtered, pre, _, z, logits = training_oracle.forward_embedding(params, feats)
+        tape = forward_embedding(params, feats)
+        assert tape.filtered.shape == (params.p_max, feats.n, feats.d)
+        assert np.array_equal(tape.filtered, np.stack(filtered))
+        if depth == 2:
+            assert len(tape.pre) == len(pre)
+            assert all(np.array_equal(a, b) for a, b in zip(tape.pre, pre))
+        else:
+            assert tape.pre is None
+        assert np.array_equal(tape.z, z) and np.array_equal(tape.logits, logits)
+        if case == "signed-zero":  # the loop's sums are -0.0 there
+            assert np.signbit(np.stack(filtered)[:, :, [1, 3]]).all()
+
+        rng = np.random.default_rng(17)
+        dlogits = rng.normal(size=logits.shape)
+        dlogits[rng.random(len(dlogits)) < 0.4] = 0.0  # rows off the mask
+        grads = _backprop(params, feats, tape, dlogits, 0.01)
+        expected = training_oracle.backprop(params, feats, dlogits, 0.01)
+        for (name, a), (_, b) in zip(grads.named_arrays(), expected.named_arrays()):
+            assert np.array_equal(a, b), name
+
+    @pytest.mark.parametrize("dims, message", [
+        ((3, 2, 3), "features cover petals up to 2, params need 3"),
+        ((2, 3, 3), "features cover hops up to 2, params need 3"),
+        ((2, 2, 4), "feature width 3 != transform input width 4"),
+    ])
+    def test_params_beyond_the_features_are_rejected(self, dims, message):
+        feats = graph_feats(6, 3, seed=18)
+        p_max, k_max, d = dims
+        with pytest.raises(ValueError, match=message):
+            forward(init_params(p_max, k_max, d, 4, 2, 0.5, seed=19), feats)
+
+    @pytest.mark.parametrize("n, c, p_max, h", [
+        (1200, 2, 2, 32), (2400, 4, 3, 32), (600, 1, 2, 16),
+        (755, 2, 2, 32), (30, 3, 3, 8), (7, 5, 1, 64),
+    ])
+    def test_petal_columns_of_the_output_gradient_are_bit_equal(self, n, c, p_max, h):
+        # the backward takes each petal's dy = dlogits @ w[s].T; it must be
+        # bit-equal to the slice s of the full dlogits @ w.T, which depends
+        # on the BLAS
+        rng = np.random.default_rng(n)
+        dlogits = rng.normal(size=(n, c))
+        dlogits[rng.random(n) < 0.5] = 0.0
+        w = rng.normal(size=(p_max * h, c))
+        full = dlogits @ w.T
+        for p in range(p_max):
+            s = slice(p * h, (p + 1) * h)
+            assert np.array_equal((dlogits @ w[s].T).view(np.int64), full[:, s].view(np.int64))
 
 
 class TestAdam:

@@ -26,6 +26,19 @@ def petal(g, p, max_order=None):
     return incidence_matrix(lifted, p)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Graph(3, ((0, 1),)),
+    lambda: clique_lift(K3, 2),
+    lambda: petal(K3, 1),
+    lambda: SparseMatrix.identity(3),
+    lambda: build_fp_adjacency(petal(K3, 1)),
+], ids=["Graph", "SimplicialComplex", "IncidenceMatrix", "SparseMatrix", "FpOperator"])
+def test_value_equal_types_do_not_hash(make):
+    # equality compares arrays by value, so no hash can agree with it
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(make())
+
+
 class TestCallersArraysStayWritable:
     def test_fp_operator(self):
         op = build_fp_adjacency(petal(K3, 1))
@@ -198,25 +211,43 @@ class TestPropagation:
         ops = [build_fp_adjacency(petal(K3, 1)), build_fp_adjacency(petal(K3, 2))]
         feats = propagate_features(ops, x, 3)
         for p in (1, 2):
-            assert np.array_equal(feats.blocks[p][0], x)
+            assert np.array_equal(feats.tensor[p - 1, 0], x)
 
     def test_zero_operator_blocks_vanish(self):
         c6 = Graph(6, tuple(sorted((min(i, (i + 1) % 6), max(i, (i + 1) % 6)) for i in range(6))))
-        op = build_fp_adjacency(petal(c6, 2))
-        feats = propagate_features([op], np.ones((6, 2)), 2)
-        # the operator lives in petal 2
-        assert np.array_equal(feats.blocks[2][1], np.zeros((6, 2)))
-        assert np.array_equal(feats.blocks[2][2], np.zeros((6, 2)))
+        op1, op2 = build_fp_adjacency(petal(c6, 1)), build_fp_adjacency(petal(c6, 2))
+        feats = propagate_features([op1, op2], np.ones((6, 2)), 2)
+        # the order-2 operator of a triangle-free graph is zero
+        assert np.array_equal(feats.tensor[1, 1:], np.zeros((2, 6, 2)))
 
     def test_k3_single_hop(self):
         op = build_fp_adjacency(petal(K3, 1))
         feats = propagate_features([op], np.array([[1.0], [0.0], [0.0]]), 1)
-        assert np.allclose(feats.blocks[1][1].ravel(), [0.5, 0.25, 0.25])
+        assert np.allclose(feats.tensor[0, 1].ravel(), [0.5, 0.25, 0.25])
 
     def test_dimension_mismatch(self):
         op = build_fp_adjacency(petal(K3, 1))
         with pytest.raises(ValueError):
             propagate_features([op], np.ones((4, 1)), 1)
+
+    def test_orders_must_run_from_one_to_p(self):
+        op1, op2 = build_fp_adjacency(petal(K3, 1)), build_fp_adjacency(petal(K3, 2))
+        for ops in ([op2], [op2, op1], [op1, op1], [op1, op2, op2]):
+            with pytest.raises(ValueError, match="orders 1..P"):
+                propagate_features(ops, np.ones((3, 1)), 1)
+
+    def test_blocks_are_views_of_the_tensor(self):
+        ops = petal_operators(clique_lift(K3, 2), 2)
+        feats = propagate_features(ops, np.arange(6.0).reshape(3, 2), 3)
+        assert feats.tensor.shape == (2, 4, 3, 2) and not feats.tensor.flags.writeable
+        blocks = feats.blocks
+        assert sorted(blocks) == [1, 2] and all(len(hops) == 4 for hops in blocks.values())
+        for p, hops in blocks.items():
+            for k, b in enumerate(hops):
+                assert np.shares_memory(b, feats.tensor[p - 1, k])
+                assert np.array_equal(b, feats.tensor[p - 1, k])
+        # perfbench's feature_mb sums the block sizes
+        assert sum(b.nbytes for hops in blocks.values() for b in hops) == feats.tensor.nbytes
 
 
 class TestSpectralFilterOracle:

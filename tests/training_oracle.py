@@ -8,7 +8,16 @@ on the stepped parameters for the validation read. Node classification
 also runs one more forward on the best parameters for the test accuracy.
 ``flowerpetals.tasks`` must give the same curves, best epochs, accuracies
 and parameters bit for bit.
+
+``forward_embedding`` and ``backprop`` are the model's forward and reverse
+pass written petal by petal: the filtered sums as a loop over the hops that
+starts from hop 0, the rectified activations kept, and the full
+``dlogits @ w.T`` sliced per petal. ``flowerpetals.model`` must give the
+same intermediates and gradients under ``np.array_equal``: its filtered
+sums start from 0.0, so where every term is -0.0 they are +0.0.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -139,3 +148,55 @@ def graph_classify(graphs, labels, cfg):
             "seed": seed0,
         },
     )
+
+
+def filtered_sums(params, feats):
+    """Per petal, sum_k gamma[p,k] A_p^k X, added hop by hop."""
+    sums = []
+    for p in range(params.p_max):
+        acc = params.gamma[p, 0] * feats.tensor[p, 0]
+        for k in range(1, params.k_max + 1):
+            acc = acc + params.gamma[p, k] * feats.tensor[p, k]
+        sums.append(acc)
+    return sums
+
+
+def forward_embedding(params, feats):
+    """The filtered sums, pre- and post-rectifier activations (None at depth
+    1), the concatenated petal outputs and the logits."""
+    filtered = filtered_sums(params, feats)
+    if params.depth == 2:
+        pre = [s @ t[0] for s, t in zip(filtered, params.theta)]
+        act = [np.maximum(a, 0.0) for a in pre]
+        outs = [a @ t[1] for a, t in zip(act, params.theta)]
+    else:
+        pre = act = None
+        outs = [s @ t[0] for s, t in zip(filtered, params.theta)]
+    z = np.hstack(outs)
+    return filtered, pre, act, z, z @ params.w
+
+
+def backprop(params, feats, dlogits, weight_decay):
+    """Gradients of every parameter from the loss gradient at the logits."""
+    filtered, pre, act, z, _ = forward_embedding(params, feats)
+    dw = z.T @ dlogits + weight_decay * params.w
+    dz = dlogits @ params.w.T
+    _, h, _ = params.dims
+    dgamma = np.zeros_like(params.gamma)
+    dtheta = []
+    for p in range(params.p_max):
+        dy = dz[:, p * h : (p + 1) * h]
+        mats = params.theta[p]
+        if params.depth == 2:
+            dt2 = act[p].T @ dy + weight_decay * mats[1]
+            dpre = np.where(pre[p] > 0.0, dy @ mats[1].T, 0.0)
+            dt1 = filtered[p].T @ dpre + weight_decay * mats[0]
+            dfiltered = dpre @ mats[0].T
+            dtheta.append((dt1, dt2))
+        else:
+            dt1 = filtered[p].T @ dy + weight_decay * mats[0]
+            dfiltered = dy @ mats[0].T
+            dtheta.append((dt1,))
+        for k in range(params.k_max + 1):
+            dgamma[p, k] = np.sum(feats.tensor[p, k] * dfiltered)
+    return replace(params, gamma=dgamma, theta=tuple(dtheta), w=dw)
