@@ -23,6 +23,9 @@ __all__ = [
 ]
 
 EIG_SIZE_CAP = 512
+# spmm_dense's products per slot group, in bytes: small enough to stay in
+# cache between the gather and the slot adds
+SLOT_GROUP_BYTES = 1 << 20
 
 
 class ConvergenceError(RuntimeError):
@@ -31,7 +34,8 @@ class ConvergenceError(RuntimeError):
 
 def _fields_equal(a, b) -> bool:
     """Value equality for frozen dataclasses that hold arrays: the compared
-    fields must be equal, arrays by ``np.array_equal`` (also inside dicts).
+    fields must be equal, arrays by ``np.array_equal`` (also inside dicts
+    and tuples).
     Caches kept outside the fields, such as a ``cached_property``, take no
     part. Its classes are declared ``eq=False``, so Python leaves them
     unhashable, whatever their optional fields hold."""
@@ -47,6 +51,8 @@ def _values_equal(x, y) -> bool:
         return np.array_equal(x, y)
     if isinstance(x, dict) and isinstance(y, dict):
         return x.keys() == y.keys() and all(_values_equal(x[k], y[k]) for k in x)
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(_values_equal, x, y))
     return x == y
 
 
@@ -198,23 +204,36 @@ def spmm_dense(m: SparseMatrix, x: np.ndarray, out: np.ndarray | None = None) ->
     every row, so repeated runs are bit-identical.
 
     Every output entry is ``0.0 + v1*x1 + v2*x2 + ...`` over its row's
-    entries in ascending column order: one gather of all the products, then
-    one in-place add per row slot, in slot order (see
-    ``SparseMatrix._slots``). The result goes to ``out`` (an
-    ``m.rows x x.shape[1]`` block) when given, else to a new array.
+    entries in ascending column order: one in-place add per row slot, in
+    slot order (see ``SparseMatrix._slots``). The products are gathered and
+    scaled per group of consecutive slots holding about ``SLOT_GROUP_BYTES``
+    of them (at least one slot), so they stay in cache until added. The
+    result goes to ``out`` (an ``m.rows x x.shape[1]`` block) when given,
+    else to a new array.
     """
     x = _as_float_matrix(x)
     if m.cols != x.shape[0]:
         raise ValueError(f"shapes {m.shape} and {x.shape} do not align")
     order, cols, vals, slots = m._slots
-    products = np.take(x, cols, axis=0)
-    np.multiply(vals[:, None], products, out=products)
+    budget = SLOT_GROUP_BYTES // (8 * max(x.shape[1], 1))  # products per group
     acc = np.zeros((m.rows, x.shape[1]))
     # the sums stay as silent on overflow and inf - inf as bincount's were
     with np.errstate(over="ignore", invalid="ignore"):
-        for count, start, stop in slots:
-            head = acc[:count]
-            head += products[start:stop]
+        first = 0
+        while first < len(slots):
+            base = slots[first][1]
+            last = first + 1
+            while last < len(slots) and slots[last][2] - base <= budget:
+                last += 1
+            end = slots[last - 1][2]
+            # np.take releases the GIL, where x[cols] holds it; without out=,
+            # as take(out=) buffers its output
+            products = np.take(x, cols[base:end], axis=0)
+            np.multiply(vals[base:end, None], products, out=products)
+            for count, start, stop in slots[first:last]:
+                head = acc[:count]
+                head += products[start - base : stop - base]
+            first = last
     if out is None:
         out = np.empty_like(acc)
     out[order] = acc

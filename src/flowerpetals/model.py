@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .complexes import DataError
+from .linalg import _fields_equal
 from .operators import PropagatedFeatures
 
 __all__ = [
@@ -45,7 +46,7 @@ CHECKPOINT_MAGIC = "flowerpetals-checkpoint-v1"
 _HEADER_KEYS = ("p_max", "k_max", "d", "h", "c", "alpha", "seed", "depth")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HigcnParams:
     """Trainable parameter set (also used as the gradient container).
 
@@ -61,6 +62,8 @@ class HigcnParams:
     theta: tuple[tuple[np.ndarray, ...], ...]
     w: np.ndarray
     seed: int = 0
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         gamma = np.ascontiguousarray(self.gamma, dtype=np.float64)

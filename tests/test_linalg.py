@@ -1,11 +1,15 @@
 """CSR kernels and the LAPACK eigensolver wrapper against closed forms and
 oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from spmm_oracle import bincount_spmm, loop_spmm, same_bits
 
+from flowerpetals import linalg
 from flowerpetals.linalg import (
+    SLOT_GROUP_BYTES,
     ConvergenceError,
     SparseMatrix,
     dense_sym_eig,
@@ -25,6 +29,27 @@ def assert_oracle_bits(m, x):
     assert out.shape == (m.rows, x.shape[1])
     for oracle in (loop_spmm, bincount_spmm):
         assert same_bits(out, oracle(m, x)), oracle.__name__
+
+
+def empty_row_cases(d):
+    """Ten random matrices with empty rows, each with a block of width d."""
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+        _, dense = random_sparse(rng, rows, cols, density=float(rng.random()))
+        dense[rng.random(rows) < 0.3] = 0.0  # empty rows
+        m = SparseMatrix.from_dense(dense)
+        yield m, rng.normal(size=(cols, d))
+
+
+def special_value_case():
+    """Signed zeros, NaN and infinities in the block and the matrix."""
+    x = np.array([1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+    # column 0's products, row by row: -0.0; -0.0 twice; nan; inf then
+    # -inf; 0.0 * inf; none; -1 * nan then inf; a lone inf
+    m = SparseMatrix(8, 6, [0, 1, 3, 4, 6, 7, 7, 9, 10], [0, 1, 2, 3, 4, 5, 4, 3, 4, 4],
+                     [-0.0, -1.0, 1.0, 1.0, 1.0, 1.0, 0.0, -1.0, 1.0, 2.0])
+    return m, np.c_[x, x[::-1]]
 
 
 class TestSparseMatrix:
@@ -134,12 +159,8 @@ class TestSpmmDense:
 
     @pytest.mark.parametrize("d", [1, 3, 64])
     def test_oracle_bits_with_empty_rows(self, d):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            rows, cols = int(rng.integers(1, 40)), int(rng.integers(1, 40))
-            _, dense = random_sparse(rng, rows, cols, density=float(rng.random()))
-            dense[rng.random(rows) < 0.3] = 0.0  # empty rows
-            assert_oracle_bits(SparseMatrix.from_dense(dense), rng.normal(size=(cols, d)))
+        for m, x in empty_row_cases(d):
+            assert_oracle_bits(m, x)
 
     @pytest.mark.parametrize("d", [0, 1, 64])
     @pytest.mark.parametrize("m", [
@@ -157,19 +178,58 @@ class TestSpmmDense:
         assert not x.flags.c_contiguous
         assert_oracle_bits(m, x)
 
+    @pytest.mark.parametrize("rows, cols, d, density, wide", [
+        (300, 200, 16, 0.5, False),  # about 30k products of 16 floats: slots in several groups
+        (40, 30, 4096, 0.3, True),  # one full slot of 40 rows is 1.3 MB, over the budget alone
+    ], ids=["several-groups", "slot-over-budget"])
+    def test_oracle_bits_across_slot_groups(self, rows, cols, d, density, wide):
+        rng = np.random.default_rng(5)
+        _, dense = random_sparse(rng, rows, cols, density)
+        dense[rng.random(rows) < 0.1] = 0.0  # empty rows
+        m = SparseMatrix.from_dense(dense)
+        first_slot_bytes = m._slots[3][0][0] * d * 8
+        assert m.nnz * d * 8 > 2 * SLOT_GROUP_BYTES
+        assert (first_slot_bytes > SLOT_GROUP_BYTES) == wide
+        assert_oracle_bits(m, rng.normal(size=(cols, d)))
+
+    def test_products_are_gathered_per_slot_group(self):
+        # 40 entries in each of 2000 rows against a 64-column block: 41 MB
+        # of products, gathered about 1 MiB at a time
+        rows, per_row, d = 2000, 40, 64
+        cols = np.sort((np.arange(rows)[:, None] + 50 * np.arange(per_row)) % rows, axis=1)
+        rng = np.random.default_rng(6)
+        m = SparseMatrix(rows, rows, np.arange(rows + 1) * per_row, cols.ravel(),
+                         rng.normal(size=rows * per_row))
+        x = rng.normal(size=(rows, d))
+        out = spmm_dense(m, x)  # builds the cached slot layout
+        tracemalloc.start()
+        try:
+            spmm_dense(m, x, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the block-sized accumulator plus one group, against nnz * d * 8
+        assert peak < m.nnz * d * 8 / 8
+        assert same_bits(out, bincount_spmm(m, x))
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_oracle_bits_on_signed_zeros_nan_and_inf(self):
-        x = np.array([1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
-        # column 0's products, row by row: -0.0; -0.0 twice; nan; inf then
-        # -inf; 0.0 * inf; none; -1 * nan then inf; a lone inf
-        m = SparseMatrix(8, 6, [0, 1, 3, 4, 6, 7, 7, 9, 10], [0, 1, 2, 3, 4, 5, 4, 3, 4, 4],
-                         [-0.0, -1.0, 1.0, 1.0, 1.0, 1.0, 0.0, -1.0, 1.0, 2.0])
-        x = np.c_[x, x[::-1]]
+        m, x = special_value_case()
         assert_oracle_bits(m, x)
         out = spmm_dense(m, x)[:, 0]
         assert not np.signbit(out[:2]).any()  # 0.0 + -0.0 is +0.0
         assert np.isnan(out[[2, 3, 4, 6]]).all()
         assert out[5] == 0.0 and out[7] == np.inf
+
+    @pytest.mark.parametrize("group_bytes", [64, 1], ids=["few-slots", "one-slot"])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_oracle_bits_in_small_slot_groups(self, group_bytes, monkeypatch):
+        # groups of a few slots, and one slot per group (a budget of 0 products)
+        monkeypatch.setattr(linalg, "SLOT_GROUP_BYTES", group_bytes)
+        for d in (1, 3, 64):
+            for m, x in empty_row_cases(d):
+                assert_oracle_bits(m, x)
+        assert_oracle_bits(*special_value_case())
 
 
 class TestDenseSymEig:

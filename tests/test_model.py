@@ -1,6 +1,8 @@
 """Model mechanics: initialization, forward closed forms, exact gradients,
 Adam, strength, and checkpoint round-trips."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import training_oracle
@@ -93,6 +95,16 @@ class TestInit:
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
             init_params(1, 1, 1, 1, 1, alpha=0.0, seed=0)
+
+    def test_value_equality(self):
+        a, b = init_params(1, 1, 2, 2, 2, 0.5, 0), init_params(1, 1, 2, 2, 2, 0.5, 0)
+        assert a == b and not a != b
+        theta = a.theta[0][0].copy()
+        theta[1, 0] += 1.0
+        assert a != replace(a, theta=((theta, a.theta[0][1]),))
+        assert a != init_params(1, 1, 2, 2, 2, 0.5, 0, depth=1)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
 
     def test_tail_weight_matches_geometric_form(self):
         for alpha in (0.1, 1 / 3, 0.5, 0.9):

@@ -1,12 +1,20 @@
 """Petal operators: closed forms, walk dynamics, filtering oracles."""
 
+import concurrent.futures
+import sys
+import threading
+
 import numpy as np
 import pytest
+from spmm_oracle import same_bits
 
+from flowerpetals import operators
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
 from flowerpetals.linalg import SparseMatrix, dense_sym_eig, spmm_dense, spmv
 from flowerpetals.operators import (
+    PARALLEL_MIN_MADDS,
     FpOperator,
+    PropagatedFeatures,
     WalkState,
     build_fp_adjacency,
     build_fp_laplacian,
@@ -32,7 +40,9 @@ def petal(g, p, max_order=None):
     lambda: petal(K3, 1),
     lambda: SparseMatrix.identity(3),
     lambda: build_fp_adjacency(petal(K3, 1)),
-], ids=["Graph", "SimplicialComplex", "IncidenceMatrix", "SparseMatrix", "FpOperator"])
+    lambda: PropagatedFeatures(np.zeros((1, 1, 3, 2))),
+], ids=["Graph", "SimplicialComplex", "IncidenceMatrix", "SparseMatrix", "FpOperator",
+        "PropagatedFeatures"])
 def test_value_equal_types_do_not_hash(make):
     # equality compares arrays by value, so no hash can agree with it
     with pytest.raises(TypeError, match="unhashable"):
@@ -248,6 +258,71 @@ class TestPropagation:
                 assert np.array_equal(b, feats.tensor[p - 1, k])
         # perfbench's feature_mb sums the block sizes
         assert sum(b.nbytes for hops in blocks.values() for b in hops) == feats.tensor.nbytes
+
+    def test_value_equality(self):
+        ops = petal_operators(clique_lift(K3, 2), 2)
+        x = np.arange(6.0).reshape(3, 2)
+        a, b = propagate_features(ops, x, 2), propagate_features(ops, x, 2)
+        assert a == b and not a != b
+        changed = a.tensor.copy()
+        changed[1, 2, 0, 0] += 1.0
+        assert a != PropagatedFeatures(changed)
+
+
+class TestThreadedPropagation:
+    @staticmethod
+    def clique_rich(p_max=3):
+        g = er_graph(200, 0.2, 3)
+        ops = petal_operators(clique_lift(g, p_max), p_max)
+        return ops, np.random.default_rng(8).normal(size=(g.n, 64))
+
+    def test_threads_give_the_bits_of_a_per_petal_loop(self, monkeypatch):
+        ops, x = self.clique_rich()
+        k_max = 10
+        assert sum(op.a_tilde.nnz for op in ops) * x.shape[1] * k_max >= PARALLEL_MIN_MADDS
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(operators, "_usable_cpus", lambda: 8)  # one worker per petal
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            feats = propagate_features(ops, x, k_max)
+        finally:
+            sys.setswitchinterval(interval)
+        assert pools == [len(ops)]
+        assert threading.active_count() == threads  # the pool's threads were joined
+        for i, op in enumerate(ops):
+            block = x
+            assert np.array_equal(feats.tensor[i, 0], x)
+            for k in range(1, k_max + 1):
+                block = spmm_dense(op.a_tilde, block)
+                assert same_bits(feats.tensor[i, k], block), (i, k)
+
+    def test_small_propagations_start_no_threads(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        ops = petal_operators(clique_lift(er_graph(30, 0.3, 1), 2), 2)
+        feats = propagate_features(ops, np.ones((30, 4)), 5)
+        assert feats.tensor.shape == (2, 6, 30, 4)
+
+    def test_mismatched_operator_raises_before_any_product(self, monkeypatch):
+        ops, x = self.clique_rich(p_max=2)
+        k3_order2 = build_fp_adjacency(petal(K3, 2))
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("a product ran before validation")
+
+        monkeypatch.setattr(operators, "spmm_dense", no_product)
+        with pytest.raises(ValueError, match="order 2 has n=3"):
+            propagate_features([ops[0], k3_order2], x, 10)
 
 
 class TestSpectralFilterOracle:

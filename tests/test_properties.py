@@ -2,9 +2,12 @@
 small graphs, and of the model checkpoint format.
 
 Each graph property draws a graph with at most 10 nodes and a petal order p
-in {1, 2, 3}. The operator properties check the order-p adjacency against
-the paper's definition A_p = 1/(p+1) D_p^{-1/2} H_p H_p^T D_p^{-1/2}, with
-H_p built densely from the simplex lists of the clique complex. The
+in {1, 2, 3}. The lift property checks ``clique_lift``'s rows on their own,
+without the complex's validation: the simplex-row check, downward closure,
+and equality with the cliques found by brute force. The operator properties
+check the order-p adjacency against the paper's definition
+A_p = 1/(p+1) D_p^{-1/2} H_p H_p^T D_p^{-1/2}, with H_p built densely from
+the simplex lists of the clique complex. The
 refinement property checks WL, HWL and SHWL for permutation invariance and
 monotone refinement. The rewiring property replays the accepted moves of
 ``rewire_to_target`` against triangle recounts of the clique lift. The
@@ -14,11 +17,13 @@ products bit for bit on random CSR matrices and blocks of any float64
 values.
 """
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from spmm_oracle import bincount_spmm, loop_spmm, same_bits
 
-from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
+from flowerpetals.complexes import Graph, _simplex_rows, clique_lift, incidence_matrix
 from flowerpetals.isomorphism import refine
 from flowerpetals.linalg import SparseMatrix, spmm_dense
 from flowerpetals.model import init_params, load_checkpoint, save_checkpoint
@@ -41,6 +46,23 @@ def graphs(draw):
 
 orders = st.integers(min_value=1, max_value=MAX_ORDER)
 examples = settings(max_examples=50, deadline=None)
+
+
+@examples
+@given(graphs(), orders)
+def test_clique_lift_rows_are_checked_closed_and_complete(g, max_order):
+    lifted = clique_lift(g, max_order)
+    edges = set(g.edges)
+    for p, rows in lifted.simplices.items():
+        assert np.array_equal(_simplex_rows(rows, p + 1, g.n, f"{p}-simplex"), rows)
+        if p > 1:
+            faces = set(map(tuple, lifted.simplices[p - 1].tolist()))
+            for row in rows.tolist():
+                assert all(tuple(row[:i] + row[i + 1:]) in faces for i in range(p + 1))
+        cliques = [c for c in combinations(range(g.n), p + 1)
+                   if all(pair in edges for pair in combinations(c, 2))]
+        assert list(map(tuple, rows.tolist())) == cliques
+    assert sorted(lifted.simplices) == list(range(1, max_order + 1))
 
 
 def dense_incidence(k, p):
