@@ -31,4 +31,4 @@ rewired, chain = rewire_add_triangle(p5, seed=0)
 a, b, c, d, e = chain
 print(f"\npath 0-1-2-3-4, chain D-B-A-C-E = {d}-{b}-{a}-{c}-{e}")
 print(f"removed [{b},{d}] and [{c},{e}], added [{b},{c}] and [{d},{e}]")
-print("edges now:", rewired.edges)
+print("edges now:", tuple(map(tuple, rewired.edges.tolist())))

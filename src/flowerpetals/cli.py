@@ -51,10 +51,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _to_json(payload: dict) -> str:
+    """As ``json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\\n"``."""
     try:
-        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _indented(payload, "\n") + "\n"
     except ValueError:
         raise FloatingPointError("output holds a NaN or infinite value") from None
+
+
+def _indented(obj, pad: str) -> str:
+    """``obj`` as the indented dump writes it after ``pad``. A flat container
+    goes to the C encoder whole, which ``json.dumps`` skips once ``indent`` is set."""
+    inner, nests = pad + "  ", (dict, list, tuple)
+    values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, nests) else ()
+    if not any(isinstance(v, nests) for v in values):
+        flat = json.dumps(obj, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
+        return f"{flat[0]}{inner}{flat[1:-1]}{pad}{flat[-1]}" if values else flat
+    if isinstance(obj, dict):  # a key is written as the dump writes it: {key: 0} -> "key"
+        items = [f"{json.dumps({k: 0}, allow_nan=False)[1:-4]}: {_indented(v, inner)}"
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return "[" + inner + ("," + inner).join(_indented(v, inner) for v in obj) + pad + "]"
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -111,7 +127,7 @@ def _cmd_spectra(args) -> dict:
     inv_sqrt = np.zeros_like(deg)
     inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
     dense_a = np.zeros((g.n, g.n))
-    u, v = g.edge_rows.T
+    u, v = g.edges.T
     dense_a[u, v] = dense_a[v, u] = 1.0
     reference = 0.5 * (inv_sqrt[:, None] * dense_a * inv_sqrt[None, :] + np.eye(g.n))
     if op1.isolated.any():
@@ -222,9 +238,7 @@ def _cmd_rewire(args) -> dict:
     graph, log = rewire_to_target(g, args.target_rho2, seed)
     if args.out_edges:
         with open(args.out_edges, "w") as fh:
-            fh.write(f"#n={graph.n}\n")
-            for u, v in graph.edges:
-                fh.write(f"{u}\t{v}\n")
+            fh.write(f"#n={graph.n}\n" + "".join(f"{u}\t{v}\n" for u, v in graph.edges.tolist()))
     return {
         "seed": seed,
         "target_rho2": args.target_rho2,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -69,6 +70,10 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return big.view(f"S{8 * rows.shape[1]}").ravel()
 
 
+_INT64 = range(-(2**63), 2**63)
+_MAX_KEY_WIDTH = math.isqrt(_INT64.stop - 1)  # w * w stays within int64
+
+
 def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Whether each query occurs in the ascending ``keys``."""
     return np.searchsorted(keys, queries, "right") > np.searchsorted(keys, queries)
@@ -78,21 +83,20 @@ def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
 class Graph:
     """Undirected simple graph with optional node features and labels.
 
-    Edges are (u, v) pairs with u < v, deduplicated and lexicographically
-    sorted; no self-loops. ``edge_rows`` holds them as the read-only (m, 2)
-    array that the lift reads.
+    ``edges`` is the read-only (m, 2) int64 array of the pairs u < v, with
+    no duplicates or self-loops, in lexicographic order. Any sequence of
+    pairs is accepted and stored as such an array.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edges: np.ndarray
     features: np.ndarray | None = None
     labels: np.ndarray | None = None
-    edge_rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        object.__setattr__(self, "edge_rows", _simplex_rows(self.edges, 2, self.n, "edge"))
+        object.__setattr__(self, "edges", _simplex_rows(self.edges, 2, self.n, "edge"))
         if self.features is not None:
             feats = np.array(self.features, dtype=np.float64, order="C")
             if feats.ndim != 2 or feats.shape[0] != self.n:
@@ -112,16 +116,21 @@ class Graph:
 
     @classmethod
     def from_edge_list(cls, n, edges, features=None, labels=None) -> "Graph":
-        """Canonicalize an iterable of (u, v) pairs: orient, dedup, sort."""
-        rows = np.sort(np.asarray(list(edges)), axis=-1)
-        if rows.ndim == 2 and rows.shape[1] == 2:
-            rows = rows[np.lexsort(rows.T[::-1])]
-            rows = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
-        return cls(n, tuple(zip(*rows.T.tolist())), features, labels)
+        """Canonicalize an (m, 2) array or iterable of (u, v) pairs: orient, then
+        dedup and sort by one ``np.unique`` of keys u * w + v, w = 1 + max id."""
+        rows = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if rows.ndim == 2 and rows.shape[1] == 2 and rows.dtype.kind in "iu" and len(rows):
+            lo, hi = rows.min(axis=1), rows.max(axis=1)
+            width = int(hi.max()) + 1
+            if width > _MAX_KEY_WIDTH:
+                raise DataError(f"node id {width - 1} is too large for int64 edge keys")
+            _, first = np.unique(lo * width + hi, return_index=True)
+            rows = np.stack([lo[first], hi[first]], axis=1)
+        return cls(n, rows, features, labels)
 
     @cached_property
     def adjacency(self) -> tuple[frozenset[int], ...]:
-        both = np.concatenate([self.edge_rows, self.edge_rows[:, ::-1]])
+        both = np.concatenate([self.edges, self.edges[:, ::-1]])
         both = both[np.argsort(both[:, 0], kind="stable")]
         ends = np.cumsum(self.degrees())
         return tuple(frozenset(s.tolist()) for s in np.split(both[:, 1], ends)[: self.n])
@@ -131,7 +140,7 @@ class Graph:
         return len(self.edges)
 
     def degrees(self) -> np.ndarray:
-        return np.bincount(self.edge_rows.ravel(), minlength=self.n)
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,6 +176,13 @@ class SimplicialComplex:
                 face, row = faces[j].tolist(), rows[j // (p + 1)].tolist()
                 raise DataError(f"missing face {face} of {row}: closure violated")
         object.__setattr__(self, "simplices", stored)
+
+    @classmethod
+    def _unchecked(cls, n: int, simplices: dict) -> "SimplicialComplex":
+        """A complex of stored-form, closed rows, as ``clique_lift`` builds: no re-check."""
+        k = object.__new__(cls)
+        k.__dict__.update(n=n, simplices=simplices)
+        return k
 
     def count(self, p: int) -> int:
         return len(self.simplices.get(p, ()))
@@ -229,91 +245,115 @@ def load_graph(
 
     Edge rows are "u<TAB>v" (any whitespace accepted); an optional first
     line "#n=<count>" fixes the node count, otherwise n = 1 + max id.
-    Self-loops are dropped (logged), duplicates collapsed.
+    Self-loops are dropped (logged), duplicates collapsed. numpy parses each
+    file whole; a per-line scan reads what it refuses (such as "#" comments
+    below line 1, or "1_0") and names the line of any error.
     """
     edge_path = Path(edge_path)
-    declared_n = None
-    raw_edges: list[tuple[int, int]] = []
-    dropped = 0
     with edge_path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if lineno == 1:
-                    declared_n = node_count_header(edge_path, text)
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise DataError(f"{edge_path}:{lineno}: expected 'u<TAB>v', got {text!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise DataError(
-                    f"{edge_path}:{lineno}: non-integer endpoint in {text!r}"
-                ) from None
-            if u < 0 or v < 0:
-                raise DataError(f"{edge_path}:{lineno}: negative node id in {text!r}")
-            if u == v:
-                dropped += 1
-                continue
-            raw_edges.append((min(u, v), max(u, v)))
-    if dropped:
-        logger.warning("%s: dropped %d self-loop(s)", edge_path, dropped)
-    max_id = max((v for _, v in raw_edges), default=-1)
+        first = fh.readline().strip()
+    declared_n = node_count_header(edge_path, first) if first.startswith("#") else None
+    rows = _read_table(edge_path, np.int64, skip=int(first.startswith("#")))
+    if rows is None or rows.shape[1] != 2 or rows.min() < 0:
+        rows = _scan_edges(edge_path)
+    loops = rows[:, 0] == rows[:, 1]
+    if loops.any():
+        logger.warning("%s: dropped %d self-loop(s)", edge_path, loops.sum())
+        rows = rows[~loops]
+    max_id = int(rows.max(initial=-1))
     n = declared_n if declared_n is not None else max_id + 1
     if n < max_id + 1:
         raise DataError(f"{edge_path}: header n={n} smaller than max node id {max_id}")
 
     features = _load_feature_csv(feature_path, n) if feature_path else None
     labels = _load_label_csv(label_path, n) if label_path else None
-    return Graph.from_edge_list(n, raw_edges, features, labels)
+    return Graph.from_edge_list(n, rows, features, labels)
+
+
+def _read_table(path, dtype, delimiter=None, skip=0) -> np.ndarray | None:
+    """A file below its first ``skip`` lines as one (rows, fields) array
+    from one numpy pass; None when numpy refuses a line or finds no rows,
+    for the caller's per-line scan to judge. With no comment character, a
+    stray "#" is refused, not cut off."""
+    with path.open() as fh, warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+        try:
+            table = np.loadtxt(fh, dtype, comments=None, delimiter=delimiter, ndmin=2,
+                               skiprows=skip)
+        except ValueError:
+            return None
+    return table if table.size else None
+
+
+def _lines(path):
+    """(line number, stripped text) of each non-blank line."""
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if text := line.strip():
+                yield lineno, text
+
+
+def _scan_edges(path) -> np.ndarray:
+    rows = []
+    for lineno, text in _lines(path):
+        if text.startswith("#"):  # the header, checked by load_graph, or a comment
+            continue
+        parts = text.split()
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 'u<TAB>v', got {text!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer endpoint in {text!r}") from None
+        if u < 0 or v < 0:
+            raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
+        if u not in _INT64 or v not in _INT64:
+            raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
+        rows.append((u, v))
+    return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
 
 def _load_feature_csv(path, n: int) -> np.ndarray:
     path = Path(path)
-    rows = []
-    width = None
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
+    feats = _read_table(path, np.float64, ",")
+    if feats is None or not np.isfinite(feats).all():
+        feats = []
+        for lineno, text in _lines(path):
             try:
                 row = [float(tok) for tok in text.split(",")]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
             if not all(map(math.isfinite, row)):
                 raise DataError(f"{path}:{lineno}: non-finite feature value")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
+            if feats and len(row) != len(feats[0]):
                 raise DataError(f"{path}:{lineno}: ragged feature row")
-            rows.append(row)
-    if len(rows) != n:
-        raise DataError(f"{path}: {len(rows)} feature rows for {n} nodes")
-    return np.asarray(rows, dtype=np.float64)
+            feats.append(row)
+        feats = np.asarray(feats, dtype=np.float64)
+    if len(feats) != n:
+        raise DataError(f"{path}: {len(feats)} feature rows for {n} nodes")
+    return feats
 
 
 def _load_label_csv(path, n: int) -> np.ndarray:
     path = Path(path)
-    labels = []
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
+    labels = _read_table(path, np.int64)
+    if labels is not None and labels.shape[1] == 1:
+        labels = labels[:, 0]
+    else:
+        labels = []
+        for lineno, text in _lines(path):
             try:
                 labels.append(int(text))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer label") from None
+            if labels[-1] not in _INT64:
+                raise DataError(f"{path}:{lineno}: label past the int64 range")
+        labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != n:
         raise DataError(f"{path}: {len(labels)} labels for {n} nodes")
-    arr = np.asarray(labels, dtype=np.int64)
-    if len(arr) and arr.min() < 0:
+    if len(labels) and labels.min() < 0:
         raise DataError(f"{path}: negative label")
-    return arr
+    return labels
 
 
 def clique_lift(g: Graph, max_order: int = 2) -> SimplicialComplex:
@@ -323,11 +363,12 @@ def clique_lift(g: Graph, max_order: int = 2) -> SimplicialComplex:
     extension on arrays: each p-clique row is grown by every forward
     neighbour (higher id) of its last node, and a candidate is kept when
     each earlier member forms an edge with it. This enumerates every clique
-    once, and rows come out in lexicographic order.
+    once, and rows come out in lexicographic order, so the complex skips
+    the re-check of outside rows (a property test holds the lift to it).
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    edges = g.edge_rows
+    edges = g.edges
     keys = edges[:, 0] * g.n + edges[:, 1]  # ascending, as the edges are sorted
     starts = np.searchsorted(edges[:, 0], np.arange(g.n + 1))  # forward-neighbour CSR
     simplices = {1: edges}
@@ -342,8 +383,9 @@ def clique_lift(g: Graph, max_order: int = 2) -> SimplicialComplex:
         for col in range(p - 1):  # the last member is adjacent by construction
             keep &= _in_sorted(keys, rows[parent, col] * g.n + grown)
         rows = np.concatenate([rows[parent[keep]], grown[keep, None]], axis=1)
+        rows.flags.writeable = False
         simplices[p] = rows
-    return SimplicialComplex(g.n, simplices)
+    return SimplicialComplex._unchecked(g.n, simplices)
 
 
 def incidence_matrix(k: SimplicialComplex, p: int) -> IncidenceMatrix:

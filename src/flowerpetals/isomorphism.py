@@ -46,7 +46,7 @@ def _pairs(s: Structure) -> tuple[np.ndarray, np.ndarray]:
     neighbors are the simplices containing it and a simplex's are its nodes.
     """
     if isinstance(s, Graph):
-        u, v = s.edge_rows.T
+        u, v = s.edges.T
         return _cat([u, v]), _cat([v, u])
     src, dst, base = [], [], s.n
     for p, members in sorted(s.simplices.items()):

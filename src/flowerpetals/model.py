@@ -120,7 +120,7 @@ class HigcnParams:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForwardTape:
     """Intermediates of one forward pass, kept for reverse mode."""
 
@@ -128,6 +128,8 @@ class ForwardTape:
     pre: tuple[np.ndarray, ...] | None  # per petal, pre-rectifier (depth-2 only)
     z: np.ndarray  # concatenated petal outputs
     logits: np.ndarray
+
+    __eq__ = _fields_equal
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -66,8 +66,8 @@ def _adjacency_sets(g: Graph) -> list[set[int]]:
 
 
 def _graph_from_sets(g: Graph, adj: list[set[int]]) -> Graph:
-    edges = tuple(sorted((u, v) for u in range(g.n) for v in adj[u] if u < v))
-    return Graph(g.n, edges, g.features, g.labels)
+    edges = [(u, v) for u in range(g.n) for v in adj[u] if u < v]
+    return Graph.from_edge_list(g.n, edges, g.features, g.labels)
 
 
 def _choice(rng: np.random.Generator, candidates):

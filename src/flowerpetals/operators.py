@@ -80,12 +80,14 @@ class FpOperator:
         return self.node_degrees == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkState:
     """Occupation probabilities over core nodes for one petal order."""
 
     p: int
     pi: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         pi = np.array(self.pi, dtype=np.float64)

@@ -100,7 +100,7 @@ def triangle_task(
 
     perm = rng.permutation(n)
     inv = np.argsort(perm)
-    edges = perm[np.array(edges, dtype=np.int64)].tolist()
+    edges = perm[np.array(edges, dtype=np.int64)]
     return Graph.from_edge_list(n, edges, features[inv], labels[inv])
 
 

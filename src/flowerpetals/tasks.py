@@ -328,7 +328,7 @@ def compute_homophily(g: Graph) -> float:
         raise DataError("homophily needs node labels")
     if g.num_edges == 0:
         raise ValueError("homophily undefined on an edgeless graph")
-    return float(np.mean(g.labels[g.edge_rows[:, 0]] == g.labels[g.edge_rows[:, 1]]))
+    return float(np.mean(g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]))
 
 
 def accuracy(log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -611,8 +611,8 @@ def disjoint_union(graphs: list[Graph]) -> tuple[Graph, np.ndarray]:
     one width, or none may have them. Returns the union and each graph's
     node count."""
     sizes = np.array([g.n for g in graphs], dtype=np.int64)
-    offsets = (np.cumsum(sizes) - sizes).tolist()
-    edges = tuple((u + o, v + o) for g, o in zip(graphs, offsets) for u, v in g.edges)
+    offsets = np.repeat(np.cumsum(sizes) - sizes, [g.num_edges for g in graphs])
+    edges = np.concatenate([g.edges for g in graphs]) + offsets[:, None]
     widths = {None if g.features is None else g.features.shape[1] for g in graphs}
     if len(widths) > 1:
         raise DataError("every graph needs features of one width, or none may have them")

@@ -77,7 +77,7 @@ def write_graph_dataset(path, degree_features=False, hub=False):
         labels = list(labels) + [0]
     with open(path, "w") as fh:
         for g, lab in zip(graphs, labels):
-            record = {"n": g.n, "edges": [list(e) for e in g.edges], "label": int(lab)}
+            record = {"n": g.n, "edges": g.edges.tolist(), "label": int(lab)}
             if degree_features:
                 record["features"] = [[float(d)] for d in g.degrees()]
             fh.write(json.dumps(record) + "\n")

@@ -34,6 +34,17 @@ class TestGraph:
         assert Graph(3, (), np.zeros((3, 1))) != Graph(3, ())
         assert Graph(3, ((0, 1),), labels=[0, 1, 1]) != Graph(3, ((0, 1),), labels=[0, 1, 0])
 
+    def test_from_edge_list_takes_an_array_or_pairs(self):
+        pairs = [(2, 1), (0, 3), (1, 2), (3, 0)]
+        rows = np.array(pairs)
+        g = Graph.from_edge_list(4, rows)
+        assert g == Graph.from_edge_list(4, pairs) == Graph(4, ((0, 3), (1, 2)))
+        assert rows.flags.writeable and rows.tolist() == [list(e) for e in pairs]
+
+    def test_from_edge_list_rejects_ids_whose_keys_overflow(self):
+        with pytest.raises(DataError, match="int64 edge keys"):
+            Graph.from_edge_list(2**40, [(0, 2**40 - 1)])
+
     @pytest.mark.parametrize("edges, n", [
         (((1, 1),), 3),  # self-loop
         (((1, 0),), 3),  # u > v
@@ -56,14 +67,14 @@ class TestLoadGraph:
         path.write_text("0\t1\n1\t0\n1\t1\n")
         with caplog.at_level("WARNING", logger="flowerpetals"):
             g = load_graph(path)
-        assert g.edges == ((0, 1),)
+        assert g.edges.tolist() == [[0, 1]]
         assert "1 self-loop" in caplog.text
 
     def test_header_allows_isolated_nodes(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("#n=3\n")
         g = load_graph(path)
-        assert (g.n, g.edges) == (3, ())
+        assert (g.n, g.edges.tolist()) == (3, [])
 
     def test_k4(self, tmp_path):
         path = tmp_path / "k4.tsv"
@@ -122,7 +133,7 @@ class TestCliqueLift:
             cases.append(Graph(n, edges))
         for trial, g in enumerate(cases):
             lifted = clique_lift(g, 4)
-            edge_set = set(g.edges)
+            edge_set = set(map(tuple, g.edges.tolist()))
             for p in (1, 2, 3, 4):
                 expected = [
                     list(subset)
@@ -140,6 +151,14 @@ class TestCliqueLift:
             g = er_graph(int(np.random.default_rng(seed).integers(8, 65)), 0.3, seed)
             lifted = clique_lift(g, 3)
             assert isinstance(lifted, SimplicialComplex)
+
+    def test_rows_are_stored_as_a_checked_complex_stores_them(self):
+        g = er_graph(20, 0.4, 3)
+        lifted = clique_lift(g, 3)
+        for rows in lifted.simplices.values():
+            assert rows.dtype == np.int64 and rows.flags.c_contiguous
+            assert not rows.flags.writeable
+        assert lifted == SimplicialComplex(g.n, dict(lifted.simplices))
 
     def test_value_equality(self):
         k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))

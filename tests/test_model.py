@@ -133,6 +133,14 @@ class TestForward:
         expected = z - np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - z.max(axis=1, keepdims=True)
         assert np.max(np.abs(log_probs - expected)) <= 1e-12
 
+    def test_tape_value_equality(self):
+        feats = graph_feats(6, 3, seed=1)
+        params = init_params(2, 2, 3, 4, 2, 0.5, seed=0)
+        tape, _ = forward(params, feats)
+        assert tape == forward(params, feats)[0]
+        assert tape != replace(tape, logits=tape.logits + 1.0)
+        assert tape != replace(tape, pre=tape.pre[:1])
+
     def test_rows_exponentiate_to_one(self):
         feats = graph_feats(10, 4, seed=2)
         params = init_params(2, 2, 4, 8, 3, 0.5, seed=3)

@@ -11,6 +11,7 @@ from spmm_oracle import same_bits
 from flowerpetals import operators
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
 from flowerpetals.linalg import SparseMatrix, dense_sym_eig, spmm_dense, spmv
+from flowerpetals.model import ForwardTape
 from flowerpetals.operators import (
     PARALLEL_MIN_MADDS,
     FpOperator,
@@ -41,8 +42,10 @@ def petal(g, p, max_order=None):
     lambda: SparseMatrix.identity(3),
     lambda: build_fp_adjacency(petal(K3, 1)),
     lambda: PropagatedFeatures(np.zeros((1, 1, 3, 2))),
+    lambda: WalkState(1, np.ones(3)),
+    lambda: ForwardTape(np.zeros((1, 3, 2)), None, np.zeros((3, 2)), np.zeros((3, 2))),
 ], ids=["Graph", "SimplicialComplex", "IncidenceMatrix", "SparseMatrix", "FpOperator",
-        "PropagatedFeatures"])
+        "PropagatedFeatures", "WalkState", "ForwardTape"])
 def test_value_equal_types_do_not_hash(make):
     # equality compares arrays by value, so no hash can agree with it
     with pytest.raises(TypeError, match="unhashable"):
@@ -153,6 +156,11 @@ class TestLaplacian:
 
 
 class TestWalk:
+    def test_walk_state_value_equality(self):
+        assert WalkState(1, np.ones(3)) == WalkState(1, np.ones(3))
+        assert WalkState(1, np.ones(3)) != WalkState(2, np.ones(3))
+        assert WalkState(1, np.ones(3)) != WalkState(1, np.array([1.0, 1.0, 0.5]))
+
     def test_k3_order2_mixes_in_one_round_trip(self):
         out = two_step_walk(petal(K3, 2), WalkState(2, np.array([1.0, 0, 0])), 2)
         assert np.allclose(out.pi, 1.0 / 3.0)

@@ -14,16 +14,29 @@ monotone refinement. The rewiring property replays the accepted moves of
 checkpoint property saves and loads parameter sets of random shapes and
 values. The kernel property compares ``spmm_dense`` with its reference
 products bit for bit on random CSR matrices and blocks of any float64
-values.
+values. The JSON property compares the CLI's writer with the indented
+``json.dumps`` it must equal, on random nested containers. The parser
+properties load random edge, feature and label files both ways, through
+``load_graph`` and the per-line readers of ``parser_oracle``.
 """
 
+import json
 from itertools import combinations
 
 import numpy as np
 import pytest
+import parser_oracle
+from parser_oracle import outcome, table_files
 from spmm_oracle import bincount_spmm, loop_spmm, same_bits
 
-from flowerpetals.complexes import Graph, _simplex_rows, clique_lift, incidence_matrix
+from flowerpetals.cli import _to_json
+from flowerpetals.complexes import (
+    Graph,
+    _simplex_rows,
+    clique_lift,
+    incidence_matrix,
+    load_graph,
+)
 from flowerpetals.isomorphism import refine
 from flowerpetals.linalg import SparseMatrix, spmm_dense
 from flowerpetals.model import init_params, load_checkpoint, save_checkpoint
@@ -52,7 +65,7 @@ examples = settings(max_examples=50, deadline=None)
 @given(graphs(), orders)
 def test_clique_lift_rows_are_checked_closed_and_complete(g, max_order):
     lifted = clique_lift(g, max_order)
-    edges = set(g.edges)
+    edges = set(map(tuple, g.edges.tolist()))
     for p, rows in lifted.simplices.items():
         assert np.array_equal(_simplex_rows(rows, p + 1, g.n, f"{p}-simplex"), rows)
         if p > 1:
@@ -157,14 +170,14 @@ def test_rewiring_keeps_degrees_and_each_move_adds_triangles(g, target, seed):
     except SaturationError as exc:  # the moves made before saturation still count
         out, log = exc.graph, exc.log
     assert np.array_equal(out.degrees(), g.degrees())
-    edges, count = set(g.edges), base
+    edges, count = set(map(tuple, g.edges.tolist())), base
     for a, b, c, d, e in log.accepted:
         edges -= {(min(b, d), max(b, d)), (min(c, e), max(c, e))}
         edges |= {(min(b, c), max(b, c)), (min(d, e), max(d, e))}
         after = triangles(g.n, edges)
         assert after > count
         count = after
-    assert sorted(edges) == list(out.edges)
+    assert sorted(edges) == list(map(tuple, out.edges.tolist()))
     assert log.achieved_rho2 == triangles(out.n, out.edges) / base - 1.0
 
 
@@ -217,3 +230,61 @@ def test_spmm_dense_equals_the_reference_products_bit_for_bit(case):
         out = spmm_dense(m, x)
         for oracle in (loop_spmm, bincount_spmm):
             assert same_bits(out, oracle(m, x)), oracle.__name__
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+                | st.floats(allow_nan=False, allow_infinity=False))
+
+
+def json_containers(children):
+    # one key type per dict: the sorted dump cannot order mixed keys
+    keyed = [st.text(max_size=3), st.integers(-3, 3), st.booleans(),
+             st.floats(allow_nan=False, allow_infinity=False)]
+    return (st.lists(children, max_size=4) | st.tuples(children, children)
+            | st.one_of([st.dictionaries(k, children, max_size=4) for k in keyed]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(json_scalars, json_containers, max_leaves=25))
+def test_json_output_is_the_indented_dump(payload):
+    assert _to_json(payload) == json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_json_output_refuses_non_finite_values(value):
+    for payload in ({"a": value}, {"a": [1, {"b": value}]}, {"a": {value: 1}}):
+        with pytest.raises(FloatingPointError):
+            _to_json(payload)
+
+
+TOKENS = ["0", "1", "2", "7", "10", "+3", "-1", "01", "1_0", "3.0", "1e3", "\u0661", "#",
+          "#n=4", "x", "nan", "inf", "1e400", "-0.0", "0.5", ""]
+SEPARATORS = [" ", "\t", ",", "  ", "\xa0", "\x0c", "\x1c", "\u3000"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def table_texts(draw):
+    """Files of a few lines, each a few tokens between separators."""
+    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=4), max_size=6))
+    sep, end = draw(st.sampled_from(SEPARATORS)), draw(st.sampled_from(LINE_ENDS))
+    return "".join(sep.join(line) + end for line in lines)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["edges", "features", "labels"]), text=table_texts())
+def test_token_files_match_the_line_reader(tmp_path_factory, kind, text):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = table_files(tmp, kind, text)
+    assert outcome(load_graph, *paths) == outcome(parser_oracle.load_graph, *paths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3,
+                         max_size=3), min_size=3, max_size=3))
+def test_repr_written_features_parse_to_the_same_bits(tmp_path_factory, rows):
+    tmp = tmp_path_factory.mktemp("floats")
+    text = "".join(",".join(map(repr, row)) + "\n" for row in rows)
+    paths = table_files(tmp, "features", text)
+    got, want = load_graph(*paths).features, parser_oracle.load_graph(*paths).features
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

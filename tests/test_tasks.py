@@ -324,9 +324,9 @@ class TestGraphClassification:
         graphs = [planted_two_block(n, seed=s) for s, n in enumerate((8, 5, 6))]
         union, sizes = disjoint_union(graphs)
         assert sizes.tolist() == [8, 5, 6] and union.n == 19
-        assert union.edges == tuple(
-            (u + off, v + off) for g, off in zip(graphs, (0, 8, 13)) for u, v in g.edges
-        )
+        assert union.edges.tolist() == [
+            [u + off, v + off] for g, off in zip(graphs, (0, 8, 13)) for u, v in g.edges.tolist()
+        ]
         assert np.array_equal(union.features, np.vstack([g.features for g in graphs]))
         assert disjoint_union([Graph(4, ()), Graph(2, ())])[0].features is None
         # given features are never dropped: every graph has them at one width, or none
