@@ -56,7 +56,7 @@ def write_inputs(inp: Path) -> None:
     features = np.hstack([g.features, rng.normal(size=(g.n, 2))])
     # the clean forms: a node-count header, tab-separated ids, full-precision floats
     (inp / "graph.tsv").write_text(
-        f"#n={g.n}\n" + "".join(f"{u}\t{v}\n" for u, v in np.asarray(g.edges).tolist()))
+        f"#n={g.n}\n" + "".join(f"{u}\t{v}\n" for u, v in g.edges.tolist()))
     (inp / "features.csv").write_text(
         "".join(",".join(map(repr, row)) + "\n" for row in features.tolist()))
     (inp / "labels.csv").write_text("".join(f"{lab}\n" for lab in g.labels.tolist()))
@@ -66,7 +66,7 @@ def write_inputs(inp: Path) -> None:
     (inp / "b.tsv").write_text("0\t1\n1\t2\n2\t3\n3\t4\n4\t5\n5\t0\n")
     r = planted_two_block(30, p_in=0.4, p_out=0.1, seed=2)
     (inp / "rewire.tsv").write_text(
-        "".join(f"{v}\t{u}\n" for u, v in np.asarray(r.edges).tolist()) + "7\t7\n")
+        "".join(f"{v}\t{u}\n" for u, v in r.edges.tolist()) + "7\t7\n")
     cc = coauthorship_complex(40, 20, 12, seed=0)
     lines = [f"#n={cc.n}"] + [f"0\t{v}\t{s:.0f}" for v, s in enumerate(cc.node_signals)]
     for p, simps in cc.complex.simplices.items():
@@ -75,7 +75,7 @@ def write_inputs(inp: Path) -> None:
     (inp / "coauthorship.tsv").write_text("\n".join(lines) + "\n")
     graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
     (inp / "graphs.jsonl").write_text("".join(
-        json.dumps({"n": h.n, "edges": np.asarray(h.edges).tolist(), "label": int(lab)}) + "\n"
+        json.dumps({"n": h.n, "edges": h.edges.tolist(), "label": int(lab)}) + "\n"
         for h, lab in zip(graphs, labels)))
     for name, cfg in CONFIGS.items():
         (inp / name).write_text(json.dumps(cfg, sort_keys=True) + "\n")
