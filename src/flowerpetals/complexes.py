@@ -117,13 +117,13 @@ class Graph:
     @classmethod
     def from_edge_list(cls, n, edges, features=None, labels=None) -> "Graph":
         """Canonicalize an (m, 2) array or iterable of (u, v) pairs: orient, then
-        dedup and sort by one ``np.unique`` of keys u * w + v, w = 1 + max id."""
+        dedup and sort by one ``np.unique`` of int64 keys u * w + v, w = 1 + max id."""
         rows = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
-        if rows.ndim == 2 and rows.shape[1] == 2 and rows.dtype.kind in "iu" and len(rows):
-            lo, hi = rows.min(axis=1), rows.max(axis=1)
-            width = int(hi.max()) + 1
+        if rows.dtype.kind in "iu" and rows.shape[1:] == (2,) and rows.min(initial=0) >= 0:
+            width = int(rows.max(initial=-1)) + 1
             if width > _MAX_KEY_WIDTH:
                 raise DataError(f"node id {width - 1} is too large for int64 edge keys")
+            lo, hi = rows.min(axis=1).astype(np.int64), rows.max(axis=1).astype(np.int64)
             _, first = np.unique(lo * width + hi, return_index=True)
             rows = np.stack([lo[first], hi[first]], axis=1)
         return cls(n, rows, features, labels)
@@ -253,7 +253,7 @@ def load_graph(
     with edge_path.open() as fh:
         first = fh.readline().strip()
     declared_n = node_count_header(edge_path, first) if first.startswith("#") else None
-    rows = _read_table(edge_path, np.int64, skip=int(first.startswith("#")))
+    rows = _read_table(edge_path, np.int64, skiprows=int(first.startswith("#")))
     if rows is None or rows.shape[1] != 2 or rows.min() < 0:
         rows = _scan_edges(edge_path)
     loops = rows[:, 0] == rows[:, 1]
@@ -270,16 +270,16 @@ def load_graph(
     return Graph.from_edge_list(n, rows, features, labels)
 
 
-def _read_table(path, dtype, delimiter=None, skip=0) -> np.ndarray | None:
-    """A file below its first ``skip`` lines as one (rows, fields) array
-    from one numpy pass; None when numpy refuses a line or finds no rows,
-    for the caller's per-line scan to judge. With no comment character, a
-    stray "#" is refused, not cut off."""
+def _read_table(path, dtype, **loadtxt_args) -> np.ndarray | None:
+    """A file as one (rows, fields) array from one numpy pass; None when numpy
+    refuses a line or finds no rows, for the caller's per-line scan to judge.
+    With no comment character a stray "#" is refused, not cut off, and "3.7"
+    in an int column is refused where numpy releases that warn would truncate it."""
     with path.open() as fh, warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
+        warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
-            table = np.loadtxt(fh, dtype, comments=None, delimiter=delimiter, ndmin=2,
-                               skiprows=skip)
+            table = np.loadtxt(fh, dtype, comments=None, ndmin=2, **loadtxt_args)
         except ValueError:
             return None
     return table if table.size else None
@@ -315,7 +315,7 @@ def _scan_edges(path) -> np.ndarray:
 
 def _load_feature_csv(path, n: int) -> np.ndarray:
     path = Path(path)
-    feats = _read_table(path, np.float64, ",")
+    feats = _read_table(path, np.float64, delimiter=",")
     if feats is None or not np.isfinite(feats).all():
         feats = []
         for lineno, text in _lines(path):

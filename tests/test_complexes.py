@@ -41,6 +41,13 @@ class TestGraph:
         assert g == Graph.from_edge_list(4, pairs) == Graph(4, ((0, 3), (1, 2)))
         assert rows.flags.writeable and rows.tolist() == [list(e) for e in pairs]
 
+    def test_from_edge_list_keys_narrow_arrays_in_int64(self):
+        # in int32, keys u * w + v wrap once ids pass 46340, reordering or merging edges
+        pairs = [(70_000, 1), (0, 70_000), (40_000, 70_000), (1, 70_000)]
+        g = Graph.from_edge_list(70_001, np.array(pairs, dtype=np.int32))
+        assert g == Graph.from_edge_list(70_001, pairs)
+        assert g.edges.tolist() == [[0, 70_000], [1, 70_000], [40_000, 70_000]]
+
     def test_from_edge_list_rejects_ids_whose_keys_overflow(self):
         with pytest.raises(DataError, match="int64 edge keys"):
             Graph.from_edge_list(2**40, [(0, 2**40 - 1)])

@@ -123,6 +123,48 @@ def test_header_only_file_warns_nothing(tmp_path):
     assert (g.n, g.num_edges, caught) == (3, 0, [])
 
 
+FLOAT_CASES = [
+    pytest.param("edges", "3.7 2\n", id="edge-3.7"),
+    pytest.param("edges", "1e3 2\n", id="edge-1e3"),
+    pytest.param("edges", "3.0 2\n", id="edge-3.0"),
+    pytest.param("labels", "0\n1.0\n1\n", id="label-1.0"),
+    pytest.param("labels", "0\n1.7\n1\n", id="label-1.7"),
+]
+
+
+def loadtxt_reading_ints_via_floats(loadtxt):
+    """``np.loadtxt`` as numpy releases with the int-via-float deprecation
+    run it: a float in an int column warns once, then is truncated; a
+    warning raised as an error comes out as a ValueError."""
+    def load(fh, dtype, **kwargs):
+        try:
+            return loadtxt(fh, dtype, **kwargs)
+        except ValueError:
+            if np.dtype(dtype).kind != "i":
+                raise
+            fh.seek(0)
+            table = loadtxt(fh, np.float64, **kwargs)
+        try:
+            warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
+                          DeprecationWarning)
+        except DeprecationWarning as exc:
+            raise ValueError("could not convert string to int") from exc
+        return table.astype(dtype)
+    return load
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # as outside pytest
+@pytest.mark.parametrize("old_numpy", [False, True], ids=["numpy", "old-numpy"])
+@pytest.mark.parametrize("kind, text", FLOAT_CASES)
+def test_float_in_an_int_column_is_rejected(tmp_path, monkeypatch, old_numpy, kind, text):
+    if old_numpy:
+        monkeypatch.setattr(np, "loadtxt", loadtxt_reading_ints_via_floats(np.loadtxt))
+    paths = table_files(tmp_path, kind, text)
+    expected = outcome(parser_oracle.load_graph, *paths)
+    assert expected.startswith(f"DataError: {tmp_path / kind}:")
+    assert outcome(load_graph, *paths) == expected
+
+
 def oracle_fails(kind, text) -> bool:
     with tempfile.TemporaryDirectory() as tmp:
         paths = table_files(Path(tmp), kind, text)
