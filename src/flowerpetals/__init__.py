@@ -24,7 +24,6 @@ from .model import (
     adam_step,
     forward,
     init_params,
-    l1_loss_and_grad,
     load_checkpoint,
     loss_and_grad,
     save_checkpoint,
@@ -54,7 +53,6 @@ from .tasks import (
     MetricsReport,
     SplitSpec,
     TrainConfig,
-    compute_homophily,
     graph_classify,
     impute_signals,
     kendall_tau,

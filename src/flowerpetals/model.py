@@ -30,7 +30,6 @@ __all__ = [
     "loss_and_grad",
     "signal_forward",
     "l1_grad",
-    "l1_loss_and_grad",
     "readout_forward",
     "readout_grad",
     "readout_loss_and_grad",
@@ -46,78 +45,80 @@ CHECKPOINT_MAGIC = "flowerpetals-checkpoint-v1"
 _HEADER_KEYS = ("p_max", "k_max", "d", "h", "c", "alpha", "seed", "depth")
 
 
+def _checked_size(p_max, k_max, d, h, c, alpha, seed, depth) -> int:
+    """The number of parameters the header fields describe; ValueError when
+    they describe no valid parameter set."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError("alpha must be in (0, 1]")
+    if min(p_max, k_max + 1, d, h, c) < 1:
+        raise ValueError("all dimensions must be >= 1")
+    if depth not in (1, 2):
+        raise ValueError("depth must be 1 or 2")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    return p_max * (k_max + 1 + d * h + (depth - 1) * h * h + h * c)
+
+
+def _views(params: "HigcnParams", flat: np.ndarray):
+    """``gamma``, ``theta`` and ``w`` as reshaped views of a vector in the
+    layout of ``params``."""
+    offset = 0
+
+    def take(rows, cols):
+        nonlocal offset
+        offset += rows * cols
+        return flat[offset - rows * cols : offset].reshape(rows, cols)
+
+    d, h = params.d, params.h
+    gamma = take(params.p_max, params.k_max + 1)
+    shapes = ((d, h), (h, h))[: params.depth]
+    theta = tuple(tuple(take(*s) for s in shapes) for _ in range(params.p_max))
+    return gamma, theta, take(params.p_max * h, params.c)
+
+
 @dataclass(frozen=True, eq=False)
 class HigcnParams:
     """Trainable parameter set (also used as the gradient container).
 
-    ``gamma`` is P x (K+1); ``theta`` holds per-petal transforms, each a
-    tuple of one (d x h) or two (d x h, h x h) matrices; ``w`` maps the
-    concatenated petal outputs (P*h) to C outputs.
+    The checkpoint header fields, and one read-only float64 vector ``flat``
+    that stores every parameter in the checkpoint's order. ``gamma`` (P x
+    (K+1)), ``theta`` (per petal, a tuple of one (d x h) or two (d x h,
+    h x h) transforms) and ``w`` (which maps the concatenated petal outputs,
+    P*h, to C outputs) are reshaped views of ``flat``.
     """
 
     p_max: int
     k_max: int
+    d: int
+    h: int
+    c: int
     alpha: float
-    gamma: np.ndarray
-    theta: tuple[tuple[np.ndarray, ...], ...]
-    w: np.ndarray
-    seed: int = 0
+    seed: int
+    depth: int
+    flat: np.ndarray
+    gamma: np.ndarray = field(init=False, repr=False, compare=False)
+    theta: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        gamma = np.ascontiguousarray(self.gamma, dtype=np.float64)
-        if gamma.shape != (self.p_max, self.k_max + 1):
-            raise ValueError(f"gamma must be P x (K+1), got {gamma.shape}")
-        if len(self.theta) != self.p_max:
-            raise ValueError("one theta transform required per petal")
-        depth = len(self.theta[0])
-        if depth not in (1, 2) or any(len(t) != depth for t in self.theta):
-            raise ValueError("theta transforms must all have depth 1 or 2")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(
-            self,
-            "theta",
-            tuple(
-                tuple(np.ascontiguousarray(m, dtype=np.float64) for m in t)
-                for t in self.theta
-            ),
-        )
-        object.__setattr__(self, "w", np.ascontiguousarray(self.w, dtype=np.float64))
-
-    @property
-    def depth(self) -> int:
-        return len(self.theta[0])
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        """(input width d, petal output width h, output count C)."""
-        d = self.theta[0][0].shape[0]
-        h = self.theta[0][-1].shape[1]
-        return d, h, self.w.shape[1]
+        size = _checked_size(*(getattr(self, key) for key in _HEADER_KEYS))
+        flat = np.array(self.flat, dtype=np.float64)  # never freeze the caller's array
+        if flat.shape != (size,):
+            raise ValueError(f"flat must hold {size} parameters, got shape {flat.shape}")
+        flat.flags.writeable = False
+        object.__setattr__(self, "flat", flat)
+        for name, view in zip(("gamma", "theta", "w"), _views(self, flat)):
+            object.__setattr__(self, name, view)
 
     def named_arrays(self):
-        """Yield (name, array) pairs in a fixed serialization order."""
+        """Yield (name, array) pairs in storage order."""
         yield "gamma", self.gamma
         for p, mats in enumerate(self.theta, start=1):
             for i, m in enumerate(mats, start=1):
                 yield f"theta{i}_p{p}", m
         yield "w", self.w
-
-    def map_arrays(self, fn) -> "HigcnParams":
-        """Structure-preserving map over every parameter array."""
-        return replace(
-            self,
-            gamma=fn("gamma", self.gamma),
-            theta=tuple(
-                tuple(
-                    fn(f"theta{i}_p{p}", m)
-                    for i, m in enumerate(mats, start=1)
-                )
-                for p, mats in enumerate(self.theta, start=1)
-            ),
-            w=fn("w", self.w),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,14 +152,10 @@ def init_params(
 
     Filter rows start at the decayed profile alpha*(1-alpha)^k with the
     tail mass (1-alpha)^K on the last hop, so every row sums to exactly 1;
-    transforms and the output map are Glorot-uniform.
+    transforms and the output map are Glorot-uniform, drawn in storage
+    order.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must be in (0, 1]")
-    if min(p_max, k_max + 1, d, h, c) < 1:
-        raise ValueError("all dimensions must be >= 1")
-    if depth not in (1, 2):
-        raise ValueError("depth must be 1 or 2")
+    _checked_size(p_max, k_max, d, h, c, alpha, seed, depth)
     row = np.empty(k_max + 1)
     decay = 1.0
     for k in range(k_max):
@@ -166,17 +163,10 @@ def init_params(
         decay *= 1.0 - alpha
     # remaining geometric mass; equals (1-alpha)^K and keeps the row sum exact
     row[k_max] = 1.0 - row[:k_max].sum()
-    gamma = np.tile(row, (p_max, 1))
-
     rng = np.random.default_rng(seed)
-    theta = []
-    for _ in range(p_max):
-        if depth == 1:
-            theta.append((_glorot(rng, d, h),))
-        else:
-            theta.append((_glorot(rng, d, h), _glorot(rng, h, h)))
-    w = _glorot(rng, p_max * h, c)
-    return HigcnParams(p_max, k_max, alpha, gamma, tuple(theta), w, seed)
+    shapes = [(d, h), (h, h)][:depth] * p_max + [(p_max * h, c)]
+    flat = np.concatenate([np.tile(row, p_max), *(_glorot(rng, *s).ravel() for s in shapes)])
+    return HigcnParams(p_max, k_max, d, h, c, alpha, seed, depth, flat)
 
 
 def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
@@ -185,8 +175,8 @@ def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
         raise ValueError(f"features cover petals up to {p_max}, params need {params.p_max}")
     if hops <= params.k_max:
         raise ValueError(f"features cover hops up to {hops - 1}, params need {params.k_max}")
-    if d != params.dims[0]:
-        raise ValueError(f"feature width {d} != transform input width {params.dims[0]}")
+    if d != params.d:
+        raise ValueError(f"feature width {d} != transform input width {params.d}")
 
 
 def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> ForwardTape:
@@ -262,31 +252,25 @@ def _backprop(
     set: filter magnitudes carry the interaction strength reading and are
     not shrunk by default.
     """
-    dw = tape.z.T @ dlogits + weight_decay * params.w
-    _, h, _ = params.dims
-    dgamma = np.zeros_like(params.gamma)
-    dtheta = []
-    for i, mats in enumerate(params.theta):
+    flat = np.empty_like(params.flat)
+    dgamma, dtheta, dw = _views(params, flat)
+    dw[...] = tape.z.T @ dlogits + weight_decay * params.w
+    h = params.h
+    for i, (mats, dmats) in enumerate(zip(params.theta, dtheta)):
         # this petal's columns of dlogits @ w.T, without the full product
         dy = dlogits @ params.w[i * h : (i + 1) * h].T
         if params.depth == 2:
             pre = tape.pre[i]
-            dt2 = np.maximum(pre, 0.0).T @ dy + weight_decay * mats[1]
-            dact = dy @ mats[1].T
-            dpre = np.where(pre > 0.0, dact, 0.0)
-            dt1 = tape.filtered[i].T @ dpre + weight_decay * mats[0]
-            dfiltered = dpre @ mats[0].T
-            dtheta.append((dt1, dt2))
-        else:
-            dt1 = tape.filtered[i].T @ dy + weight_decay * mats[0]
-            dfiltered = dy @ mats[0].T
-            dtheta.append((dt1,))
+            dmats[1][...] = np.maximum(pre, 0.0).T @ dy + weight_decay * mats[1]
+            dy = np.where(pre > 0.0, dy @ mats[1].T, 0.0)
+        dmats[0][...] = tape.filtered[i].T @ dy + weight_decay * mats[0]
+        dfiltered = dy @ mats[0].T
         # one reduction per hop: an einsum or matrix product here drifts
         for k in range(params.k_max + 1):
             dgamma[i, k] = np.sum(feats.tensor[i, k] * dfiltered)
     if decay_gamma:
         dgamma += weight_decay * params.gamma
-    return replace(params, gamma=dgamma, theta=tuple(dtheta), w=dw)
+    return replace(params, flat=flat)
 
 
 def _decay_term(params: HigcnParams, weight_decay: float, decay_gamma: bool) -> float:
@@ -333,8 +317,12 @@ def l1_grad(
     params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, pred: np.ndarray,
     targets: np.ndarray, mask: np.ndarray, weight_decay: float = 0.0,
 ) -> tuple[float, HigcnParams]:
-    """:func:`l1_loss_and_grad` from the tape and output of an existing
-    :func:`signal_forward` at ``params``."""
+    """Mean absolute error of the identity-head output on the masked
+    entries, plus L2 decay, and its gradients, from the tape and output of
+    an existing :func:`signal_forward` at ``params``.
+
+    Regression variant used for signal imputation: C = 1 and no softmax.
+    """
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size == 0:
         raise ValueError("mask must select at least one node")
@@ -345,21 +333,6 @@ def l1_grad(
     dlogits = np.zeros_like(tape.logits)
     dlogits[mask, 0] = np.sign(resid) / len(mask)
     return loss, _backprop(params, feats, tape, dlogits, weight_decay)
-
-
-def l1_loss_and_grad(
-    params: HigcnParams,
-    feats: PropagatedFeatures,
-    targets: np.ndarray,
-    mask: np.ndarray,
-    weight_decay: float = 0.0,
-) -> tuple[float, HigcnParams]:
-    """Mean absolute error of the identity-head output on masked entries.
-
-    Regression variant used for signal imputation: C = 1 and no softmax.
-    """
-    tape, pred = signal_forward(params, feats)
-    return l1_grad(params, feats, tape, pred, targets, mask, weight_decay)
 
 
 def readout_forward(
@@ -424,19 +397,16 @@ def predict_graph_labels(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First and second moment vectors, in the layout of ``flat``, and the
+    step counter."""
 
     t: int
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros_like(cls, params: HigcnParams) -> "AdamState":
-        return cls(
-            0,
-            {name: np.zeros_like(a) for name, a in params.named_arrays()},
-            {name: np.zeros_like(a) for name, a in params.named_arrays()},
-        )
+        return cls(0, np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adam_step(
@@ -447,23 +417,17 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> tuple[HigcnParams, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+    """One bias-corrected Adam update over the whole parameter vector;
+    returns fresh params and state."""
     b1, b2 = betas
     t = state.t + 1
-    grad_by_name = dict(grads.named_arrays())
-    new_m, new_v = {}, {}
-
-    def update(name, a):
-        g = grad_by_name[name]
-        m = b1 * state.m[name] + (1.0 - b1) * g
-        v = b2 * state.v[name] + (1.0 - b2) * g * g
-        new_m[name] = m
-        new_v[name] = v
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        return a - lr * m_hat / (np.sqrt(v_hat) + eps)
-
-    return params.map_arrays(update), AdamState(t, new_m, new_v)
+    g = grads.flat
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return replace(params, flat=flat), AdamState(t, m, v)
 
 
 def strength(params: HigcnParams) -> np.ndarray:
@@ -472,27 +436,19 @@ def strength(params: HigcnParams) -> np.ndarray:
 
 
 def save_checkpoint(params: HigcnParams, path) -> None:
-    """JSON header line plus a flat little-endian float64 parameter block."""
-    d, h, c = params.dims
-    header = {
-        "magic": CHECKPOINT_MAGIC,
-        "p_max": params.p_max,
-        "k_max": params.k_max,
-        "alpha": params.alpha,
-        "depth": params.depth,
-        "d": d,
-        "h": h,
-        "c": c,
-        "seed": params.seed,
-    }
+    """JSON header line plus the flat little-endian float64 parameter block."""
+    header = {key: getattr(params, key) for key in _HEADER_KEYS}
+    header["magic"] = CHECKPOINT_MAGIC
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, arr in params.named_arrays():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> HigcnParams:
+    """The parameters of a :func:`save_checkpoint` file. The header is
+    checked, and the block's length against it, before anything is read
+    into arrays."""
     with open(path, "rb") as fh:
         line = fh.readline()
         blob = fh.read()
@@ -505,18 +461,16 @@ def load_checkpoint(path) -> HigcnParams:
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise DataError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    values = [header[key] for key in _HEADER_KEYS]
+    for key, value in zip(_HEADER_KEYS, values):
+        # by type, not isinstance: JSON true and false load as a subclass of int
+        if type(value) not in ((int, float) if key == "alpha" else (int,)):
+            kind = "a number" if key == "alpha" else "an integer"
+            raise DataError(f"{path}: checkpoint header {key} must be {kind}, got {value!r}")
     try:
-        skeleton = init_params(*(header[key] for key in _HEADER_KEYS))
-    except (TypeError, ValueError) as exc:
+        size = _checked_size(*values)
+    except ValueError as exc:
         raise DataError(f"{path}: bad checkpoint header ({exc})") from None
-    if len(blob) != 8 * sum(a.size for _, a in skeleton.named_arrays()):
+    if len(blob) != 8 * size:
         raise DataError(f"{path}: parameter block size mismatch")
-    offset = 0
-
-    def fill(name, a):
-        nonlocal offset
-        flat = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset)
-        offset += a.size * 8
-        return flat.reshape(a.shape).astype(np.float64)
-
-    return skeleton.map_arrays(fill)
+    return HigcnParams(*values, np.frombuffer(blob, dtype="<f8"))

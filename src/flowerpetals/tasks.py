@@ -47,7 +47,6 @@ __all__ = [
     "load_coauthorship",
     "make_splits",
     "kendall_tau",
-    "compute_homophily",
     "petal_operators",
     "petal_features",
     "disjoint_union",
@@ -322,15 +321,6 @@ def kendall_tau(a, b) -> float:
     return concordant_minus_discordant / np.sqrt((n0 - n1) * (n0 - n2))
 
 
-def compute_homophily(g: Graph) -> float:
-    """Fraction of edges whose endpoints share a label."""
-    if g.labels is None:
-        raise DataError("homophily needs node labels")
-    if g.num_edges == 0:
-        raise ValueError("homophily undefined on an edgeless graph")
-    return float(np.mean(g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]))
-
-
 def accuracy(log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     pred = np.argmax(log_probs[mask], axis=1)
     return float(np.mean(pred == labels[mask]))
@@ -537,6 +527,10 @@ def load_coauthorship(path) -> CoauthorshipComplex:
                 raise DataError(
                     f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes"
                 )
+            if nodes[0] < 0:
+                raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
+            if nodes[-1] >= 2**63:
+                raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
             max_node = max(max_node, nodes[-1])
             if order == 0:
                 node_signals[nodes[0]] = node_signals.get(nodes[0], 0.0) + signal
@@ -546,8 +540,13 @@ def load_coauthorship(path) -> CoauthorshipComplex:
     n = declared_n if declared_n is not None else max_node + 1
     if n < max_node + 1:
         raise DataError(f"{path}: header n={n} smaller than max node id {max_node}")
+    try:
+        node_vector = np.zeros(n)
+    except (MemoryError, ValueError):
+        raise DataError(f"{path}: the signals of {n} nodes do not fit in memory") from None
+    node_vector[list(node_signals)] = list(node_signals.values())
     orders, signals = _close_downward(raw)
-    signals[0] = np.array([node_signals.get(v, 0.0) for v in range(n)])
+    signals[0] = node_vector
     return CoauthorshipComplex(SimplicialComplex(n, orders), signals)
 
 

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from training_oracle import map_arrays
 
 from flowerpetals.cli import run as cli_run
 from flowerpetals.complexes import Graph, clique_lift, incidence_matrix
@@ -241,7 +242,7 @@ def test_c05_gradient_check():
                                 return out
                             return a
 
-                        return params.map_arrays(bump)
+                        return map_arrays(params, bump)
 
                     plus, _ = loss_fn(shifted(h))
                     minus, _ = loss_fn(shifted(-h))

@@ -481,6 +481,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(path) in err and detail in err
 
+    @pytest.mark.parametrize("fields, detail", [
+        ({"d": 10**7, "h": 10**7}, "size mismatch"),
+        ({"seed": True}, "seed"),
+        ({"p_max": True}, "p_max"),
+        ({"alpha": True}, "alpha"),
+        ({"k_max": 2.0}, "k_max"),
+    ], ids=["huge-dims", "bool-seed", "bool-p_max", "bool-alpha", "float-k_max"])
+    def test_checkpoint_header_is_checked_before_the_block(self, tmp_path, capsys, fields,
+                                                           detail):
+        # the header is judged on its own, before any parameter array exists
+        header = {"magic": "flowerpetals-checkpoint-v1", "p_max": 1, "k_max": 0, "d": 1,
+                  "h": 1, "c": 1, "alpha": 0.5, "seed": 0, "depth": 1, **fields}
+        path = tmp_path / "bad.ck"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + b"\x00" * 8)
+        assert run(["strength", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and detail in err
+
+    @pytest.mark.parametrize("node", [10**15, 10**20])
+    def test_huge_coauthorship_node_id_is_data_error(self, work, capsys, node):
+        path = work / "cc.tsv"
+        path.write_text(f"0\t0\t5\n0\t1\t3\n1\t0,{node}\t4\n")
+        assert run(["impute", "--simplices", str(path)]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_negative_coauthorship_node_id_names_path_and_line(self, work, capsys):
+        path = work / "cc.tsv"
+        path.write_text("0\t0\t5\n0\t-1\t3\n1\t0,1\t4\n")
+        assert run(["impute", "--simplices", str(path)]) == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, work):

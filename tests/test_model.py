@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import training_oracle
+from training_oracle import l1_loss_and_grad, map_arrays, with_arrays
 
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.model import (
@@ -16,7 +17,6 @@ from flowerpetals.model import (
     forward,
     forward_embedding,
     init_params,
-    l1_loss_and_grad,
     load_checkpoint,
     loss_and_grad,
     predict_graph_labels,
@@ -64,7 +64,7 @@ def finite_difference_max_rel(loss_fn, params, h=1e-5):
                         return out
                     return a
 
-                return params.map_arrays(bump)
+                return map_arrays(params, bump)
 
             plus, _ = loss_fn(shifted(h))
             minus, _ = loss_fn(shifted(-h))
@@ -101,10 +101,29 @@ class TestInit:
         assert a == b and not a != b
         theta = a.theta[0][0].copy()
         theta[1, 0] += 1.0
-        assert a != replace(a, theta=((theta, a.theta[0][1]),))
+        assert a != with_arrays(a, a.gamma, ((theta, a.theta[0][1]),), a.w)
         assert a != init_params(1, 1, 2, 2, 2, 0.5, 0, depth=1)
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
+
+    def test_flat_vector_is_the_storage(self):
+        params = init_params(2, 3, 4, 5, 3, 0.5, seed=1)
+        assert params.flat.shape == (2 * (4 + 4 * 5 + 5 * 5 + 5 * 3),)
+        assert not params.flat.flags.writeable
+        arrays = [a for _, a in params.named_arrays()]
+        assert all(np.shares_memory(a, params.flat) and not a.flags.writeable for a in arrays)
+        assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), params.flat)
+        # the caller's vector is copied, never frozen or aliased
+        flat = params.flat.copy()
+        assert replace(params, flat=flat) == params and flat.flags.writeable
+
+    @pytest.mark.parametrize("size", [0, 127, 129])
+    def test_flat_of_the_wrong_length_is_rejected(self, size):
+        params = init_params(2, 3, 4, 5, 3, 0.5, seed=1)
+        with pytest.raises(ValueError, match="flat must hold 128 parameters"):
+            replace(params, flat=np.zeros(size))
+        with pytest.raises(ValueError, match="flat must hold"):
+            replace(params, flat=params.flat.reshape(8, 16))
 
     def test_tail_weight_matches_geometric_form(self):
         for alpha in (0.1, 1 / 3, 0.5, 0.9):
@@ -119,7 +138,8 @@ class TestForward:
         params = init_params(2, 2, 3, 3, 6, alpha=1.0, seed=0, depth=1)
         gamma = np.zeros((2, 3))
         gamma[:, 0] = 1.0
-        params = params.map_arrays(
+        params = map_arrays(
+            params,
             lambda name, a: {
                 "gamma": gamma,
                 "theta1_p1": np.eye(3),
@@ -173,7 +193,8 @@ class TestGradients:
         feats = graph_feats(8, 3, seed=6)
         params = init_params(2, 2, 3, 4, 5, 0.5, seed=7)
         # zero output map gives identical logits per row
-        params = params.map_arrays(
+        params = map_arrays(
+            params,
             lambda name, a: np.zeros_like(a) if name == "w" else a
         )
         labels = np.zeros(8, dtype=np.int64)
@@ -247,7 +268,7 @@ def tensor_case(name, depth):
         gamma = -np.abs(gamma)
     feats = petal_features(clique_lift(er_graph(30, 0.3, seed=13), feats_p), x, feats_p, feats_k)
     params = init_params(p_max, k_max, 4, 5, 3, 0.5, seed=14, depth=depth)
-    return params.map_arrays(lambda nm, a: gamma if nm == "gamma" else a), feats
+    return map_arrays(params, lambda nm, a: gamma if nm == "gamma" else a), feats
 
 
 class TestFeatureTensor:
@@ -305,20 +326,60 @@ class TestFeatureTensor:
             assert np.array_equal((dlogits @ w[s].T).view(np.int64), full[:, s].view(np.int64))
 
 
+    @pytest.mark.parametrize("offset", [0, 1, 3, 5, 7])
+    def test_products_on_views_of_a_flat_vector_are_bit_equal(self, offset):
+        # the parameter matrices are views at any offset into one vector; the
+        # forward and backward products on them must equal those on
+        # standalone arrays, which depends on the BLAS
+        rng = np.random.default_rng(offset)
+        for n, d, h, c in ((1200, 64, 32, 2), (755, 3, 16, 4), (30, 1, 8, 1)):
+            x, dlogits = rng.normal(size=(n, d)), rng.normal(size=(n, c))
+            t1, t2, w = rng.normal(size=(d, h)), rng.normal(size=(h, h)), rng.normal(size=(2 * h, c))
+            flat = np.concatenate([np.zeros(offset), t1.ravel(), t2.ravel(), w.ravel()])
+            v1 = flat[offset : offset + d * h].reshape(d, h)
+            v2 = flat[offset + d * h : offset + d * h + h * h].reshape(h, h)
+            vw = flat[offset + d * h + h * h :].reshape(2 * h, c)
+            a = x @ t1
+            for got, want in (
+                (x @ v1, a), (a @ v2, a @ t2), (dlogits @ vw[h:].T, dlogits @ w[h:].T),
+                (dlogits @ vw.T, dlogits @ w.T), (a @ v2.T, a @ t2.T), (a @ v1.T, a @ t1.T),
+            ):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestAdam:
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_flat_adam_equals_the_per_array_adam(self, depth):
+        feats = graph_feats(10, 3, seed=74)
+        labels = np.random.default_rng(75).integers(0, 3, 10)
+        params = ref = init_params(2, 2, 3, 4, 3, 0.5, seed=76, depth=depth)
+        state, ref_state = AdamState.zeros_like(params), training_oracle.adam_zeros(ref)
+        names = [name for name, _ in params.named_arrays()]
+        for _ in range(50):
+            _, grads = loss_and_grad(params, feats, labels, np.arange(7), 0.01, True)
+            _, ref_grads = loss_and_grad(ref, feats, labels, np.arange(7), 0.01, True)
+            params, state = adam_step(params, grads, state, lr=0.05)
+            ref, ref_state = training_oracle.adam_step(ref, ref_grads, ref_state, lr=0.05)
+            assert params.flat.tobytes() == ref.flat.tobytes()
+            for got, want in ((state.m, ref_state[1]), (state.v, ref_state[2])):
+                assert got.tobytes() == np.concatenate([want[k].ravel() for k in names]).tobytes()
+        assert state.t == ref_state[0] == 50
+
     def test_zero_gradient_is_a_fixed_point(self):
         params = init_params(1, 2, 2, 3, 2, 0.5, seed=0)
-        zero = params.map_arrays(lambda _, a: np.zeros_like(a))
+        zero = map_arrays(params, lambda _, a: np.zeros_like(a))
         updated, _ = adam_step(params, zero, AdamState.zeros_like(params), lr=0.1)
         for (_, a), (_, b) in zip(params.named_arrays(), updated.named_arrays()):
             assert np.array_equal(a, b)
 
     def test_first_step_magnitude_is_learning_rate(self):
         params = init_params(1, 0, 1, 1, 1, 1.0, seed=0, depth=1)
-        params = params.map_arrays(
+        params = map_arrays(
+            params,
             lambda name, a: np.ones_like(a) if name == "w" else a
         )
-        grads = params.map_arrays(
+        grads = map_arrays(
+            params,
             lambda name, a: a.copy() if name == "w" else np.zeros_like(a)
         )
         updated, _ = adam_step(params, grads, AdamState.zeros_like(params), lr=0.1)
@@ -368,14 +429,16 @@ class TestStrength:
 
     def test_absolute_sum(self):
         params = init_params(1, 2, 1, 1, 1, 0.5, seed=0)
-        params = params.map_arrays(
+        params = map_arrays(
+            params,
             lambda name, a: np.array([[0.5, -0.25, 0.25]]) if name == "gamma" else a
         )
         assert strength(params)[0] == 1.0
 
     def test_zero_filters(self):
         params = init_params(2, 2, 1, 1, 1, 0.5, seed=0)
-        params = params.map_arrays(
+        params = map_arrays(
+            params,
             lambda name, a: np.zeros_like(a) if name == "gamma" else a
         )
         assert np.array_equal(strength(params), [0.0, 0.0])
@@ -385,7 +448,7 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         params = init_params(2, 3, 5, 8, 4, 0.37, seed=123, depth=2)
         # dirty the params so they differ from a fresh init
-        params = params.map_arrays(lambda _, a: a * 1.000001 + 1e-9)
+        params = map_arrays(params, lambda _, a: a * 1.000001 + 1e-9)
         path = tmp_path / "model.ck"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
@@ -426,7 +489,8 @@ class TestGraphReadout:
 
         # reference: one forward and backward per graph on its own features
         ref_loss = _decay_term(params, wd, False)
-        ref = dict(params.map_arrays(
+        ref = dict(map_arrays(
+            params,
             lambda name, a: np.zeros_like(a) if name == "gamma" else wd * a
         ).named_arrays())
         ref_pred = []

@@ -28,6 +28,7 @@ import pytest
 import parser_oracle
 from parser_oracle import outcome, table_files
 from spmm_oracle import bincount_spmm, loop_spmm, same_bits
+from training_oracle import map_arrays
 
 from flowerpetals.cli import _to_json
 from flowerpetals.complexes import (
@@ -192,15 +193,17 @@ def test_checkpoint_round_trip_is_bit_exact(
 ):
     rng = np.random.default_rng(seed)
     # values over the whole float64 range, subnormals and signed zeros included
-    params = init_params(p_max, k_max, d, h, c, alpha, seed, depth).map_arrays(
-        lambda _, a: rng.standard_normal(a.shape) * np.exp2(rng.integers(-1074, 1000, a.shape))
+    params = map_arrays(
+        init_params(p_max, k_max, d, h, c, alpha, seed, depth),
+        lambda _, a: rng.standard_normal(a.shape) * np.exp2(rng.integers(-1074, 1000, a.shape)),
     )
     path = tmp_path_factory.mktemp("ck") / "model.ck"
     save_checkpoint(params, path)
     loaded = load_checkpoint(path)
-    assert (loaded.p_max, loaded.k_max, loaded.alpha, loaded.seed, loaded.depth, loaded.dims) == (
-        p_max, k_max, alpha, seed, depth, (d, h, c)
+    assert (loaded.p_max, loaded.k_max, loaded.alpha, loaded.seed, loaded.depth) == (
+        p_max, k_max, alpha, seed, depth
     )
+    assert (loaded.d, loaded.h, loaded.c) == (d, h, c)
     for (name, a), (_, b) in zip(params.named_arrays(), loaded.named_arrays(), strict=True):
         assert a.dtype == b.dtype == np.float64 and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name

