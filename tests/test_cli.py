@@ -483,11 +483,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("fields, detail", [
         ({"d": 10**7, "h": 10**7}, "size mismatch"),
+        ({"p_max": 10**12}, "size mismatch"),
         ({"seed": True}, "seed"),
         ({"p_max": True}, "p_max"),
         ({"alpha": True}, "alpha"),
         ({"k_max": 2.0}, "k_max"),
-    ], ids=["huge-dims", "bool-seed", "bool-p_max", "bool-alpha", "float-k_max"])
+    ], ids=["huge-dims", "huge-p_max", "bool-seed", "bool-p_max", "bool-alpha", "float-k_max"])
     def test_checkpoint_header_is_checked_before_the_block(self, tmp_path, capsys, fields,
                                                            detail):
         # the header is judged on its own, before any parameter array exists
