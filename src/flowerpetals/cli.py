@@ -3,8 +3,9 @@
 All subcommands emit deterministic JSON (sorted keys, seeds surfaced in the
 output) so a rerun with the same inputs and seed is byte-identical. Exit
 codes: 0 success, 1 usage error, 2 data error (including an input that
-cannot be read), 3 numerical or saturation error, 4 internal error (a bug:
-one line on stderr, the traceback at FP_LOG=debug).
+cannot be read or is too large to hold in memory), 3 numerical or
+saturation error, 4 internal error (a bug: one line on stderr, the
+traceback at FP_LOG=debug).
 
 Run it as ``flowerpetals <command> ...`` or ``python -m flowerpetals.cli
 <command> ...``.
@@ -18,10 +19,11 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from .complexes import DataError, Graph, clique_lift, incidence_matrix, load_graph
+from .complexes import _INT64, DataError, Graph, _lines, clique_lift, incidence_matrix, load_graph
 from .isomorphism import distinguish
 from .linalg import ConvergenceError, dense_sym_eig
 from .model import load_checkpoint, save_checkpoint, strength
@@ -178,31 +180,28 @@ def _load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
     edge endpoints, a non-negative integer label, and optional finite
     features, which every record gives at one width or none gives."""
     graphs, labels = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-                n, edges, label = obj["n"], obj["edges"], obj["label"]
-                # not float, and not bool: JSON true/false load as a subclass of int
-                if any(type(x) is not int for x in (n, label, *(x for e in edges for x in e))):
-                    raise DataError("n, label and every edge endpoint must be integers")
-                if n < 1:
-                    raise DataError("a graph needs at least one node")
-                g = Graph.from_edge_list(n, edges, features=obj.get("features"))
-                if graphs and _feature_columns(g) != _feature_columns(graphs[0]):
-                    raise DataError(
-                        f"{_feature_columns(g)}, but the first record has "
-                        f"{_feature_columns(graphs[0])}"
-                    )
-                if label < 0:
-                    raise DataError(f"negative label {label}")
-                graphs.append(g)
-                labels.append(label)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad graph record ({exc})") from None
+    for lineno, text in _lines(Path(path)):
+        try:
+            obj = json.loads(text)
+            n, edges, label = obj["n"], obj["edges"], obj["label"]
+            # not float, and not bool: JSON true/false load as a subclass of int
+            if any(type(x) is not int or x not in _INT64
+                   for x in (n, label, *(x for e in edges for x in e))):
+                raise DataError("n, label and every edge endpoint must be int64 integers")
+            if n < 1:
+                raise DataError("a graph needs at least one node")
+            g = Graph.from_edge_list(n, edges, features=obj.get("features"))
+            if graphs and _feature_columns(g) != _feature_columns(graphs[0]):
+                raise DataError(
+                    f"{_feature_columns(g)}, but the first record has "
+                    f"{_feature_columns(graphs[0])}"
+                )
+            if label < 0:
+                raise DataError(f"negative label {label}")
+            graphs.append(g)
+            labels.append(label)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DataError(f"{path}:{lineno}: bad graph record ({exc})") from None
     return graphs, np.asarray(labels, dtype=np.int64)
 
 
@@ -282,14 +281,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--config")
-    p.add_argument("--jobs", type=int, help="ignored; kept so existing scripts still parse")
     p.add_argument("--save-model")
     common(p)
 
     p = sub.add_parser("impute", help="simplicial signal imputation pipeline")
     p.add_argument("--simplices", required=True)
     p.add_argument("--config")
-    p.add_argument("--jobs", type=int, help="ignored; kept so existing scripts still parse")
     common(p)
 
     p = sub.add_parser("graphclass", help="graph classification pipeline")
@@ -341,6 +338,9 @@ def run(argv) -> int:
         _write(_to_json(_COMMANDS[args.command](args)), args.out)
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return DATA_ERROR
+    except MemoryError as exc:  # such as the arrays of a declared node count
+        print(f"error: input too large to hold in memory ({exc})", file=sys.stderr)
         return DATA_ERROR
     except (SaturationError, ConvergenceError, FloatingPointError) as exc:
         extra = {}

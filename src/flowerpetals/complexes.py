@@ -79,6 +79,33 @@ def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.searchsorted(keys, queries, "right") > np.searchsorted(keys, queries)
 
 
+def _faces(rows: np.ndarray) -> np.ndarray:
+    """The p+1 faces of each row of p+1 nodes, row by row: face i drops
+    column i, so an ascending row gives ascending faces."""
+    p = rows.shape[1] - 1
+    cols = np.arange(p)
+    return rows[:, cols + (cols >= np.arange(p + 1)[:, None])].reshape(-1, p)
+
+
+def _close_downward(rows: dict[int, list], signals: dict[int, list]) -> tuple[dict, dict]:
+    """Merge and close signed simplices: ``rows[p]`` holds at least one row
+    of p+1 ascending int64 nodes, duplicates allowed, and ``signals[p]`` one
+    value per row. Every order from the top one down to 1 gets the faces of
+    the order above with signal 0, and its duplicates merged with their
+    signals summed in row order. Returns each order's rows, in
+    lexicographic order, and their signals."""
+    top, closed, sums = max(rows, default=0), {}, {}
+    faces = np.zeros((0, top + 1), dtype=np.int64)
+    for p in range(top, 0, -1):
+        stacked = np.concatenate([rows.get(p, faces[:0]), faces])
+        weights = np.concatenate([signals.get(p, ()), np.zeros(len(faces))])
+        _, first, slot = np.unique(_row_keys(stacked), return_index=True, return_inverse=True)
+        closed[p] = stacked[first]
+        sums[p] = np.bincount(slot, weights)
+        faces = _faces(closed[p])
+    return dict(sorted(closed.items())), dict(sorted(sums.items()))
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Undirected simple graph with optional node features and labels.
@@ -168,8 +195,7 @@ class SimplicialComplex:
         for p, rows in stored.items():
             if p == 1:
                 continue
-            cols = np.arange(p)  # face i of a row drops its column i
-            faces = rows[:, cols + (cols >= np.arange(p + 1)[:, None])].reshape(-1, p)
+            faces = _faces(rows)
             found = _in_sorted(_row_keys(stored.get(p - 1, rows[:0, 1:])), _row_keys(faces))
             if not found.all():
                 j = found.argmin()
@@ -225,7 +251,7 @@ class IncidenceMatrix:
 
 def node_count_header(path, text: str) -> int | None:
     """The count of a first-line "#n=<count>" header; None for any other
-    comment. A count that is not a non-negative integer is a DataError."""
+    comment. A count that is not an integer in 0..2**63-1 is a DataError."""
     if not text[1:].replace(" ", "").startswith("n="):
         return None
     bad = DataError(f"{path}:1: bad node-count header {text!r}")
@@ -233,7 +259,7 @@ def node_count_header(path, text: str) -> int | None:
         count = int(text.split("=", 1)[1])
     except ValueError:
         raise bad from None
-    if count < 0:
+    if count not in range(_INT64.stop):
         raise bad
     return count
 

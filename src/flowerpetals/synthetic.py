@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Graph, SimplicialComplex
-from .tasks import CoauthorshipComplex, _close_downward
+from .complexes import Graph, SimplicialComplex, _close_downward
+from .tasks import CoauthorshipComplex
 
 # distinct stream tags so a generator never replays the byte stream of a
 # downstream consumer (splits, inits) seeded with the same bare seed
@@ -139,7 +139,8 @@ def coauthorship_complex(
     if n_authors % community_size:
         raise ValueError("n_authors must be a multiple of community_size")
     rng = np.random.default_rng((seed, _STREAM_COAUTHOR))
-    papers: dict[int, dict[tuple, float]] = {}
+    rows: dict[int, list] = {}
+    counts: dict[int, list] = {}
     totals = np.zeros(n_authors)
     for start in range(0, n_authors, community_size):
         community = np.arange(start, start + community_size)
@@ -149,16 +150,14 @@ def coauthorship_complex(
         weight /= weight.sum()
         for _ in range(papers_per_community):
             size = int(rng.choice([2, 3, 4], p=[0.55, 0.3, 0.15]))
-            members = tuple(
-                sorted(rng.choice(community, size=size, replace=False, p=weight))
-            )
+            members = np.sort(rng.choice(community, size=size, replace=False, p=weight))
             count = float(rng.integers(1, 5))
-            table = papers.setdefault(size - 1, {})
-            table[members] = table.get(members, 0.0) + count
+            rows.setdefault(size - 1, []).append(members)
+            counts.setdefault(size - 1, []).append(count)
             for m in members:
                 totals[m] += count
 
-    orders, signals = _close_downward(papers)
+    orders, signals = _close_downward(rows, counts)
     node_signals = np.floor(totals + rng.poisson(noise_scale, size=n_authors))
     signals[0] = node_signals.astype(np.float64)
     return CoauthorshipComplex(SimplicialComplex(n_authors, orders), signals)

@@ -13,10 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from .complexes import (
+    _INT64,
     DataError,
     Graph,
     IncidenceMatrix,
     SimplicialComplex,
+    _close_downward,
+    _lines,
     clique_lift,
     incidence_matrix,
     node_count_header,
@@ -255,51 +258,35 @@ class MetricsReport:
 # scalar metrics
 
 
-def _merge_count_inversions(values: list) -> int:
-    """Strict inversions via merge sort; mutates a working copy."""
-    work = list(values)
-    buf = [None] * len(work)
-
-    def rec(lo: int, hi: int) -> int:
-        if hi - lo <= 1:
-            return 0
-        mid = (lo + hi) // 2
-        count = rec(lo, mid) + rec(mid, hi)
-        i, j, k = lo, mid, lo
-        while i < mid and j < hi:
-            if work[j] < work[i]:
-                count += mid - i
-                buf[k] = work[j]
-                j += 1
-            else:
-                buf[k] = work[i]
-                i += 1
-            k += 1
-        buf[k:hi] = work[i:mid] + work[j:hi]
-        work[lo:hi] = buf[lo:hi]
-        return count
-
-    return rec(0, len(work))
+def _inversions(ranks: np.ndarray) -> int:
+    """Pairs i < j with ranks[i] > ranks[j], for ranks in 0..n-1, by a
+    bottom-up merge: at width w, each right block's entries count the larger
+    entries of the sorted left block beside it, and one sort merges the two."""
+    n, count, w = len(ranks), 0, 1
+    while w < n:
+        block = np.arange(n) // (2 * w)
+        keys = block * n + ranks  # ascending within each sorted block of width w
+        right = np.arange(n) % (2 * w) >= w
+        at_most = np.searchsorted(keys[~right], keys[right], "right") - block[right] * w
+        count += int((w - at_most).sum())
+        ranks = np.sort(keys) - block * n
+        w *= 2
+    return count
 
 
-def _tie_pairs(sorted_values) -> int:
-    total = 0
-    run = 1
-    for prev, cur in zip(sorted_values, sorted_values[1:]):
-        if cur == prev:
-            run += 1
-        else:
-            total += run * (run - 1) // 2
-            run = 1
-    total += run * (run - 1) // 2
-    return total
+def _tied_pairs(values: np.ndarray) -> int:
+    """Pairs of equal entries."""
+    counts = np.unique(values, return_counts=True)[1]
+    return int((counts * (counts - 1) // 2).sum())
 
 
 def kendall_tau(a, b) -> float:
-    """Tie-corrected rank correlation (tau-b) by merge-sort inversion counting.
+    """Tie-corrected rank correlation (tau-b) by merge counting of the
+    discordant pairs.
 
     Equals the O(n^2) pairwise definition exactly. Zero variance in either
-    input raises ConstantSignalError rather than returning NaN.
+    input raises ConstantSignalError rather than returning NaN, and a NaN or
+    infinite input raises ValueError.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -308,17 +295,16 @@ def kendall_tau(a, b) -> float:
     n = len(a)
     if n < 2:
         raise ValueError("need at least two observations")
-    n0 = n * (n - 1) // 2
-    order = np.lexsort((b, a))
-    a_s, b_s = a[order], b[order]
-    n1 = _tie_pairs(list(a_s))
-    n2 = _tie_pairs(sorted(b))
-    n3 = _tie_pairs(list(zip(a_s, b_s)))
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("inputs must be finite")
+    a_rank = np.unique(a, return_inverse=True)[1]
+    b_rank = np.unique(b, return_inverse=True)[1]
+    pairs = a_rank * n + b_rank  # sorts as the (a, b) pairs in lexicographic order
+    n0, n1, n2, n3 = n * (n - 1) // 2, _tied_pairs(a), _tied_pairs(b), _tied_pairs(pairs)
     if n1 == n0 or n2 == n0:
         raise ConstantSignalError("zero variance: rank correlation undefined")
-    swaps = _merge_count_inversions(list(b_s))
-    concordant_minus_discordant = n0 - n1 - n2 + n3 - 2 * swaps
-    return concordant_minus_discordant / np.sqrt((n0 - n1) * (n0 - n2))
+    swaps = _inversions(np.sort(pairs) % n)  # the ranks of b, in (a, b) order
+    return (n0 - n1 - n2 + n3 - 2 * swaps) / math.sqrt((n0 - n1) * (n0 - n2))
 
 
 def accuracy(log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
@@ -476,78 +462,55 @@ class CoauthorshipComplex:
         return self.signals[0]
 
 
-def _close_downward(simplices: dict[int, dict[tuple, float]]) -> tuple[dict, dict]:
-    """Add missing faces (signal 0) so the complex is downward closed; return
-    each order's simplices in lexicographic order and their signals."""
-    for p in sorted(simplices, reverse=True):
-        if p <= 1:
-            continue
-        for s in list(simplices[p]):
-            for i in range(p + 1):
-                simplices.setdefault(p - 1, {}).setdefault(s[:i] + s[i + 1 :], 0.0)
-    orders = {p: sorted(table) for p, table in sorted(simplices.items())}
-    signals = {p: np.array([simplices[p][s] for s in rows]) for p, rows in orders.items()}
-    return orders, signals
-
-
 def load_coauthorship(path) -> CoauthorshipComplex:
     """Parse "order<TAB>node,node,...<TAB>signal" lines into a closed complex.
 
     Order-0 lines carry node signals. Higher-order lines with signal <= 2
-    are dropped (occasional collaborations are treated as noise); implied
-    faces from downward closure get signal 0. An optional "#n=<count>"
-    header fixes the node count.
+    are dropped (occasional collaborations are treated as noise), though
+    their nodes still count towards n; faces implied by downward closure,
+    down to order 1 whatever orders the file skips, get signal 0. An
+    optional "#n=<count>" header fixes the node count.
     """
     path = Path(path)
-    node_signals: dict[int, float] = {}
-    raw: dict[int, dict[tuple, float]] = {}
-    declared_n = None
-    max_node = -1
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text.startswith("#"):
-                if lineno == 1:
-                    declared_n = node_count_header(path, text)
-                continue
-            parts = text.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 'order<TAB>nodes<TAB>signal'")
-            try:
-                order = int(parts[0])
-                nodes = tuple(sorted(int(tok) for tok in parts[1].split(",")))
-                signal = float(parts[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: malformed line {text!r}") from None
-            if not math.isfinite(signal) or signal < 0:
-                raise DataError(f"{path}:{lineno}: signal must be finite and non-negative")
-            if len(nodes) != order + 1 or len(set(nodes)) != len(nodes):
-                raise DataError(
-                    f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes"
-                )
-            if nodes[0] < 0:
-                raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
-            if nodes[-1] >= 2**63:
-                raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
-            max_node = max(max_node, nodes[-1])
-            if order == 0:
-                node_signals[nodes[0]] = node_signals.get(nodes[0], 0.0) + signal
-            elif signal > 2:
-                table = raw.setdefault(order, {})
-                table[nodes] = table.get(nodes, 0.0) + signal
+    rows: dict[int, list] = {}
+    signals: dict[int, list] = {}
+    declared_n, max_node = None, -1
+    for lineno, text in _lines(path):
+        if text.startswith("#"):
+            if lineno == 1:
+                declared_n = node_count_header(path, text)
+            continue
+        parts = text.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'order<TAB>nodes<TAB>signal'")
+        try:
+            order = int(parts[0])
+            nodes = sorted(int(tok) for tok in parts[1].split(","))
+            signal = float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed line {text!r}") from None
+        if not math.isfinite(signal) or signal < 0:
+            raise DataError(f"{path}:{lineno}: signal must be finite and non-negative")
+        if len(nodes) != order + 1 or len(set(nodes)) != len(nodes):
+            raise DataError(f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes")
+        if nodes[0] < 0:
+            raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
+        if nodes[-1] not in _INT64:
+            raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
+        max_node = max(max_node, nodes[-1])
+        if order == 0 or signal > 2:
+            rows.setdefault(order, []).append(nodes)
+            signals.setdefault(order, []).append(signal)
     n = declared_n if declared_n is not None else max_node + 1
     if n < max_node + 1:
         raise DataError(f"{path}: header n={n} smaller than max node id {max_node}")
+    node_ids = np.array(rows.pop(0, []), dtype=np.int64).ravel()
     try:
-        node_vector = np.zeros(n)
-    except (MemoryError, ValueError):
+        node_vector = np.bincount(node_ids, signals.pop(0, []), minlength=n)
+    except (MemoryError, ValueError, OverflowError):
         raise DataError(f"{path}: the signals of {n} nodes do not fit in memory") from None
-    node_vector[list(node_signals)] = list(node_signals.values())
-    orders, signals = _close_downward(raw)
-    signals[0] = node_vector
-    return CoauthorshipComplex(SimplicialComplex(n, orders), signals)
+    orders, sums = _close_downward(rows, signals)
+    return CoauthorshipComplex(SimplicialComplex(n, orders), {0: node_vector, **sums})
 
 
 def impute_signals(
@@ -582,6 +545,8 @@ def impute_signals(
             params, cfg, lambda p: signal_forward(p, feats),
             lambda p, tape, pred: l1_grad(p, feats, tape, pred, targets, known, cfg.weight_decay),
         )
+        if not np.isfinite(fit.out).all():
+            raise FloatingPointError(f"seed {seed}: the imputed signals are not all finite")
         try:
             tau = kendall_tau(truth, fit.out)
         except ConstantSignalError:

@@ -1,12 +1,14 @@
-"""The per-line readers of edge TSVs and feature and label CSVs that
-``complexes.load_graph`` must agree with.
+"""The per-line readers of edge TSVs, feature and label CSVs and
+coauthorship TSVs that ``complexes.load_graph`` and
+``tasks.load_coauthorship`` must agree with.
 
 Each reader walks its file line by line with Python's ``int`` and
 ``float``, so it states the file formats: blank lines skipped, ``#`` lines
-skipped as comments in an edge file (a first-line ``#n=<count>`` header
-fixes the node count), and every other line parsed or rejected with a
-``DataError`` naming ``path:line``. ``load_graph`` parses whole files with
-numpy and must return an equal ``Graph`` or raise the same error;
+skipped as comments in an edge or coauthorship file (a first-line
+``#n=<count>`` header fixes the node count), and every other line parsed or
+rejected with a ``DataError`` naming ``path:line``. ``load_graph`` parses
+whole files with numpy, and ``load_coauthorship`` closes its complex on
+arrays; each must return an equal value or raise the same error.
 ``outcome`` puts either result in one comparable value.
 """
 
@@ -15,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from flowerpetals.complexes import DataError, Graph, node_count_header
+from flowerpetals.complexes import DataError, Graph, SimplicialComplex, node_count_header
+from flowerpetals.tasks import CoauthorshipComplex
 
 
 def canonical_graph(n, edges, features=None, labels=None) -> Graph:
@@ -107,6 +110,68 @@ def load_label_csv(path, n: int) -> np.ndarray:
     if len(arr) and arr.min() < 0:
         raise DataError(f"{path}: negative label")
     return arr
+
+
+def close_downward(simplices: dict[int, dict[tuple, float]]) -> tuple[dict, dict]:
+    """Add every missing face, down to order 1, with signal 0; return each
+    order's simplices in lexicographic order and their signals."""
+    for p in range(max(simplices, default=0), 1, -1):
+        for s in list(simplices.get(p, ())):
+            for i in range(p + 1):
+                simplices.setdefault(p - 1, {}).setdefault(s[:i] + s[i + 1 :], 0.0)
+    orders = {p: sorted(table) for p, table in sorted(simplices.items())}
+    signals = {p: np.array([simplices[p][s] for s in rows]) for p, rows in orders.items()}
+    return orders, signals
+
+
+def load_coauthorship(path) -> CoauthorshipComplex:
+    path = Path(path)
+    node_signals: dict[int, float] = {}
+    raw: dict[int, dict[tuple, float]] = {}
+    declared_n = None
+    max_node = -1
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if text.startswith("#"):
+                if lineno == 1:
+                    declared_n = node_count_header(path, text)
+                continue
+            parts = text.split("\t")
+            if len(parts) != 3:
+                raise DataError(f"{path}:{lineno}: expected 'order<TAB>nodes<TAB>signal'")
+            try:
+                order = int(parts[0])
+                nodes = tuple(sorted(int(tok) for tok in parts[1].split(",")))
+                signal = float(parts[2])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: malformed line {text!r}") from None
+            if not math.isfinite(signal) or signal < 0:
+                raise DataError(f"{path}:{lineno}: signal must be finite and non-negative")
+            if len(nodes) != order + 1 or len(set(nodes)) != len(nodes):
+                raise DataError(
+                    f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes"
+                )
+            if nodes[0] < 0:
+                raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
+            if nodes[-1] >= 2**63:
+                raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
+            max_node = max(max_node, nodes[-1])
+            if order == 0:
+                node_signals[nodes[0]] = node_signals.get(nodes[0], 0.0) + signal
+            elif signal > 2:  # occasional collaborations are dropped as noise
+                table = raw.setdefault(order, {})
+                table[nodes] = table.get(nodes, 0.0) + signal
+    n = declared_n if declared_n is not None else max_node + 1
+    if n < max_node + 1:
+        raise DataError(f"{path}: header n={n} smaller than max node id {max_node}")
+    node_vector = np.zeros(n)
+    node_vector[list(node_signals)] = list(node_signals.values())
+    orders, signals = close_downward(raw)
+    signals[0] = node_vector
+    return CoauthorshipComplex(SimplicialComplex(n, orders), signals)
 
 
 EDGES_FOR_TABLES = "0 1\n1 2\n"

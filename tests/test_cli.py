@@ -209,6 +209,15 @@ class TestTrainImputeGraphclass:
         assert code == 0
         assert -1.0 <= read_json(out)["mean"] <= 1.0
 
+    def test_impute_closes_a_file_holding_only_a_3_simplex(self, work):
+        path = work / "cc.tsv"
+        path.write_text("3\t0,1,2,3\t5\n0\t0\t1\n0\t1\t2\n0\t2\t3\n0\t3\t4\n")
+        (work / "icfg.json").write_text(json.dumps({"epochs": 2, "hidden": 2, "K": 1}))
+        out = work / "imp.json"
+        assert run(["impute", "--simplices", str(path), "--config", str(work / "icfg.json"),
+                    "--out", str(out)]) == 0
+        assert read_json(out)["extras"]["n"] == 4
+
     def test_graphclass_runs(self, work):
         write_graph_dataset(work / "gs.jsonl")
         (work / "gcfg.json").write_text(
@@ -404,6 +413,32 @@ class TestExitCodes:
         assert run(["impute", "--simplices", str(path)]) == 2
         assert f"{path}:1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["lift", "spectra"])
+    def test_node_count_header_past_int64_names_path_and_line(self, work, capsys, command):
+        path = work / "e.tsv"
+        path.write_text(f"#n={2**70}\n0\t1\n")
+        assert run([command, "--edges", str(path)]) == 2
+        assert f"{path}:1:" in capsys.readouterr().err
+
+    # 10**17 nodes need exabytes: past any machine's address space, so the
+    # allocation fails at once however the host overcommits memory
+    @pytest.mark.parametrize("command", ["lift", "spectra", "graphclass"])
+    def test_node_count_too_large_for_memory_is_data_error(self, work, capsys, command):
+        n = 10**17
+        if command == "graphclass":
+            path = work / "gs.jsonl"
+            write_graph_dataset(path)
+            lines = path.read_text().splitlines()
+            lines[3] = json.dumps({"n": n, "edges": [[0, 1]], "label": 0})
+            path.write_text("\n".join(lines) + "\n")
+            argv = ["graphclass", "--dataset", str(path)]
+        else:
+            (work / "e.tsv").write_text(f"#n={n}\n0\t1\n")
+            argv = [command, "--edges", str(work / "e.tsv")]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert "memory" in err and err.count("\n") == 1
+
     def test_graph_record_without_nodes_is_data_error(self, work, capsys):
         path = work / "gs.jsonl"
         write_graph_dataset(path)
@@ -437,8 +472,12 @@ class TestExitCodes:
         {"n": 3, "edges": [[0.0, 1], [0, 2], [1, 2]], "label": 0},
         {"n": 3, "edges": [[0, True], [0, 2], [1, 2]], "label": 0},
         {"n": 3, "edges": [[0, 1]], "label": 0, "features": [[1.0], [float("nan")], [1.0]]},
+        {"n": 2**70, "edges": [[0, 1]], "label": 0},
+        {"n": 3, "edges": [[0, 2**63]], "label": 0},
+        {"n": 3, "edges": [[0, 1]], "label": 2**70},
     ], ids=["float-label", "bool-label", "float-n", "fractional-endpoint", "float-endpoint",
-            "bool-endpoint", "nan-feature"])
+            "bool-endpoint", "nan-feature", "n-past-int64", "endpoint-past-int64",
+            "label-past-int64"])
     def test_graph_record_numbers_must_be_integers_and_finite(self, work, capsys, record):
         path = work / "gs.jsonl"
         write_graph_dataset(path, degree_features="features" in record)
@@ -462,6 +501,20 @@ class TestExitCodes:
         path.write_text("#n=3\n0\t0\t5\n0\t1\tnan\n0\t2\t1\n1\t0,1\t4\n")
         assert run(["impute", "--simplices", str(path)]) == 2
         assert f"{path}:3:" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow, as outside pytest
+    def test_non_finite_imputed_signals_are_numeric_error(self, work, capsys):
+        # an lr of 1e154 sends the 4-node path's predictions to [nan, inf, nan, -inf],
+        # which used to score tau = 1.0 and exit 0
+        path = work / "cc.tsv"
+        path.write_text("0\t0\t1\n0\t1\t2\n0\t2\t3\n0\t3\t4\n"
+                        "1\t0,1\t5\n1\t1,2\t5\n1\t2,3\t5\n")
+        (work / "icfg.json").write_text(json.dumps({"lr": 1e154, "epochs": 1}))
+        out = work / "imp.json"
+        assert run(["impute", "--simplices", str(path), "--config", str(work / "icfg.json"),
+                    "--out", str(out)]) == 3
+        assert not out.exists()
+        assert "not all finite" in capsys.readouterr().err
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "short.ck"
@@ -521,21 +574,3 @@ class TestDeterminism:
             run(["spectra", "--edges", str(work / "k3.tsv"), "-p", "2",
                  "--seed", "3", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
-
-    def test_jobs_do_not_change_output(self, work):
-        g = planted_two_block(24, seed=0)
-        (work / "e.tsv").write_text(f"#n={g.n}\n" + "".join(f"{u}\t{v}\n" for u, v in g.edges))
-        np.savetxt(work / "f.csv", g.features, delimiter=",", fmt="%.6f")
-        np.savetxt(work / "l.csv", g.labels, fmt="%d")
-        (work / "cfg.json").write_text(
-            json.dumps({"task": "node", "epochs": 40, "patience": 20,
-                        "seeds": [0, 1, 2], "hidden": 4})
-        )
-        outs = []
-        for jobs, name in ((1, "j1.json"), (3, "j3.json")):
-            out = work / name
-            run(["train", "--edges", str(work / "e.tsv"), "--features", str(work / "f.csv"),
-                 "--labels", str(work / "l.csv"), "--config", str(work / "cfg.json"),
-                 "--jobs", str(jobs), "--out", str(out)])
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]

@@ -1,7 +1,8 @@
-"""``load_graph`` against the per-line readers of ``parser_oracle``: on every
-input both return equal graphs or raise the same ``DataError`` with the same
-``path:line`` message, and through ``cli.run`` a bad file exits 2 with one
-line on stderr."""
+"""``load_graph`` and ``load_coauthorship`` against the per-line readers of
+``parser_oracle``: on every input both return equal graphs, or equal
+complexes with the same signal bits, or raise the same ``DataError`` with
+the same ``path:line`` message, and through ``cli.run`` a bad file exits 2
+with one line on stderr."""
 
 import tempfile
 import warnings
@@ -14,6 +15,7 @@ from parser_oracle import EDGES_FOR_TABLES, outcome, table_files, write
 
 from flowerpetals.cli import run
 from flowerpetals.complexes import DataError, load_graph
+from flowerpetals.tasks import load_coauthorship
 
 EDGE_CASES = {
     "comment-after-pair": "0 1\n1 2 # x\n",
@@ -73,6 +75,69 @@ LABEL_CASES = {
     "crlf": "0\r\n1\r\n1\r\n",
     "comment": "0\n# x\n1\n",
 }
+
+COAUTHORSHIP_CASES = {
+    "plain": "#n=4\n0\t0\t5\n0\t1\t6\n1\t0,1\t4\n1\t2,3\t2\n2\t0,1,2\t3\n",
+    "only-a-3-simplex": "3\t0,1,2,3\t5\n",
+    "orders-1-and-3": "1\t0,1\t4\n3\t2,3,4,5\t5\n",
+    "orders-2-and-4": "2\t0,1,2\t4\n4\t1,2,3,4,5\t7.5\n0\t6\t1\n",
+    "repeated-simplices-sum": "1\t0,1\t3\n1\t1,0\t4.5\n2\t0,1,2\t3\n2\t2,1,0\t0.1e2\n"
+                              "1\t0,2\t1e300\n",
+    "repeated-node-lines-sum": "0\t0\t1\n0\t2\t0.1\n0\t0\t2.5\n0\t0\t0.2\n",
+    "dropped-lines-count-n": "0\t0\t1\n1\t0,7\t2\n3\t1,2,3,9\t0\n",
+    "unsorted-nodes": "2\t2,0,1\t9\n",
+    "crlf": "#n=3\r\n0\t0\t1\r\n1\t0,1\t3\r\n",
+    "blank-lines": "\n0\t0\t1\n  \n1\t0,1\t3\n",
+    "comment-mid-file": "0\t0\t1\n# x\n1\t0,1\t3\n",
+    "header-only": "#n=5\n",
+    "header-after-blank-line": "\n#n=9\n1\t0,1\t3\n",
+    "bad-header": "#n=x\n0\t0\t1\n",
+    "header-past-int64": "#n=9223372036854775808\n1\t0,1\t3\n",
+    "header-below-max-id": "#n=2\n1\t0,5\t3\n",
+    "space-separated": "0 0 1\n",
+    "two-fields": "0\t0\n",
+    "four-fields": "0\t0\t1\t2\n",
+    "float-order": "1.0\t0,1\t3\n",
+    "float-node": "1\t0,1.0\t3\n",
+    "empty-node-field": "1\t\t3\n",
+    "spaces-around-nodes": "1\t0 , 1\t3\n",
+    "underscore-node": "1\t0,1_0\t3\n",
+    "nan-signal": "1\t0,1\tnan\n",
+    "inf-signal": "1\t0,1\tinf\n",
+    "negative-signal": "1\t0,1\t-3\n",
+    "negative-order": "-1\t0\t3\n",
+    "too-few-nodes": "2\t0,1\t3\n",
+    "repeated-node": "1\t0,0\t5\n",
+    "negative-node": "0\t0\t5\n1\t-1,0\t5\n",
+    "node-past-int64": "1\t0,9223372036854775808\t5\n",
+    "empty": "",
+}
+
+
+def coauthorship_outcome(load, path):
+    """The complex and each order's signal bytes, or the text of the DataError."""
+    cc = outcome(load, path)
+    if isinstance(cc, str):
+        return cc
+    return cc.complex, {p: (v.dtype, v.tobytes()) for p, v in cc.signals.items()}
+
+
+@pytest.mark.parametrize("text", COAUTHORSHIP_CASES.values(), ids=COAUTHORSHIP_CASES.keys())
+def test_coauthorship_file_matches_the_line_reader(tmp_path, text):
+    path = write(tmp_path / "cc.tsv", text)
+    assert (coauthorship_outcome(load_coauthorship, path)
+            == coauthorship_outcome(parser_oracle.load_coauthorship, path))
+
+
+def test_closure_reaches_order_1_across_skipped_orders(tmp_path):
+    cc = load_coauthorship(write(tmp_path / "cc.tsv", "3\t0,1,2,3\t5\n"))
+    assert cc.complex.counts() == {1: 6, 2: 4, 3: 1}
+    assert cc.signals[3].tolist() == [5.0] and not cc.signals[1].any()
+    cc = load_coauthorship(write(tmp_path / "cc.tsv", "1\t0,1\t4\n3\t2,3,4,5\t5\n"))
+    assert cc.complex.counts() == {1: 7, 2: 4, 3: 1}
+    assert cc.complex.simplices[1][:2].tolist() == [[0, 1], [2, 3]]
+    assert cc.signals[1][:2].tolist() == [4.0, 0.0]
+
 
 @pytest.mark.parametrize("text", EDGE_CASES.values(), ids=EDGE_CASES.keys())
 def test_edge_file_matches_the_line_reader(tmp_path, text):
@@ -200,3 +265,20 @@ def test_cli_exits_2_on_every_bad_file(tmp_path, capsys, kind, text):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith(f"error: {tmp_path / kind}") and err.count("\n") == 1
+
+
+def coauthorship_oracle_fails(text) -> bool:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "cc.tsv", text)
+        return isinstance(outcome(parser_oracle.load_coauthorship, path), str)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(text, id=name) for name, text in COAUTHORSHIP_CASES.items()
+    if coauthorship_oracle_fails(text)
+])
+def test_impute_exits_2_on_every_bad_coauthorship_file(tmp_path, capsys, text):
+    path = write(tmp_path / "cc.tsv", text)
+    assert run(["impute", "--simplices", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1

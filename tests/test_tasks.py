@@ -98,6 +98,13 @@ class TestKendallTau:
         with pytest.raises(ConstantSignalError):
             kendall_tau([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
 
+    def test_non_finite_input_rejected(self):
+        # unchecked, these predictions scored tau = 1.0
+        for a, b in (([1.0, 2.0, 3.0, 4.0], [np.nan, np.inf, np.nan, -np.inf]),
+                     ([np.inf, 2.0, 3.0], [1.0, 2.0, 3.0])):
+            with pytest.raises(ValueError, match="finite"):
+                kendall_tau(a, b)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
