@@ -83,8 +83,13 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+# the task each training command runs
+_TASKS = {"train": "node", "impute": "impute", "graphclass": "graphclass"}
+
+
 def _load_config(args) -> TrainConfig:
-    cfg = TrainConfig.from_json(args.config) if args.config else TrainConfig()
+    task = _TASKS[args.command]
+    cfg = TrainConfig.from_json(args.config, task) if args.config else TrainConfig(task=task)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
     return cfg
@@ -145,14 +150,13 @@ def _cmd_spectra(args) -> dict:
     }
 
 
-def _cmd_train(args) -> dict:
+def _cmd_train(args):
     cfg = _load_config(args)
     g = load_graph(args.edges, args.features, args.labels)
     report, params = fit_node_params(g, cfg)
     payload = _seeded_payload(report, cfg)
     if args.save_model:
-        _to_json(payload)  # a non-finite output exits here, before the checkpoint exists
-        save_checkpoint(params[0], args.save_model)
+        return payload, lambda: save_checkpoint(params[0], args.save_model)
     return payload
 
 
@@ -231,14 +235,11 @@ def _cmd_shwl(args) -> dict:
     }
 
 
-def _cmd_rewire(args) -> dict:
+def _cmd_rewire(args):
     g = load_graph(args.edges)
     seed = args.seed or 0
     graph, log = rewire_to_target(g, args.target_rho2, seed)
-    if args.out_edges:
-        with open(args.out_edges, "w") as fh:
-            fh.write(f"#n={graph.n}\n" + "".join(f"{u}\t{v}\n" for u, v in graph.edges.tolist()))
-    return {
+    payload = {
         "seed": seed,
         "target_rho2": args.target_rho2,
         "achieved_rho2": log.achieved_rho2,
@@ -246,6 +247,10 @@ def _cmd_rewire(args) -> dict:
         "attempts": log.attempts,
         "chains": [list(c) for c in log.accepted],
     }
+    if args.out_edges:
+        edges = f"#n={graph.n}\n" + "".join(f"{u}\t{v}\n" for u, v in graph.edges.tolist())
+        return payload, lambda: _write(edges, args.out_edges)
+    return payload
 
 
 def _cmd_strength(args) -> dict:
@@ -335,7 +340,14 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _write(_to_json(_COMMANDS[args.command](args)), args.out)
+        # a non-finite result is caught by the checks below, not warned about
+        with np.errstate(all="ignore"):
+            result = _COMMANDS[args.command](args)
+        # a side output (checkpoint, edge file) is written only after the JSON
+        payload, write_side = result if isinstance(result, tuple) else (result, None)
+        _write(_to_json(payload), args.out)
+        if write_side is not None:
+            write_side()
     except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

@@ -26,12 +26,13 @@ __all__ = [
     "forward",
     "forward_embedding",
     "nll",
-    "nll_grad",
+    "nll_loss",
+    "l1_loss",
+    "pooled_nll_loss",
+    "backprop",
     "loss_and_grad",
     "signal_forward",
-    "l1_grad",
     "readout_forward",
-    "readout_grad",
     "readout_loss_and_grad",
     "predict_graph_labels",
     "adam_step",
@@ -78,13 +79,15 @@ def _views(params: "HigcnParams", flat: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class HigcnParams:
-    """Trainable parameter set (also used as the gradient container).
+    """Trainable parameter set.
 
     The checkpoint header fields, and one read-only float64 vector ``flat``
     that stores every parameter in the checkpoint's order. ``gamma`` (P x
     (K+1)), ``theta`` (per petal, a tuple of one (d x h) or two (d x h,
     h x h) transforms) and ``w`` (which maps the concatenated petal outputs,
-    P*h, to C outputs) are reshaped views of ``flat``.
+    P*h, to C outputs) are reshaped views of ``flat``. A gradient is a plain
+    vector in the layout of ``flat``; ``replace(params, flat=grad)`` names
+    its parts.
     """
 
     p_max: int
@@ -216,9 +219,7 @@ def nll(log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray) -> float:
     return -float(log_probs[mask, labels[mask]].mean())
 
 
-def _masked_nll(
-    log_probs: np.ndarray, labels: np.ndarray, mask: np.ndarray
-) -> tuple[float, np.ndarray]:
+def nll_loss(log_probs: np.ndarray, labels: np.ndarray, mask) -> tuple[float, np.ndarray]:
     """:func:`nll` over the masked rows, and its gradient at the logits
     (zero on the other rows)."""
     mask = np.asarray(mask, dtype=np.int64)
@@ -238,22 +239,48 @@ def _masked_nll(
     return loss, dlogits
 
 
-def _backprop(
-    params: HigcnParams,
-    feats: PropagatedFeatures,
-    tape: ForwardTape,
-    dlogits: np.ndarray,
-    weight_decay: float,
-    decay_gamma: bool = False,
-) -> HigcnParams:
-    """Reverse pass from the loss gradient at the logits.
+def l1_loss(pred: np.ndarray, targets: np.ndarray, mask) -> tuple[float, np.ndarray]:
+    """Mean absolute error of the identity-head output ``pred`` on the
+    masked entries, and its gradient at the (n x 1) logits.
 
-    Weight decay is applied to theta and w only unless ``decay_gamma`` is
-    set: filter magnitudes carry the interaction strength reading and are
-    not shrunk by default.
+    Regression variant used for signal imputation: C = 1 and no softmax.
     """
-    flat = np.empty_like(params.flat)
-    dgamma, dtheta, dw = _views(params, flat)
+    mask = np.asarray(mask, dtype=np.int64)
+    if mask.size == 0:
+        raise ValueError("mask must select at least one node")
+    targets = np.asarray(targets, dtype=np.float64)
+    resid = pred[mask] - targets[mask]
+    dlogits = np.zeros((len(pred), 1))
+    dlogits[mask, 0] = np.sign(resid) / len(mask)
+    return float(np.abs(resid).mean()), dlogits
+
+
+def pooled_nll_loss(
+    pooled: np.ndarray, sizes, labels: np.ndarray, mask: np.ndarray, readout: str
+) -> tuple[float, np.ndarray]:
+    """:func:`nll` of the pooled logits of :func:`readout_forward` over the
+    masked graphs, and its gradient at the node logits."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    loss, dpooled = nll_loss(_log_softmax(pooled), labels, mask)
+    if readout == "mean":
+        dpooled /= sizes[:, None]
+    return loss, np.repeat(dpooled, sizes, axis=0)
+
+
+def backprop(
+    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, loss: float,
+    dlogits: np.ndarray, weight_decay: float = 0.0, decay_gamma: bool = False,
+) -> tuple[float, np.ndarray]:
+    """Reverse pass from a task loss and its gradient at the logits, for the
+    ``tape`` of a forward at ``params``: the loss plus the L2 decay
+    ``weight_decay / 2 * |params|^2``, and the gradient of that sum as a
+    float64 vector in the layout of ``params.flat``.
+
+    The decay skips gamma unless ``decay_gamma`` is set: filter magnitudes
+    carry the interaction strength reading and are not shrunk by default.
+    """
+    grad = np.empty_like(params.flat)
+    dgamma, dtheta, dw = _views(params, grad)
     dw[...] = tape.z.T @ dlogits + weight_decay * params.w
     h = params.h
     for i, (mats, dmats) in enumerate(zip(params.theta, dtheta)):
@@ -268,28 +295,12 @@ def _backprop(
         # one reduction per hop: an einsum or matrix product here drifts
         for k in range(params.k_max + 1):
             dgamma[i, k] = np.sum(feats.tensor[i, k] * dfiltered)
-    if decay_gamma:
-        dgamma += weight_decay * params.gamma
-    return replace(params, flat=flat)
-
-
-def _decay_term(params: HigcnParams, weight_decay: float, decay_gamma: bool) -> float:
     reg = sum(float(np.sum(m * m)) for t in params.theta for m in t)
     reg += float(np.sum(params.w * params.w))
     if decay_gamma:
+        dgamma += weight_decay * params.gamma
         reg += float(np.sum(params.gamma * params.gamma))
-    return 0.5 * weight_decay * reg
-
-
-def nll_grad(
-    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, log_probs: np.ndarray,
-    labels: np.ndarray, mask: np.ndarray, weight_decay: float = 0.0, decay_gamma: bool = False,
-) -> tuple[float, HigcnParams]:
-    """:func:`loss_and_grad` from the tape and log-probabilities of an
-    existing :func:`forward` at ``params``."""
-    loss, dlogits = _masked_nll(log_probs, labels, mask)
-    loss += _decay_term(params, weight_decay, decay_gamma)
-    return loss, _backprop(params, feats, tape, dlogits, weight_decay, decay_gamma)
+    return loss + 0.5 * weight_decay * reg, grad
 
 
 def loss_and_grad(
@@ -299,10 +310,13 @@ def loss_and_grad(
     mask: np.ndarray,
     weight_decay: float = 0.0,
     decay_gamma: bool = False,
-) -> tuple[float, HigcnParams]:
-    """Masked mean negative log-likelihood plus L2 decay, with exact grads."""
+) -> tuple[float, np.ndarray]:
+    """Masked mean negative log-likelihood plus L2 decay, and its exact
+    gradient as a vector in the layout of ``params.flat``."""
     tape, log_probs = forward(params, feats)
-    return nll_grad(params, feats, tape, log_probs, labels, mask, weight_decay, decay_gamma)
+    return backprop(
+        params, feats, tape, *nll_loss(log_probs, labels, mask), weight_decay, decay_gamma
+    )
 
 
 def signal_forward(
@@ -311,28 +325,6 @@ def signal_forward(
     """Forward pass to the identity-head output (one scalar per node)."""
     tape = forward_embedding(params, feats)
     return tape, tape.logits[:, 0]
-
-
-def l1_grad(
-    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, pred: np.ndarray,
-    targets: np.ndarray, mask: np.ndarray, weight_decay: float = 0.0,
-) -> tuple[float, HigcnParams]:
-    """Mean absolute error of the identity-head output on the masked
-    entries, plus L2 decay, and its gradients, from the tape and output of
-    an existing :func:`signal_forward` at ``params``.
-
-    Regression variant used for signal imputation: C = 1 and no softmax.
-    """
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size == 0:
-        raise ValueError("mask must select at least one node")
-    targets = np.asarray(targets, dtype=np.float64)
-    resid = pred[mask] - targets[mask]
-    loss = float(np.abs(resid).mean()) + _decay_term(params, weight_decay, False)
-
-    dlogits = np.zeros_like(tape.logits)
-    dlogits[mask, 0] = np.sign(resid) / len(mask)
-    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
 
 
 def readout_forward(
@@ -356,36 +348,16 @@ def readout_forward(
     return tape, (pooled / sizes[:, None] if readout == "mean" else pooled)
 
 
-def readout_grad(
-    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, pooled: np.ndarray,
-    sizes, labels: np.ndarray, mask: np.ndarray, readout: str, weight_decay: float = 0.0,
-) -> tuple[float, HigcnParams]:
-    """:func:`readout_loss_and_grad` from the tape and pooled logits of an
-    existing :func:`readout_forward` at ``params``."""
-    sizes = np.asarray(sizes, dtype=np.int64)
-    loss, dpooled = _masked_nll(_log_softmax(pooled), labels, mask)
-    loss += _decay_term(params, weight_decay, False)
-    if readout == "mean":
-        dpooled /= sizes[:, None]
-    dlogits = np.repeat(dpooled, sizes, axis=0)
-    return loss, _backprop(params, feats, tape, dlogits, weight_decay)
-
-
 def readout_loss_and_grad(
-    params: HigcnParams,
-    feats: PropagatedFeatures,
-    sizes,
-    labels: np.ndarray,
-    mask: np.ndarray,
-    readout: str,
-    weight_decay: float = 0.0,
-) -> tuple[float, HigcnParams]:
+    params: HigcnParams, feats: PropagatedFeatures, sizes, labels: np.ndarray, mask,
+    readout: str, weight_decay: float = 0.0, decay_gamma: bool = False,
+) -> tuple[float, np.ndarray]:
     """Graph classification on a disjoint union of graphs with ``sizes``
-    nodes each: pooled logits, mean NLL over the masked graphs, L2 decay."""
+    nodes each: pooled logits, mean NLL over the masked graphs, L2 decay,
+    and the gradient as a vector in the layout of ``params.flat``."""
     tape, pooled = readout_forward(params, feats, sizes, readout)
-    return readout_grad(
-        params, feats, tape, pooled, sizes, labels, mask, readout, weight_decay
-    )
+    loss = pooled_nll_loss(pooled, sizes, labels, mask, readout)
+    return backprop(params, feats, tape, *loss, weight_decay, decay_gamma)
 
 
 def predict_graph_labels(
@@ -411,17 +383,17 @@ class AdamState:
 
 def adam_step(
     params: HigcnParams,
-    grads: HigcnParams,
+    g: np.ndarray,
     state: AdamState,
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> tuple[HigcnParams, AdamState]:
-    """One bias-corrected Adam update over the whole parameter vector;
-    returns fresh params and state."""
+    """One bias-corrected Adam update over the whole parameter vector, from
+    the gradient ``g`` in the layout of ``params.flat`` (as :func:`backprop`
+    returns it); returns fresh params and state."""
     b1, b2 = betas
     t = state.t + 1
-    g = grads.flat
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g * g
     m_hat = m / (1.0 - b1**t)

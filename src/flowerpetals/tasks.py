@@ -28,13 +28,14 @@ from .model import (
     AdamState,
     HigcnParams,
     adam_step,
+    backprop,
     forward,
     init_params,
-    l1_grad,
+    l1_loss,
     nll,
-    nll_grad,
+    nll_loss,
+    pooled_nll_loss,
     readout_forward,
-    readout_grad,
     signal_forward,
 )
 # not called here; perfbench/spans.py wraps these bindings
@@ -198,7 +199,9 @@ class TrainConfig:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, path) -> "TrainConfig":
+    def from_json(cls, path, task: str | None = None) -> "TrainConfig":
+        """The config in a JSON file. With ``task``, a config that leaves
+        out its task runs ``task``, and one that names another is refused."""
         with open(path) as fh:
             try:
                 data = json.load(fh)
@@ -206,6 +209,8 @@ class TrainConfig:
                 raise DataError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise DataError(f"{path}: config must be a JSON object")
+        if task is not None and data.setdefault("task", task) != task:
+            raise DataError(f"{path}: task {data['task']!r} does not match the command ({task!r})")
         try:
             return cls.from_dict(data)
         except DataError as exc:
@@ -336,14 +341,17 @@ def petal_features(
 _Fit = namedtuple("_Fit", "params epoch out train_curve val_curve")
 
 
-def _adam_fit(params, cfg: TrainConfig, run_forward, gradient, validate=None, patience=None):
+def _adam_fit(params, feats, cfg: TrainConfig, run_forward, task_loss, validate=None,
+              patience=None):
     """Adam from ``params`` for ``cfg.resolved_epochs`` epochs, running the
-    model forward once per parameter set.
+    model forward on ``feats`` once per parameter set.
 
     ``run_forward(params)`` returns a tape and its output, and
-    ``gradient(params, tape, out)`` the training loss and gradients from
-    them. The forward after each Adam step is both that epoch's validation
-    read ``validate(out)`` and the tape of the next epoch's gradient. With
+    ``task_loss(out)`` the training loss at the output and its gradient at
+    the logits; :func:`backprop` adds ``cfg.weight_decay`` (on gamma too
+    with ``cfg.decay_gamma``) and returns the gradient. The forward after
+    each Adam step is both that epoch's validation read ``validate(out)``
+    and the tape of the next epoch's gradient. With
     ``patience``, lower reads are better: the fit keeps the parameters of
     the first best read and stops after the read that leaves it more than
     ``patience`` epochs old. Otherwise it keeps the last parameters.
@@ -353,9 +361,11 @@ def _adam_fit(params, cfg: TrainConfig, run_forward, gradient, validate=None, pa
     kept, best, stale = (params, 0, out), np.inf, 0
     train_curve, val_curve = [], []
     for epoch in range(cfg.resolved_epochs):
-        loss, grads = gradient(params, tape, out)
+        loss, grad = backprop(
+            params, feats, tape, *task_loss(out), cfg.weight_decay, cfg.decay_gamma
+        )
         del tape, out  # one tape at a time: release it before the next forward
-        params, state = adam_step(params, grads, state, cfg.lr)
+        params, state = adam_step(params, grad, state, cfg.lr)
         tape, out = run_forward(params)
         train_curve.append(loss)
         if validate is not None:
@@ -379,10 +389,8 @@ def _fit_node_model(feats, labels, split: SplitSpec, cfg: TrainConfig, seed: int
         cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha, seed, cfg.theta_depth
     )
     return _adam_fit(
-        params, cfg, lambda p: forward(p, feats),
-        lambda p, tape, log_probs: nll_grad(
-            p, feats, tape, log_probs, labels, split.train, cfg.weight_decay, cfg.decay_gamma
-        ),
+        params, feats, cfg, lambda p: forward(p, feats),
+        lambda log_probs: nll_loss(log_probs, labels, split.train),
         validate=lambda log_probs: nll(log_probs, labels, split.val), patience=cfg.patience,
     )
 
@@ -432,7 +440,7 @@ class CoauthorshipComplex:
     """Simplicial complex with an integer signal on every simplex.
 
     ``signals[0]`` is the node-signal vector (length n); ``signals[p]``
-    aligns with ``complex.simplices[p]``. Signals are non-negative.
+    aligns with ``complex.simplices[p]``. Signals are finite and non-negative.
     """
 
     complex: SimplicialComplex
@@ -447,8 +455,8 @@ class CoauthorshipComplex:
                 continue
             if v.shape != (self.complex.count(p),):
                 raise DataError(f"order-{p} signals misaligned with simplices")
-        if any(len(v) and v.min() < 0 for v in sig.values()):
-            raise DataError("signals must be non-negative")
+        if not all(np.isfinite(v).all() and (v >= 0).all() for v in sig.values()):
+            raise DataError("signals must be finite and non-negative")
         for v in sig.values():
             v.flags.writeable = False
         object.__setattr__(self, "signals", sig)
@@ -542,8 +550,8 @@ def impute_signals(
         feats = propagate_features(ops, x, cfg.K)
         params = init_params(cfg.P, cfg.K, 1, cfg.hidden, 1, cfg.alpha, seed, cfg.theta_depth)
         fit = _adam_fit(
-            params, cfg, lambda p: signal_forward(p, feats),
-            lambda p, tape, pred: l1_grad(p, feats, tape, pred, targets, known, cfg.weight_decay),
+            params, feats, cfg, lambda p: signal_forward(p, feats),
+            lambda pred: l1_loss(pred, targets, known),
         )
         if not np.isfinite(fit.out).all():
             raise FloatingPointError(f"seed {seed}: the imputed signals are not all finite")
@@ -629,10 +637,8 @@ def graph_classify(
             seed0 * 1000 + fold_idx, cfg.theta_depth,
         )
         fit = _adam_fit(
-            params, cfg, lambda p: readout_forward(p, feats, sizes, cfg.readout),
-            lambda p, tape, pooled: readout_grad(
-                p, feats, tape, pooled, sizes, labels, train_idx, cfg.readout, cfg.weight_decay
-            ),
+            params, feats, cfg, lambda p: readout_forward(p, feats, sizes, cfg.readout),
+            lambda pooled: pooled_nll_loss(pooled, sizes, labels, train_idx, cfg.readout),
             validate=lambda pooled: accuracy(pooled, labels, val_idx),
         )
         fold_curves.append(fit.val_curve)

@@ -2,14 +2,22 @@
 compares byte for byte.
 
     PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py --check
 
 Rerun it only when a change of output is intended, and name that change
 with the commit that regenerates the files. The fixtures are tiny, so every
 subcommand runs on them in well under a second.
+
+``--check`` writes the fixtures and runs every subcommand in a temporary
+directory instead, and writes nothing here. It lists each file under
+``inputs`` and ``outputs`` whose bytes would change, with the largest
+relative difference of any number in a JSON file, and exits 1 if any would.
 """
 
+import argparse
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -81,14 +89,77 @@ def write_inputs(inp: Path) -> None:
         (inp / name).write_text(json.dumps(cfg, sort_keys=True) + "\n")
 
 
-def main() -> int:
-    write_inputs(INPUTS)
-    OUTPUTS.mkdir(parents=True, exist_ok=True)
-    for name, argv in commands(INPUTS, OUTPUTS).items():
-        if run(argv + ["--out", str(OUTPUTS / name)]) != 0:
+def write_all(inp: Path, out: Path) -> bool:
+    """Write the fixtures to ``inp`` and every command's outputs to ``out``;
+    False when a command fails."""
+    write_inputs(inp)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, argv in commands(inp, out).items():
+        if run(argv + ["--out", str(out / name)]) != 0:
             print(f"{name}: the command failed", file=sys.stderr)
+            return False
+    return True
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def max_relative_difference(a, b) -> float | None:
+    """The largest relative difference of two numbers at the same place in
+    parsed JSON values ``a`` and ``b``; None when anything else differs (a
+    key, a length, a string)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [max_relative_difference(a[k], b[k]) for k in a]
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return None
+        parts = [max_relative_difference(x, y) for x, y in zip(a, b)]
+    elif _is_number(a) and _is_number(b):
+        scale = max(abs(a), abs(b))
+        return abs(a - b) / scale if scale else 0.0
+    else:
+        return 0.0 if a == b else None
+    return None if None in parts else max(parts, default=0.0)
+
+
+def changed_files(fresh: Path) -> list[str]:
+    """One line per golden file whose bytes differ from those under
+    ``fresh`` (which holds ``inputs`` and ``outputs`` as written anew)."""
+    lines = []
+    for golden in (INPUTS, OUTPUTS):
+        names = {p.name for d in (golden, fresh / golden.name) for p in d.iterdir()}
+        for name in sorted(names):
+            old, new = golden / name, fresh / golden.name / name
+            label = f"{golden.name}/{name}"
+            if not (old.exists() and new.exists()):
+                lines.append(f"{label}: {'added' if new.exists() else 'removed'}")
+            elif old.read_bytes() != new.read_bytes():
+                note = ""
+                if name.endswith(".json"):
+                    rel = max_relative_difference(json.loads(old.read_text()),
+                                                  json.loads(new.read_text()))
+                    note = (", not only in numbers" if rel is None
+                            else f", largest relative difference {rel:.3g}")
+                lines.append(f"{label}: differs{note}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="compare with fresh outputs; write nothing here")
+    if not parser.parse_args(argv).check:
+        return 0 if write_all(INPUTS, OUTPUTS) else 1
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp)
+        if not write_all(fresh / INPUTS.name, fresh / OUTPUTS.name):
             return 1
-    return 0
+        lines = changed_files(fresh)
+    print("\n".join(lines) if lines else "every golden file is unchanged")
+    return 1 if lines else 0
 
 
 if __name__ == "__main__":

@@ -7,6 +7,7 @@ lines; tolerances are pinned here and nowhere else.
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -230,7 +231,7 @@ def test_c05_gradient_check():
                     continue
             loss_fn = lambda p: loss_and_grad(p, feats, labels, mask, 0.01)
             _, grads = loss_fn(params)
-            gmap = dict(grads.named_arrays())
+            gmap = dict(replace(params, flat=grads).named_arrays())
             for name, arr in params.named_arrays():
                 for idx in np.ndindex(arr.shape):
 

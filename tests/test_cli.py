@@ -230,6 +230,39 @@ class TestTrainImputeGraphclass:
         assert read_json(out)["extras"]["max_mean_val_accuracy"] >= 0.5
 
 
+    @pytest.mark.parametrize("command, epochs", [("impute", 500), ("graphclass", 200)])
+    def test_no_config_runs_the_commands_own_task(self, work, command, epochs):
+        if command == "impute":
+            write_coauthorship(work / "in")
+            argv = ["impute", "--simplices", str(work / "in")]
+        else:
+            write_graph_dataset(work / "in")
+            argv = ["graphclass", "--dataset", str(work / "in")]
+        out = work / "out.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        payload = read_json(out)
+        assert payload["config"]["task"] == command
+        curve = "train_loss_curve" if command == "impute" else "val_curve"
+        assert [len(r[curve]) for r in payload["runs"]] == [epochs] * len(payload["runs"])
+
+    @pytest.mark.parametrize("command, task", [
+        ("train", "impute"), ("impute", "node"), ("graphclass", "impute"),
+    ])
+    def test_config_for_another_task_is_data_error(self, work, capsys, command, task):
+        argv = node_train_argv(work, json.dumps({"task": task, "epochs": 2}))
+        if command == "impute":
+            write_coauthorship(work / "cc.tsv")
+            argv = ["impute", "--simplices", str(work / "cc.tsv"), "--config", argv[-1]]
+        elif command == "graphclass":
+            write_graph_dataset(work / "gs.jsonl")
+            argv = ["graphclass", "--dataset", str(work / "gs.jsonl"), "--config", argv[-1]]
+        out = work / "out.json"
+        assert run(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and str(work / "cfg.json") in err and task in err
+        assert not out.exists()
+
+
 class TestOneSetUpPerRun:
     def test_train_lifts_once_for_all_seeds_and_the_checkpoint(self, work, monkeypatch):
         argv = node_train_argv(work, json.dumps(
@@ -515,6 +548,32 @@ class TestExitCodes:
                     "--out", str(out)]) == 3
         assert not out.exists()
         assert "not all finite" in capsys.readouterr().err
+
+    def test_overflow_prints_only_the_error_line(self, work, capsys):
+        # the run above, without silencing numpy's warnings: none reaches stderr
+        path = work / "cc.tsv"
+        path.write_text("0\t0\t1\n0\t1\t2\n0\t2\t3\n0\t3\t4\n"
+                        "1\t0,1\t5\n1\t1,2\t5\n1\t2,3\t5\n")
+        (work / "icfg.json").write_text(json.dumps({"lr": 1e154, "epochs": 1}))
+        assert run(["impute", "--simplices", str(path), "--config", str(work / "icfg.json"),
+                    "--out", str(work / "imp.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: seed 0: the imputed signals are not all finite"]
+
+    @pytest.mark.parametrize("command", ["train", "rewire"])
+    def test_unwritable_out_leaves_no_side_file(self, work, capsys, command):
+        side = work / "side"
+        if command == "train":
+            argv = node_train_argv(work, json.dumps({"epochs": 2, "hidden": 4}))
+            argv += ["--save-model", str(side)]
+        else:
+            g = planted_two_block(40, p_in=0.35, p_out=0.1, seed=0)
+            (work / "er.tsv").write_text("".join(f"{u}\t{v}\n" for u, v in g.edges))
+            argv = ["rewire", "--edges", str(work / "er.tsv"), "--target-rho2", "0.1",
+                    "--out-edges", str(side)]
+        assert run(argv + ["--out", str(work / "missing" / "out.json")]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert not side.exists()
 
     def test_truncated_checkpoint_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "short.ck"

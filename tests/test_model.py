@@ -11,9 +11,8 @@ from training_oracle import l1_loss_and_grad, map_arrays, with_arrays
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.model import (
     AdamState,
-    _backprop,
-    _decay_term,
     adam_step,
+    backprop,
     forward,
     forward_embedding,
     init_params,
@@ -51,7 +50,7 @@ def union_feats(ns, d, seeds, p_max=2, k_max=2, density=0.35):
 
 def finite_difference_max_rel(loss_fn, params, h=1e-5):
     _, grads = loss_fn(params)
-    gmap = dict(grads.named_arrays())
+    gmap = dict(replace(params, flat=grads).named_arrays())
     worst = 0.0
     for name, arr in params.named_arrays():
         for idx in np.ndindex(arr.shape):
@@ -207,6 +206,7 @@ class TestGradients:
         params = init_params(2, 3, 2, 4, 2, 0.5, seed=8)
         labels = np.array([0, 1, 0, 1, 0, 1])
         _, grads = loss_and_grad(params, feats, labels, np.arange(6))
+        grads = replace(params, flat=grads)
         assert np.array_equal(grads.gamma[1, 1:], np.zeros(3))
         assert np.any(grads.gamma[0] != 0)
 
@@ -245,6 +245,43 @@ class TestGradients:
             params,
         )
         assert rel <= 1e-4
+
+    def test_l1_gradients_with_decayed_filters_match_finite_differences(self):
+        feats = graph_feats(8, 2, seed=43)
+        params = init_params(2, 2, 2, 4, 1, 0.5, seed=44)
+        targets = np.random.default_rng(45).normal(size=8)
+        rel = finite_difference_max_rel(
+            lambda p: l1_loss_and_grad(p, feats, targets, np.arange(8), 0.01, True),
+            params,
+        )
+        assert rel <= 1e-4
+
+    @pytest.mark.parametrize("readout", ["mean", "sum"])
+    def test_pooled_gradients_with_decayed_filters_match_finite_differences(self, readout):
+        feats, sizes = union_feats([5, 3, 7, 4], 3, seeds=range(4, 8))
+        labels = np.array([1, 0, 0, 1])
+        params = init_params(2, 2, 3, 4, 2, 0.5, seed=51)
+        rel = finite_difference_max_rel(
+            lambda p: readout_loss_and_grad(
+                p, feats, sizes, labels, np.arange(4), readout, 0.01, True
+            ),
+            params,
+        )
+        assert rel <= 1e-4
+
+    def test_decay_gamma_adds_only_the_filter_decay(self):
+        feats = graph_feats(8, 3, seed=46)
+        params = init_params(2, 2, 3, 4, 2, 0.5, seed=47)
+        tape = forward_embedding(params, feats)
+        dlogits = np.random.default_rng(48).normal(size=tape.logits.shape)
+        loss_off, off = backprop(params, feats, tape, 1.5, dlogits, 0.01)
+        loss_on, on = backprop(params, feats, tape, 1.5, dlogits, 0.01, True)
+        n_gamma = params.gamma.size
+        assert np.array_equal(on[n_gamma:], off[n_gamma:])
+        assert np.allclose(on[:n_gamma] - off[:n_gamma], 0.01 * params.gamma.ravel(),
+                           rtol=1e-9, atol=1e-15)
+        assert abs(loss_on - loss_off - 0.005 * np.sum(params.gamma**2)) <= 1e-15
+        assert backprop(params, feats, tape, 1.5, dlogits)[0] == 1.5
 
     def test_empty_mask_rejected(self):
         feats = graph_feats(4, 2, seed=60)
@@ -292,7 +329,7 @@ class TestFeatureTensor:
         rng = np.random.default_rng(17)
         dlogits = rng.normal(size=logits.shape)
         dlogits[rng.random(len(dlogits)) < 0.4] = 0.0  # rows off the mask
-        grads = _backprop(params, feats, tape, dlogits, 0.01)
+        grads = replace(params, flat=backprop(params, feats, tape, 0.0, dlogits, 0.01)[1])
         expected = training_oracle.backprop(params, feats, dlogits, 0.01)
         for (name, a), (_, b) in zip(grads.named_arrays(), expected.named_arrays()):
             assert np.array_equal(a, b), name
@@ -367,7 +404,7 @@ class TestAdam:
 
     def test_zero_gradient_is_a_fixed_point(self):
         params = init_params(1, 2, 2, 3, 2, 0.5, seed=0)
-        zero = map_arrays(params, lambda _, a: np.zeros_like(a))
+        zero = map_arrays(params, lambda _, a: np.zeros_like(a)).flat
         updated, _ = adam_step(params, zero, AdamState.zeros_like(params), lr=0.1)
         for (_, a), (_, b) in zip(params.named_arrays(), updated.named_arrays()):
             assert np.array_equal(a, b)
@@ -381,7 +418,7 @@ class TestAdam:
         grads = map_arrays(
             params,
             lambda name, a: a.copy() if name == "w" else np.zeros_like(a)
-        )
+        ).flat
         updated, _ = adam_step(params, grads, AdamState.zeros_like(params), lr=0.1)
         step = float(params.w[0, 0] - updated.w[0, 0])
         assert 0.0 < step < 0.11 and abs(step - 0.1) <= 1e-8
@@ -488,7 +525,8 @@ class TestGraphReadout:
         pred = predict_graph_labels(params, feats, sizes, readout)
 
         # reference: one forward and backward per graph on its own features
-        ref_loss = _decay_term(params, wd, False)
+        tape = forward_embedding(params, feats)
+        ref_loss = backprop(params, feats, tape, 0.0, np.zeros_like(tape.logits), wd)[0]
         ref = dict(map_arrays(
             params,
             lambda name, a: np.zeros_like(a) if name == "gamma" else wd * a
@@ -508,12 +546,12 @@ class TestGraphReadout:
             dlogit = np.exp(log_probs)
             dlogit[labels[gi]] -= 1.0
             dlogit /= len(mask) * (n if readout == "mean" else 1)
-            g = _backprop(params, g_feats, tape, np.tile(dlogit, (n, 1)), 0.0)
-            for name, arr in g.named_arrays():
+            g = backprop(params, g_feats, tape, 0.0, np.tile(dlogit, (n, 1)), 0.0)[1]
+            for name, arr in replace(params, flat=g).named_arrays():
                 ref[name] = ref[name] + arr
 
         assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
-        for name, arr in grads.named_arrays():
+        for name, arr in replace(params, flat=grads).named_arrays():
             scale = np.max(np.abs(ref[name]))
             assert np.max(np.abs(arr - ref[name])) <= 1e-12 * scale, name
         assert np.array_equal(pred, ref_pred)

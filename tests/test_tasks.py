@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 import training_oracle
-from training_oracle import map_arrays
 
 from flowerpetals.complexes import DataError, Graph, clique_lift
 from flowerpetals.model import init_params, predict_graph_labels
@@ -153,6 +152,16 @@ class TestTrainConfig:
         cfg = TrainConfig(task="impute", seeds=(1, 2), known_fraction=0.3)
         again = TrainConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    def test_from_json_fills_and_checks_the_commands_task(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"epochs": 3}')
+        assert TrainConfig.from_json(path, "impute").task == "impute"
+        assert TrainConfig.from_json(path).task == "node"
+        path.write_text('{"task": "graphclass"}')
+        assert TrainConfig.from_json(path, "graphclass").task == "graphclass"
+        with pytest.raises(DataError, match="graphclass"):
+            TrainConfig.from_json(path, "impute")
 
     def test_per_task_epoch_defaults(self):
         assert TrainConfig(task="node").resolved_epochs == 1000
@@ -304,6 +313,17 @@ class TestCoauthorshipIO:
         nodes[0] = 1.0  # the caller may still write its own array
         assert cc.node_signals[0] == 5.0 and not cc.node_signals.flags.writeable
 
+    @pytest.mark.parametrize("signals", [
+        {0: [1.0, np.nan, 3.0], 1: [3.0, 4.0]},
+        {0: [1.0, 2.0, 3.0], 1: [np.inf, 4.0]},
+        {0: [1.0, 2.0, -np.inf], 1: [3.0, 4.0]},
+    ])
+    def test_non_finite_signals_rejected(self, signals):
+        from flowerpetals.complexes import SimplicialComplex
+
+        with pytest.raises(DataError, match="finite"):
+            CoauthorshipComplex(SimplicialComplex(3, {1: [(0, 1), (1, 2)]}), signals)
+
     def test_malformed_line_reported(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("1\t0,0\t5\n")
@@ -358,6 +378,23 @@ class TestGraphClassification:
             graph_classify(graphs, labels[:-1], TrainConfig(task="graphclass"))
 
 
+class TestDecayGamma:
+    @pytest.mark.parametrize("task", ["impute", "graphclass"])
+    def test_decay_gamma_changes_what_the_model_learns(self, task):
+        def reads(decay_gamma):
+            """Each run's Kendall tau or validation accuracies: what the trained
+            parameters predict, not the losses, which hold the decay term."""
+            cfg = TrainConfig(task=task, epochs=20, K=2, hidden=4, weight_decay=0.5,
+                              decay_gamma=decay_gamma)
+            if task == "impute":
+                report = impute_signals(coauthorship_complex(40, 20, 12, seed=0), 0.5, cfg)
+                return [r["kendall_tau"] for r in report.runs]
+            graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
+            return [r["val_curve"] for r in graph_classify(graphs, labels, cfg).runs]
+
+        assert reads(True) != reads(False)
+
+
 class TestAgainstTwoForwardOracle:
     """The one-forward trainer against the loops in tests/training_oracle.py,
     which run a second forward per epoch for the validation read."""
@@ -379,13 +416,17 @@ class TestAgainstTwoForwardOracle:
         """Scripted reads: a tie with the best is not an improvement, and the
         fit stops after the read that leaves the best more than ``patience``
         epochs old. Zero gradients leave Adam's parameters unchanged."""
+        from flowerpetals.model import forward_embedding
         from flowerpetals.tasks import _adam_fit
 
         params = init_params(1, 1, 2, 2, 2, 0.5, seed=0)
-        zero = map_arrays(params, lambda _, a: np.zeros_like(a))
+        feats = petal_features(clique_lift(Graph(3, ((0, 1), (1, 2))), 1), np.ones((3, 2)), 1, 1)
+        tape = forward_embedding(params, feats)
+        zero = np.zeros_like(tape.logits)  # with no weight decay, a zero gradient
         reads = iter([9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5])
-        fit = _adam_fit(params, TrainConfig(epochs=20), lambda p: (None, next(reads)),
-                        lambda p, tape, out: (out, zero), validate=float, patience=2)
+        fit = _adam_fit(params, feats, TrainConfig(epochs=20, weight_decay=0.0),
+                        lambda p: (tape, next(reads)),
+                        lambda out: (out, zero), validate=float, patience=2)
         assert fit.val_curve == [3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
         assert (fit.epoch, fit.out) == (3, 1.0)
         assert fit.train_curve == [9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0]

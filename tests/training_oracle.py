@@ -28,9 +28,10 @@ import numpy as np
 
 from flowerpetals.complexes import clique_lift
 from flowerpetals.model import (
+    backprop as model_backprop,
     forward,
     init_params,
-    l1_grad,
+    l1_loss,
     loss_and_grad,
     predict_graph_labels,
     readout_loss_and_grad,
@@ -74,7 +75,7 @@ def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
     and state."""
     b1, b2 = betas
     t = state[0] + 1
-    grad_by_name = dict(grads.named_arrays())
+    grad_by_name = dict(replace(params, flat=grads).named_arrays())
     new_m, new_v = {}, {}
 
     def update(name, a):
@@ -90,10 +91,12 @@ def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
     return map_arrays(params, update), (t, new_m, new_v)
 
 
-def l1_loss_and_grad(params, feats, targets, mask, weight_decay=0.0):
-    """Signal regression's L1 loss and gradients from a fresh forward."""
+def l1_loss_and_grad(params, feats, targets, mask, weight_decay=0.0, decay_gamma=False):
+    """Signal regression's L1 loss and gradient from a fresh forward."""
     tape, pred = signal_forward(params, feats)
-    return l1_grad(params, feats, tape, pred, targets, mask, weight_decay)
+    return model_backprop(
+        params, feats, tape, *l1_loss(pred, targets, mask), weight_decay, decay_gamma
+    )
 
 
 def fit_node_params(g, cfg):
