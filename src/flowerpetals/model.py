@@ -186,10 +186,12 @@ def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> Forward
     """Run the petal filters and transforms up to the concatenation Z and
     the logits."""
     _check_compat(params, feats)
-    # the unoptimized einsum adds the hops in order, as a loop would; an
-    # optimized path goes through BLAS and drifts in the last bits
-    tensor = feats.tensor[: params.p_max, : params.k_max + 1]
-    filtered = np.einsum("pk,pknd->pnd", params.gamma, tensor)
+    # one BLAS product over the petals; each output entry adds its hops in an
+    # order that does not depend on the thread count. The slice reshapes as a
+    # view, so the tensor is never copied
+    p_max, hops, n, d = params.p_max, params.k_max + 1, feats.n, feats.d
+    tensor = feats.tensor[:p_max, :hops].reshape(p_max, hops, n * d)
+    filtered = (params.gamma[:, None, :] @ tensor).reshape(p_max, n, d)
     if params.depth == 2:
         pre = tuple(s @ t[0] for s, t in zip(filtered, params.theta))
         outs = [np.maximum(a, 0.0) @ t[1] for a, t in zip(pre, params.theta)]
@@ -292,9 +294,10 @@ def backprop(
             dy = np.where(pre > 0.0, dy @ mats[1].T, 0.0)
         dmats[0][...] = tape.filtered[i].T @ dy + weight_decay * mats[0]
         dfiltered = dy @ mats[0].T
-        # one reduction per hop: an einsum or matrix product here drifts
-        for k in range(params.k_max + 1):
-            dgamma[i, k] = np.sum(feats.tensor[i, k] * dfiltered)
+        # a BLAS GEMV over the hops; past some size its bits depend on the
+        # BLAS thread count, as the weight gradients' above already do
+        blocks = feats.tensor[i, : params.k_max + 1]
+        dgamma[i] = blocks.reshape(len(blocks), -1) @ dfiltered.ravel()
     reg = sum(float(np.sum(m * m)) for t in params.theta for m in t)
     reg += float(np.sum(params.w * params.w))
     if decay_gamma:

@@ -11,7 +11,8 @@ subcommand runs on them in well under a second.
 ``--check`` writes the fixtures and runs every subcommand in a temporary
 directory instead, and writes nothing here. It lists each file under
 ``inputs`` and ``outputs`` whose bytes would change, with the largest
-relative difference of any number in a JSON file, and exits 1 if any would.
+relative difference of any number in a JSON file or of any parameter in a
+checkpoint (or that its header differs), and exits 1 if any would.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from flowerpetals.cli import run
+from flowerpetals.model import _HEADER_KEYS, load_checkpoint
 from flowerpetals.synthetic import coauthorship_complex, planted_two_block, triangles_vs_hexagons
 
 HERE = Path(__file__).resolve().parent
@@ -125,6 +127,16 @@ def max_relative_difference(a, b) -> float | None:
     return None if None in parts else max(parts, default=0.0)
 
 
+def checkpoint_difference(old: Path, new: Path) -> str:
+    """How two checkpoints differ: in their headers, or by the largest
+    relative difference of their parameters."""
+    a, b = load_checkpoint(old), load_checkpoint(new)
+    if any(getattr(a, key) != getattr(b, key) for key in _HEADER_KEYS):
+        return ", in the header"
+    rel = max_relative_difference(a.flat.tolist(), b.flat.tolist())
+    return f", largest relative difference {rel:.3g}"
+
+
 def changed_files(fresh: Path) -> list[str]:
     """One line per golden file whose bytes differ from those under
     ``fresh`` (which holds ``inputs`` and ``outputs`` as written anew)."""
@@ -143,6 +155,8 @@ def changed_files(fresh: Path) -> list[str]:
                                                   json.loads(new.read_text()))
                     note = (", not only in numbers" if rel is None
                             else f", largest relative difference {rel:.3g}")
+                elif name.endswith(".ck"):
+                    note = checkpoint_difference(old, new)
                 lines.append(f"{label}: differs{note}")
     return lines
 

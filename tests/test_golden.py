@@ -2,10 +2,17 @@
 byte against ``golden/outputs`` (written by ``golden/make_golden.py``), the
 checkpoint and the rewired edge file included."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from golden.make_golden import INPUTS, OUTPUTS, commands
 
 from flowerpetals.cli import run
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -21,3 +28,19 @@ def test_output_is_byte_identical(written, name):
     out, codes = written
     assert codes.get(name, 0) == 0
     assert (out / name).read_bytes() == (OUTPUTS / name).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_training_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, threads):
+    # the thread count is read when the BLAS loads, so each run is a child
+    # process with the variable set in its own environment only
+    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": threads}
+    argvs = commands(INPUTS, tmp_path)
+    for name in ("train.json", "impute.json"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "flowerpetals.cli", *argvs[name], "--out", str(tmp_path / name)],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+    for name in ("train.json", "model.ck", "impute.json"):
+        assert (tmp_path / name).read_bytes() == (OUTPUTS / name).read_bytes(), name

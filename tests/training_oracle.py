@@ -10,11 +10,14 @@ also runs one more forward on the best parameters for the test accuracy.
 and parameters bit for bit.
 
 ``forward_embedding`` and ``backprop`` are the model's forward and reverse
-pass written petal by petal: the filtered sums as a loop over the hops that
-starts from hop 0, the rectified activations kept, and the full
-``dlogits @ w.T`` sliced per petal. ``flowerpetals.model`` must give the
-same intermediates and gradients under ``np.array_equal``: its filtered
-sums start from 0.0, so where every term is -0.0 they are +0.0.
+pass written petal by petal: the filtered sums and the filter gradient
+``dgamma`` as loops over the hops that start from hop 0, the rectified
+activations kept, and the full ``dlogits @ w.T`` sliced per petal.
+``flowerpetals.model`` adds the hops in BLAS products instead, in another
+order, so its filtered sums and ``dgamma`` equal the loops' only within a
+rounding tolerance (and its sums are +0.0 where every term is -0.0). Both
+functions can start from given filtered sums; from the model's, every
+other intermediate and gradient must match under ``np.array_equal``.
 
 ``adam_step`` is Adam per named parameter array, with its moments in
 per-name dicts, as it ran before the parameters were one flat vector. The
@@ -219,10 +222,12 @@ def filtered_sums(params, feats):
     return sums
 
 
-def forward_embedding(params, feats):
+def forward_embedding(params, feats, filtered=None):
     """The filtered sums, pre- and post-rectifier activations (None at depth
-    1), the concatenated petal outputs and the logits."""
-    filtered = filtered_sums(params, feats)
+    1), the concatenated petal outputs and the logits; from the given
+    per-petal ``filtered`` sums instead of :func:`filtered_sums` when set."""
+    if filtered is None:
+        filtered = filtered_sums(params, feats)
     if params.depth == 2:
         pre = [s @ t[0] for s, t in zip(filtered, params.theta)]
         act = [np.maximum(a, 0.0) for a in pre]
@@ -234,9 +239,10 @@ def forward_embedding(params, feats):
     return filtered, pre, act, z, z @ params.w
 
 
-def backprop(params, feats, dlogits, weight_decay):
-    """Gradients of every parameter from the loss gradient at the logits."""
-    filtered, pre, act, z, _ = forward_embedding(params, feats)
+def backprop(params, feats, dlogits, weight_decay, filtered=None):
+    """Gradients of every parameter from the loss gradient at the logits, by
+    a forward from ``filtered`` as in :func:`forward_embedding`."""
+    filtered, pre, act, z, _ = forward_embedding(params, feats, filtered)
     dw = z.T @ dlogits + weight_decay * params.w
     dz = dlogits @ params.w.T
     h = params.h
