@@ -91,7 +91,10 @@ def _load_config(args) -> TrainConfig:
     task = _TASKS[args.command]
     cfg = TrainConfig.from_json(args.config, task) if args.config else TrainConfig(task=task)
     if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
+        try:
+            cfg = replace(cfg, seeds=(args.seed,))
+        except DataError as exc:
+            raise DataError(f"--seed: {exc}") from None
     return cfg
 
 
@@ -215,8 +218,8 @@ def _histogram_payload(rounds) -> list:
         out.append(
             {
                 "round": entry["round"],
-                "a": {str(p): dict(sorted(c.items())) for p, c in entry["a"].items()},
-                "b": {str(p): dict(sorted(c.items())) for p, c in entry["b"].items()},
+                "a": {str(p): c for p, c in entry["a"].items()},
+                "b": {str(p): c for p, c in entry["b"].items()},
             }
         )
     return out

@@ -363,9 +363,9 @@ def _load_feature_csv(path, n: int) -> np.ndarray:
 def _load_label_csv(path, n: int) -> np.ndarray:
     path = Path(path)
     labels = _read_table(path, np.int64)
-    if labels is not None and labels.shape[1] == 1:
+    if labels is not None and labels.shape[1] == 1 and labels.min() >= 0:
         labels = labels[:, 0]
-    else:
+    else:  # the line scan names the line of a bad label
         labels = []
         for lineno, text in _lines(path):
             try:
@@ -374,11 +374,11 @@ def _load_label_csv(path, n: int) -> np.ndarray:
                 raise DataError(f"{path}:{lineno}: non-integer label") from None
             if labels[-1] not in _INT64:
                 raise DataError(f"{path}:{lineno}: label past the int64 range")
+            if labels[-1] < 0:
+                raise DataError(f"{path}:{lineno}: negative label {labels[-1]}")
         labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != n:
         raise DataError(f"{path}: {len(labels)} labels for {n} nodes")
-    if len(labels) and labels.min() < 0:
-        raise DataError(f"{path}: negative label")
     return labels
 
 

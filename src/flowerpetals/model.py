@@ -62,19 +62,18 @@ def _checked_size(p_max, k_max, d, h, c, alpha, seed, depth) -> int:
 
 def _views(params: "HigcnParams", flat: np.ndarray):
     """``gamma``, ``theta`` and ``w`` as reshaped views of a vector in the
-    layout of ``params``."""
-    offset = 0
-
-    def take(rows, cols):
-        nonlocal offset
-        offset += rows * cols
-        return flat[offset - rows * cols : offset].reshape(rows, cols)
-
-    d, h = params.d, params.h
-    gamma = take(params.p_max, params.k_max + 1)
-    shapes = ((d, h), (h, h))[: params.depth]
-    theta = tuple(tuple(take(*s) for s in shapes) for _ in range(params.p_max))
-    return gamma, theta, take(params.p_max * h, params.c)
+    layout of ``params``. Each petal stores its transforms in one block;
+    ``theta[i]`` is the strided (P, rows, cols) view of the i-th transform
+    across those blocks."""
+    p_max, d, h = params.p_max, params.d, params.h
+    head = p_max * (params.k_max + 1)
+    size = d * h + (params.depth - 1) * h * h
+    blocks = flat[head : head + p_max * size].reshape(p_max, size)
+    theta = (blocks[:, : d * h].reshape(p_max, d, h),)
+    if params.depth == 2:
+        theta += (blocks[:, d * h :].reshape(p_max, h, h),)
+    w = flat[head + p_max * size :].reshape(p_max * h, params.c)
+    return flat[:head].reshape(p_max, params.k_max + 1), theta, w
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,12 +81,14 @@ class HigcnParams:
     """Trainable parameter set.
 
     The checkpoint header fields, and one read-only float64 vector ``flat``
-    that stores every parameter in the checkpoint's order. ``gamma`` (P x
-    (K+1)), ``theta`` (per petal, a tuple of one (d x h) or two (d x h,
-    h x h) transforms) and ``w`` (which maps the concatenated petal outputs,
-    P*h, to C outputs) are reshaped views of ``flat``. A gradient is a plain
-    vector in the layout of ``flat``; ``replace(params, flat=grad)`` names
-    its parts.
+    that stores every parameter in the checkpoint's order: gamma, then one
+    block of transforms per petal, then w. ``gamma`` (P x (K+1)), ``theta``
+    and ``w`` (which maps the concatenated petal outputs, P*h, to C outputs)
+    are reshaped views of ``flat``. ``theta`` holds one stack per transform,
+    ``theta[0]`` of shape (P, d, h) and, at depth 2, ``theta[1]`` of shape
+    (P, h, h); ``theta[i][p]`` is petal p+1's i-th transform. A gradient is
+    a plain vector in the layout of ``flat``; ``replace(params, flat=grad)``
+    names its parts.
     """
 
     p_max: int
@@ -100,7 +101,7 @@ class HigcnParams:
     depth: int
     flat: np.ndarray
     gamma: np.ndarray = field(init=False, repr=False, compare=False)
-    theta: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False, compare=False)
+    theta: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
     w: np.ndarray = field(init=False, repr=False, compare=False)
 
     __eq__ = _fields_equal
@@ -118,19 +119,20 @@ class HigcnParams:
     def named_arrays(self):
         """Yield (name, array) pairs in storage order."""
         yield "gamma", self.gamma
-        for p, mats in enumerate(self.theta, start=1):
-            for i, m in enumerate(mats, start=1):
-                yield f"theta{i}_p{p}", m
+        for p in range(self.p_max):
+            for i, stack in enumerate(self.theta, start=1):
+                yield f"theta{i}_p{p + 1}", stack[p]
         yield "w", self.w
 
 
 @dataclass(frozen=True, eq=False)
 class ForwardTape:
-    """Intermediates of one forward pass, kept for reverse mode."""
+    """Intermediates of one forward pass, kept for reverse mode. The petal
+    axis leads every stacked array."""
 
     filtered: np.ndarray  # (P, n, d): filtered[p-1] = sum_k gamma[p,k] tensor[p-1, k]
-    pre: tuple[np.ndarray, ...] | None  # per petal, pre-rectifier (depth-2 only)
-    z: np.ndarray  # concatenated petal outputs
+    pre: np.ndarray | None  # (P, n, h): filtered @ theta[0], pre-rectifier (depth-2 only)
+    z: np.ndarray  # (n, P*h): the petal outputs side by side
     logits: np.ndarray
 
     __eq__ = _fields_equal
@@ -192,13 +194,10 @@ def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> Forward
     p_max, hops, n, d = params.p_max, params.k_max + 1, feats.n, feats.d
     tensor = feats.tensor[:p_max, :hops].reshape(p_max, hops, n * d)
     filtered = (params.gamma[:, None, :] @ tensor).reshape(p_max, n, d)
-    if params.depth == 2:
-        pre = tuple(s @ t[0] for s, t in zip(filtered, params.theta))
-        outs = [np.maximum(a, 0.0) @ t[1] for a, t in zip(pre, params.theta)]
-    else:
-        pre = None
-        outs = [s @ t[0] for s, t in zip(filtered, params.theta)]
-    z = np.hstack(outs)
+    pre = filtered @ params.theta[0]  # one GEMM per petal, as each product below
+    out = np.maximum(pre, 0.0) @ params.theta[1] if params.depth == 2 else pre
+    z = out.swapaxes(0, 1).reshape(n, p_max * params.h)
+    pre = pre if params.depth == 2 else None
     return ForwardTape(filtered=filtered, pre=pre, z=z, logits=z @ params.w)
 
 
@@ -284,22 +283,21 @@ def backprop(
     grad = np.empty_like(params.flat)
     dgamma, dtheta, dw = _views(params, grad)
     dw[...] = tape.z.T @ dlogits + weight_decay * params.w
-    h = params.h
-    for i, (mats, dmats) in enumerate(zip(params.theta, dtheta)):
-        # this petal's columns of dlogits @ w.T, without the full product
-        dy = dlogits @ params.w[i * h : (i + 1) * h].T
-        if params.depth == 2:
-            pre = tape.pre[i]
-            dmats[1][...] = np.maximum(pre, 0.0).T @ dy + weight_decay * mats[1]
-            dy = np.where(pre > 0.0, dy @ mats[1].T, 0.0)
-        dmats[0][...] = tape.filtered[i].T @ dy + weight_decay * mats[0]
-        dfiltered = dy @ mats[0].T
-        # a BLAS GEMV over the hops; past some size its bits depend on the
-        # BLAS thread count, as the weight gradients' above already do
-        blocks = feats.tensor[i, : params.k_max + 1]
-        dgamma[i] = blocks.reshape(len(blocks), -1) @ dfiltered.ravel()
-    reg = sum(float(np.sum(m * m)) for t in params.theta for m in t)
-    reg += float(np.sum(params.w * params.w))
+    p_max, hops, theta = params.p_max, params.k_max + 1, params.theta
+    # each petal's h columns of dlogits @ w.T, as a (P, n, h) view
+    dy = (dlogits @ params.w.T).reshape(-1, p_max, params.h).swapaxes(0, 1)
+    if params.depth == 2:
+        dtheta[1][...] = np.maximum(tape.pre, 0.0).swapaxes(1, 2) @ dy + weight_decay * theta[1]
+        dy = np.where(tape.pre > 0.0, dy @ theta[1].swapaxes(1, 2), 0.0)
+    dtheta[0][...] = tape.filtered.swapaxes(1, 2) @ dy + weight_decay * theta[0]
+    dfiltered = dy @ theta[0].swapaxes(1, 2)
+    # one BLAS GEMV over the hops per petal; past some size its bits depend
+    # on the BLAS thread count, as the weight gradients' above already do
+    tensor = feats.tensor[:p_max, :hops].reshape(p_max, hops, -1)
+    dgamma[...] = (tensor @ dfiltered.reshape(p_max, -1, 1))[..., 0]
+    # added in storage order, petal by petal, which fixes the loss's last bits
+    squares = np.stack([np.sum(t * t, axis=(1, 2)) for t in theta], axis=1)
+    reg = sum(squares.ravel().tolist()) + float(np.sum(params.w * params.w))
     if decay_gamma:
         dgamma += weight_decay * params.gamma
         reg += float(np.sum(params.gamma * params.gamma))

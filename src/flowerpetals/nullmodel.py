@@ -12,6 +12,7 @@ checked explicitly).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +75,15 @@ def _choice(rng: np.random.Generator, candidates):
     return candidates[int(rng.integers(len(candidates)))]
 
 
-def _try_add_chain(adj, rng) -> tuple[int, int, int, int, int] | None:
-    """One staged uniform draw of a valid chain; None if any stage is empty."""
-    eligible = [v for v, nbrs in enumerate(adj) if len(nbrs) >= 2]
+def _centres(adj) -> list[int]:
+    """The nodes of degree at least 2, the possible chain centres A. A move
+    keeps every degree, so the list holds for a whole run."""
+    return [v for v, nbrs in enumerate(adj) if len(nbrs) >= 2]
+
+
+def _try_add_chain(adj, eligible, rng) -> tuple[int, int, int, int, int] | None:
+    """One staged uniform draw of a valid chain around a centre from
+    ``eligible``; None if any stage is empty."""
     if not eligible:
         return None
     a = _choice(rng, eligible)
@@ -122,11 +129,11 @@ def _triangle_gain(adj, chain) -> int:
     return created - destroyed
 
 
-def _rewire_once(adj, rng, budget) -> tuple[tuple[int, int, int, int, int], int, int]:
+def _rewire_once(adj, eligible, rng, budget) -> tuple[tuple[int, int, int, int, int], int, int]:
     """Mutates adj in place; returns (chain, attempts used, triangle gain)
     or raises."""
     for attempt in range(1, budget + 1):
-        chain = _try_add_chain(adj, rng)
+        chain = _try_add_chain(adj, eligible, rng)
         if chain is None:
             continue
         gain = _triangle_gain(adj, chain)
@@ -146,7 +153,7 @@ def rewire_add_triangle(
     budget = max_attempts if max_attempts is not None else 10 * max(g.n, 1)
     adj = _adjacency_sets(g)
     try:
-        chain, _, _ = _rewire_once(adj, rng, budget)
+        chain, _, _ = _rewire_once(adj, _centres(adj), rng, budget)
     except SaturationError as exc:
         raise SaturationError(str(exc), graph=g) from None
     return _graph_from_sets(g, adj), chain
@@ -172,6 +179,8 @@ def rewire_to_target(
     reached, counted from the running triangle total. Saturation before the
     target raises, carrying the partial graph, log, and achieved density.
     """
+    if not math.isfinite(target_rho2):
+        raise ValueError(f"target_rho2 must be finite, got {target_rho2}")
     adj = _adjacency_sets(g)
     base = total = triangle_count(adj)
     if base < 1:
@@ -179,9 +188,10 @@ def rewire_to_target(
     rng = np.random.default_rng(seed)
     log = RewireLog()
     budget = 10 * max(g.n, 1)
+    eligible = _centres(adj)
     while log.achieved_rho2 < target_rho2:
         try:
-            chain, used, gain = _rewire_once(adj, rng, budget)
+            chain, used, gain = _rewire_once(adj, eligible, rng, budget)
         except SaturationError:
             log.attempts += budget
             raise SaturationError(

@@ -89,6 +89,10 @@ class SplitSpec:
             object.__setattr__(self, name, p)
 
 
+def _valid_ratios(ratios) -> bool:
+    return len(ratios) == 3 and all(r > 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9
+
+
 def make_splits(n: int, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> SplitSpec:
     """Seeded shuffle, then floor-then-distribute-remainder slicing.
 
@@ -96,7 +100,7 @@ def make_splits(n: int, ratios=(0.6, 0.2, 0.2), seed: int = 0) -> SplitSpec:
     Raises if any part would be empty.
     """
     ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if not _valid_ratios(ratios):
         raise ValueError("ratios must be three positive numbers summing to 1")
     raw = [n * r for r in ratios]
     sizes = [int(np.floor(x)) for x in raw]
@@ -122,19 +126,25 @@ def _is_sequence(value) -> bool:
     return isinstance(value, (list, tuple))
 
 
+def _at_least(low):
+    """A range check for :class:`TrainConfig`; None (an unset ``epochs``) passes."""
+    return (lambda v: v is None or v >= low), f"at least {low}"
+
+
 # TrainConfig field annotation -> (type check, what the check wants)
 _FIELD_TYPES = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "int": (_is_int, "an integer"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "float": (_is_number, "a number"),
+    "float": (lambda v: _is_number(v) and math.isfinite(v), "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "tuple[int, ...]": (
         lambda v: _is_sequence(v) and all(map(_is_int, v)), "a list of integers"
     ),
     "tuple[float, float, float]": (
-        lambda v: _is_sequence(v) and len(v) == 3 and all(map(_is_number, v)),
-        "a list of three numbers",
+        lambda v: _is_sequence(v) and len(v) == 3
+        and all(_is_number(x) and math.isfinite(x) for x in v),
+        "a list of three finite numbers",
     ),
 }
 
@@ -164,19 +174,30 @@ class TrainConfig:
     split_ratios: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     _EPOCH_DEFAULTS = {"node": 1000, "impute": 500, "graphclass": 200}
-    _LOWER_BOUNDS = {"P": 1, "K": 0, "hidden": 1, "epochs": 1, "patience": 0}
+    # key -> (check of a well-typed value, what the check wants)
+    _RANGES = {
+        "P": _at_least(1),
+        "K": _at_least(0),
+        "hidden": _at_least(1),
+        "epochs": _at_least(1),
+        "patience": _at_least(0),
+        "weight_decay": _at_least(0),
+        "lr": (lambda v: v > 0, "positive"),
+        "alpha": (lambda v: 0 < v <= 1, "in (0, 1]"),
+        "known_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
+        "seeds": (lambda v: all(s >= 0 for s in v), "non-negative"),
+        "split_ratios": (_valid_ratios, "three positive numbers summing to 1"),
+        "theta_depth": (lambda v: v in (1, 2), "1 or 2"),
+    }
 
     def __post_init__(self):
         for f in fields(self):
             check, kind = _FIELD_TYPES[f.type]
             if not check(getattr(self, f.name)):
                 raise DataError(f"{f.name} must be {kind}, got {getattr(self, f.name)!r}")
-        for key, low in self._LOWER_BOUNDS.items():
-            value = getattr(self, key)
-            if value is not None and value < low:
-                raise DataError(f"{key} must be at least {low}, got {value}")
-        if self.theta_depth not in (1, 2):
-            raise DataError(f"theta_depth must be 1 or 2, got {self.theta_depth}")
+        for key, (check, kind) in self._RANGES.items():
+            if not check(getattr(self, key)):
+                raise DataError(f"{key} must be {kind}, got {getattr(self, key)!r}")
         if self.task not in self._EPOCH_DEFAULTS:
             raise DataError(f"unknown task {self.task!r}")
         if self.readout not in ("mean", "sum"):

@@ -104,12 +104,11 @@ def load_label_csv(path, n: int) -> np.ndarray:
                 labels.append(int(text))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer label") from None
+            if labels[-1] < 0:
+                raise DataError(f"{path}:{lineno}: negative label {labels[-1]}")
     if len(labels) != n:
         raise DataError(f"{path}: {len(labels)} labels for {n} nodes")
-    arr = np.asarray(labels, dtype=np.int64)
-    if len(arr) and arr.min() < 0:
-        raise DataError(f"{path}: negative label")
-    return arr
+    return np.asarray(labels, dtype=np.int64)
 
 
 def close_downward(simplices: dict[int, dict[tuple, float]]) -> tuple[dict, dict]:

@@ -66,11 +66,12 @@ def reference_rounds(structures: list[dict[Item, list[Item]]], method: str) -> l
     return history
 
 
-def histogram(colors: dict[Item, int]) -> dict[int, Counter]:
+def histogram(colors: dict[Item, int]) -> dict[int, dict[int, int]]:
+    """Per order, the count of each color, in ascending color order."""
     out: dict[int, Counter] = {}
     for (order, _), color in colors.items():
         out.setdefault(order, Counter())[color] += 1
-    return out
+    return {order: dict(sorted(counts.items())) for order, counts in out.items()}
 
 
 def reference_distinguish(a, b, method: str, p_max: int = 2) -> tuple[str, list[dict]]:

@@ -167,6 +167,15 @@ class TestRewire:
     def test_saturation_exit_code(self, work):
         assert run(["rewire", "--edges", str(work / "k4.tsv"), "--target-rho2", "0.5"]) == 3
 
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_target_is_data_error(self, work, capsys, monkeypatch, target):
+        attempts = count_calls(monkeypatch, flowerpetals.nullmodel, "_try_add_chain")
+        out = work / "rw.json"
+        assert run(["rewire", "--edges", str(work / "k4.tsv"), f"--target-rho2={target}",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: target_rho2 must be finite, got {target}\n"
+        assert not attempts and not out.exists()
+
 
 class TestTrainImputeGraphclass:
     def test_train_reports_and_saves_model(self, work):
@@ -409,7 +418,7 @@ class TestExitCodes:
 
     def test_non_finite_output_is_numeric_error(self, work, capsys):
         argv = node_train_argv(
-            work, '{"task": "node", "epochs": 5, "hidden": 4, "lr": NaN}')
+            work, '{"task": "node", "epochs": 5, "hidden": 4, "lr": 1e154}')
         out = work / "nan.json"
         assert run(argv + ["--out", str(out)]) == 3
         assert not out.exists()
@@ -418,7 +427,7 @@ class TestExitCodes:
 
     def test_non_finite_output_leaves_no_checkpoint(self, work, capsys):
         argv = node_train_argv(
-            work, '{"task": "node", "epochs": 5, "hidden": 4, "lr": NaN}')
+            work, '{"task": "node", "epochs": 5, "hidden": 4, "lr": 1e154}')
         out, model = work / "nan.json", work / "nan.ck"
         assert run(argv + ["--out", str(out), "--save-model", str(model)]) == 3
         assert not out.exists() and not model.exists()
@@ -426,7 +435,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("entry", ['"seeds": 5', '"P": "x"', '"epochs": "x"',
                                        '"decay_gamma": 1', '"hidden": true',
                                        '"epochs": 0', '"P": 0', '"K": -1', '"hidden": 0',
-                                       '"patience": -1', '"theta_depth": 3'])
+                                       '"patience": -1', '"theta_depth": 3',
+                                       '"seeds": [0, -1]', '"lr": NaN', '"alpha": Infinity',
+                                       '"weight_decay": -Infinity', '"lr": 0', '"lr": -1',
+                                       '"weight_decay": -1', '"alpha": 0', '"alpha": 1.5',
+                                       '"known_fraction": 0', '"known_fraction": 1',
+                                       '"split_ratios": [0.5, 0.5, 0.5]',
+                                       '"split_ratios": [1, 0, 0]', '"split_ratios": [NaN, 0.5, 0.5]'])
     def test_config_value_of_wrong_type_is_data_error(self, work, capsys, entry):
         key = entry.split(":")[0].strip('"')
         argv = node_train_argv(work, '{"task": "node", %s}' % entry)
@@ -439,6 +454,16 @@ class TestExitCodes:
                     "--config", str(work / "gcfg.json")]) == 2
         err = capsys.readouterr().err
         assert str(work / "gcfg.json") in err and key in err
+
+    @pytest.mark.parametrize("command", ["train", "graphclass"])
+    def test_negative_seed_option_is_data_error_naming_it(self, work, capsys, command):
+        if command == "train":
+            argv = node_train_argv(work, '{"task": "node"}')
+        else:
+            write_graph_dataset(work / "gs.jsonl")
+            argv = ["graphclass", "--dataset", str(work / "gs.jsonl")]
+        assert run(argv + ["--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: --seed: seeds must be non-negative, got (-3,)\n"
 
     def test_bad_coauthorship_header_names_path_and_line(self, work, capsys):
         path = work / "cc.tsv"

@@ -108,7 +108,7 @@ class TestLoadGraph:
         edges.write_text("0\t1\n")
         labels = tmp_path / "l.csv"
         labels.write_text("0\n-1\n")
-        with pytest.raises(DataError, match="negative label"):
+        with pytest.raises(DataError, match=f"^{labels}:2: negative label -1$"):
             load_graph(edges, label_path=labels)
 
 

@@ -101,7 +101,7 @@ class TestInit:
         assert a == b and not a != b
         theta = a.theta[0][0].copy()
         theta[1, 0] += 1.0
-        assert a != with_arrays(a, a.gamma, ((theta, a.theta[0][1]),), a.w)
+        assert a != with_arrays(a, a.gamma, ((theta, a.theta[1][0]),), a.w)
         assert a != init_params(1, 1, 2, 2, 2, 0.5, 0, depth=1)
         with pytest.raises(TypeError, match="unhashable"):
             hash(a)
@@ -116,6 +116,20 @@ class TestInit:
         # the caller's vector is copied, never frozen or aliased
         flat = params.flat.copy()
         assert replace(params, flat=flat) == params and flat.flags.writeable
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_theta_stacks_are_views_in_the_walked_layout(self, depth):
+        # distinct values, so equal matrices sit at equal places in flat
+        params = init_params(3, 2, 4, 5, 3, 0.5, seed=1, depth=depth)
+        params = replace(params, flat=np.arange(params.flat.size, dtype=np.float64))
+        gamma, theta, w = training_oracle.layout(params)
+        assert len(params.theta) == depth
+        for i, stack in enumerate(params.theta):
+            assert stack.shape == (3, (4, 5)[i], 5)
+            assert np.shares_memory(stack, params.flat) and not stack.flags.writeable
+            for p in range(params.p_max):
+                assert np.array_equal(stack[p], theta[p][i]), (i, p)
+        assert np.array_equal(params.gamma, gamma) and np.array_equal(params.w, w)
 
     @pytest.mark.parametrize("size", [0, 127, 129])
     def test_flat_of_the_wrong_length_is_rejected(self, size):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import flowerpetals.nullmodel
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.nullmodel import (
     SaturationError,
@@ -128,3 +129,17 @@ class TestRewireToTarget:
     def test_no_triangles_rejected(self):
         with pytest.raises(ValueError):
             rewire_to_target(P5, 0.5, seed=0)
+
+    def test_centres_are_listed_once_per_run(self, monkeypatch):
+        # a move keeps every degree, so a saturating run lists the centres
+        # once for all its attempts
+        calls = []
+        centres = flowerpetals.nullmodel._centres
+        monkeypatch.setattr(
+            flowerpetals.nullmodel, "_centres", lambda adj: calls.append(1) or centres(adj)
+        )
+        with pytest.raises(SaturationError) as err:
+            rewire_to_target(er_graph(24, 0.2, seed=5), 50.0, seed=1)
+        assert err.value.log.attempts > 240 and len(calls) == 1
+        rewire_add_triangle(P5, seed=0)
+        assert len(calls) == 2

@@ -70,6 +70,9 @@ LABEL_CASES = {
     "plus-sign": "+0\n1\n1\n",
     "underscore": "0\n1_0\n1\n",
     "negative": "0\n-1\n1\n",
+    "negative-after-blanks": "0\n\n \n-2\n1\n",
+    "negative-on-the-line-scan": "0\n1_0\n-1\n",
+    "negative-and-too-few": "-1\n0\n",
     "too-few": "0\n1\n",
     "blank-lines": "0\n\n1\n \n1\n",
     "crlf": "0\r\n1\r\n1\r\n",

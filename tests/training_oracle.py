@@ -9,8 +9,13 @@ also runs one more forward on the best parameters for the test accuracy.
 ``flowerpetals.tasks`` must give the same curves, best epochs, accuracies
 and parameters bit for bit.
 
+``layout`` reads the parameter arrays out of ``params.flat`` by a walk
+over the checkpoint's storage order, gamma, then each petal's transforms,
+then w; it is the reference for the views of ``HigcnParams``.
+
 ``forward_embedding`` and ``backprop`` are the model's forward and reverse
-pass written petal by petal: the filtered sums and the filter gradient
+pass written petal by petal, on the matrices of ``layout``, never on the
+model's own views: the filtered sums and the filter gradient
 ``dgamma`` as loops over the hops that start from hop 0, the rectified
 activations kept, and the full ``dlogits @ w.T`` sliced per petal.
 ``flowerpetals.model`` adds the hops in BLAS products instead, in another
@@ -48,6 +53,23 @@ from flowerpetals.tasks import (
     petal_features,
     petal_operators,
 )
+
+
+def layout(params):
+    """``gamma``, per petal the tuple of its transforms, and ``w``, as views
+    of ``params.flat`` taken one after another in storage order."""
+    flat, offset = params.flat, 0
+
+    def take(rows, cols):
+        nonlocal offset
+        offset += rows * cols
+        return flat[offset - rows * cols : offset].reshape(rows, cols)
+
+    d, h = params.d, params.h
+    gamma = take(params.p_max, params.k_max + 1)
+    shapes = ((d, h), (h, h))[: params.depth]
+    theta = tuple(tuple(take(*s) for s in shapes) for _ in range(params.p_max))
+    return gamma, theta, take(params.p_max * h, params.c)
 
 
 def with_arrays(params, gamma, theta, w):
@@ -228,13 +250,14 @@ def forward_embedding(params, feats, filtered=None):
     per-petal ``filtered`` sums instead of :func:`filtered_sums` when set."""
     if filtered is None:
         filtered = filtered_sums(params, feats)
+    theta = layout(params)[1]
     if params.depth == 2:
-        pre = [s @ t[0] for s, t in zip(filtered, params.theta)]
+        pre = [s @ t[0] for s, t in zip(filtered, theta)]
         act = [np.maximum(a, 0.0) for a in pre]
-        outs = [a @ t[1] for a, t in zip(act, params.theta)]
+        outs = [a @ t[1] for a, t in zip(act, theta)]
     else:
         pre = act = None
-        outs = [s @ t[0] for s, t in zip(filtered, params.theta)]
+        outs = [s @ t[0] for s, t in zip(filtered, theta)]
     z = np.hstack(outs)
     return filtered, pre, act, z, z @ params.w
 
@@ -245,12 +268,12 @@ def backprop(params, feats, dlogits, weight_decay, filtered=None):
     filtered, pre, act, z, _ = forward_embedding(params, feats, filtered)
     dw = z.T @ dlogits + weight_decay * params.w
     dz = dlogits @ params.w.T
-    h = params.h
+    h, theta = params.h, layout(params)[1]
     dgamma = np.zeros_like(params.gamma)
     dtheta = []
     for p in range(params.p_max):
         dy = dz[:, p * h : (p + 1) * h]
-        mats = params.theta[p]
+        mats = theta[p]
         if params.depth == 2:
             dt2 = act[p].T @ dy + weight_decay * mats[1]
             dpre = np.where(pre[p] > 0.0, dy @ mats[1].T, 0.0)
