@@ -7,13 +7,16 @@ degree-preserving triangle-density rewiring, all on numpy.
 """
 
 from .complexes import (
+    CoauthorshipComplex,
     DataError,
     Graph,
     IncidenceMatrix,
     SimplicialComplex,
     clique_lift,
     incidence_matrix,
+    load_coauthorship,
     load_graph,
+    load_graph_dataset,
 )
 from .isomorphism import distinguish, refine
 from .linalg import ConvergenceError, SparseMatrix, dense_sym_eig, spmm_dense, spmv
@@ -48,7 +51,6 @@ from .operators import (
     walk_operator,
 )
 from .tasks import (
-    CoauthorshipComplex,
     ConstantSignalError,
     MetricsReport,
     SplitSpec,
@@ -56,7 +58,6 @@ from .tasks import (
     graph_classify,
     impute_signals,
     kendall_tau,
-    load_coauthorship,
     make_splits,
     petal_features,
     petal_operators,

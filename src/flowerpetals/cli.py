@@ -19,11 +19,17 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
-from .complexes import _INT64, DataError, Graph, _lines, clique_lift, incidence_matrix, load_graph
+from .complexes import (
+    DataError,
+    clique_lift,
+    incidence_matrix,
+    load_coauthorship,
+    load_graph,
+    load_graph_dataset,
+)
 from .isomorphism import distinguish
 from .linalg import ConvergenceError, dense_sym_eig
 from .model import load_checkpoint, save_checkpoint, strength
@@ -34,7 +40,6 @@ from .tasks import (
     fit_node_params,
     graph_classify,
     impute_signals,
-    load_coauthorship,
     train_node_classification,  # not called here; perfbench/spans.py wraps this binding
 )
 
@@ -91,10 +96,7 @@ def _load_config(args) -> TrainConfig:
     task = _TASKS[args.command]
     cfg = TrainConfig.from_json(args.config, task) if args.config else TrainConfig(task=task)
     if args.seed is not None:
-        try:
-            cfg = replace(cfg, seeds=(args.seed,))
-        except DataError as exc:
-            raise DataError(f"--seed: {exc}") from None
+        cfg = replace(cfg, seeds=(args.seed,))
     return cfg
 
 
@@ -131,20 +133,13 @@ def _cmd_spectra(args) -> dict:
             "psd": bool(lo >= -1e-10 and hi <= 1.0 + 1e-10),
             "isolated_nodes": int(op.isolated.sum()),
         }
-    # order-1 closed form: adjacency must equal (norm-adjacency + I) / 2
-    op1 = ops[1]
-    deg = op1.node_degrees.astype(np.float64)
-    inv_sqrt = np.zeros_like(deg)
-    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    dense_a = np.zeros((g.n, g.n))
-    u, v = g.edges.T
-    dense_a[u, v] = dense_a[v, u] = 1.0
-    reference = 0.5 * (inv_sqrt[:, None] * dense_a * inv_sqrt[None, :] + np.eye(g.n))
-    if op1.isolated.any():
-        reference[op1.isolated, :] = 0.0
-        reference[:, op1.isolated] = 0.0
-        reference[op1.isolated, op1.isolated] = 0.0
-    residual = float(np.max(np.abs(op1.a_tilde.to_dense() - reference)))
+    # order-1 closed form on A_1's own entries: (norm-adjacency + I) / 2; an
+    # isolated node holds no entries, so every degree read here is positive
+    a1, deg = ops[1].a_tilde, ops[1].node_degrees.astype(np.float64)
+    r, c = a1._row_ids(), a1.col_indices
+    diag = r == c
+    reference = 0.5 * ((1.0 / np.sqrt(deg[r]) * ~diag) * (1.0 / np.sqrt(deg[c])) + diag)
+    residual = float(np.max(np.abs(a1.values - reference), initial=0.0))
     return {
         "n": g.n,
         "orders": orders,
@@ -171,45 +166,11 @@ def _cmd_impute(args) -> dict:
 
 def _cmd_graphclass(args) -> dict:
     cfg = _load_config(args)
-    graphs, labels = _load_graph_dataset(args.dataset)
+    graphs, labels = load_graph_dataset(args.dataset)
     report = graph_classify(graphs, labels, cfg)
     payload = report.to_dict()
     payload["config"] = cfg.to_dict()
     return payload
-
-
-def _feature_columns(g: Graph) -> str:
-    return "no features" if g.features is None else f"{g.features.shape[1]} feature columns"
-
-
-def _load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
-    """JSON-lines dataset: one object per graph with an integer n, integer
-    edge endpoints, a non-negative integer label, and optional finite
-    features, which every record gives at one width or none gives."""
-    graphs, labels = [], []
-    for lineno, text in _lines(Path(path)):
-        try:
-            obj = json.loads(text)
-            n, edges, label = obj["n"], obj["edges"], obj["label"]
-            # not float, and not bool: JSON true/false load as a subclass of int
-            if any(type(x) is not int or x not in _INT64
-                   for x in (n, label, *(x for e in edges for x in e))):
-                raise DataError("n, label and every edge endpoint must be int64 integers")
-            if n < 1:
-                raise DataError("a graph needs at least one node")
-            g = Graph.from_edge_list(n, edges, features=obj.get("features"))
-            if graphs and _feature_columns(g) != _feature_columns(graphs[0]):
-                raise DataError(
-                    f"{_feature_columns(g)}, but the first record has "
-                    f"{_feature_columns(graphs[0])}"
-                )
-            if label < 0:
-                raise DataError(f"negative label {label}")
-            graphs.append(g)
-            labels.append(label)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise DataError(f"{path}:{lineno}: bad graph record ({exc})") from None
-    return graphs, np.asarray(labels, dtype=np.int64)
 
 
 def _histogram_payload(rounds) -> list:
@@ -343,6 +304,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise DataError(f"--seed must be non-negative, got {args.seed}")
         # a non-finite result is caught by the checks below, not warned about
         with np.errstate(all="ignore"):
             result = _COMMANDS[args.command](args)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import warnings
@@ -18,7 +19,10 @@ __all__ = [
     "Graph",
     "SimplicialComplex",
     "IncidenceMatrix",
+    "CoauthorshipComplex",
     "load_graph",
+    "load_coauthorship",
+    "load_graph_dataset",
     "node_count_header",
     "clique_lift",
     "incidence_matrix",
@@ -249,10 +253,45 @@ class IncidenceMatrix:
         return np.bincount(self.members.ravel(), minlength=self.n)
 
 
+@dataclass(frozen=True)
+class CoauthorshipComplex:
+    """Simplicial complex with an integer signal on every simplex.
+
+    ``signals[0]`` is the node-signal vector (length n); ``signals[p]``
+    aligns with ``complex.simplices[p]``. Signals are finite and non-negative.
+    """
+
+    complex: SimplicialComplex
+    signals: dict[int, np.ndarray]
+
+    def __post_init__(self):
+        sig = {p: np.array(v, dtype=np.float64) for p, v in self.signals.items()}
+        if 0 not in sig or sig[0].shape != (self.complex.n,):
+            raise DataError("node signals (order 0) of length n are required")
+        for p, v in sig.items():
+            if p == 0:
+                continue
+            if v.shape != (self.complex.count(p),):
+                raise DataError(f"order-{p} signals misaligned with simplices")
+        if not all(np.isfinite(v).all() and (v >= 0).all() for v in sig.values()):
+            raise DataError("signals must be finite and non-negative")
+        for v in sig.values():
+            v.flags.writeable = False
+        object.__setattr__(self, "signals", sig)
+
+    @property
+    def n(self) -> int:
+        return self.complex.n
+
+    @property
+    def node_signals(self) -> np.ndarray:
+        return self.signals[0]
+
+
 def node_count_header(path, text: str) -> int | None:
-    """The count of a first-line "#n=<count>" header; None for any other
-    comment. A count that is not an integer in 0..2**63-1 is a DataError."""
-    if not text[1:].replace(" ", "").startswith("n="):
+    """The count of a "#n=<count>" header line; None for any other line. A
+    count that is not an integer in 0..2**63-1 is a DataError."""
+    if not text.startswith("#") or not text[1:].replace(" ", "").startswith("n="):
         return None
     bad = DataError(f"{path}:1: bad node-count header {text!r}")
     try:
@@ -264,6 +303,36 @@ def node_count_header(path, text: str) -> int | None:
     return count
 
 
+def _first_line(path: Path) -> str:
+    with path.open() as fh:
+        return fh.readline().strip()
+
+
+def _node_count(path, declared_n: int | None, max_id: int) -> int:
+    """The header's node count, or 1 + the largest node id without one."""
+    n = declared_n if declared_n is not None else max_id + 1
+    if n < max_id + 1:
+        raise DataError(f"{path}: header n={n} smaller than max node id {max_id}")
+    return n
+
+
+def _check_node_ids(path, lineno: int, text: str, low: int, high: int) -> None:
+    """Refuse a line whose smallest node id is negative or largest is past int64."""
+    if low < 0:
+        raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
+    if high not in _INT64:
+        raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
+
+
+def _lines(path, comments: bool = False):
+    """(line number, stripped text) of each non-blank line; with
+    ``comments``, lines starting with "#" are skipped too."""
+    with path.open() as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if (text := line.strip()) and not (comments and text.startswith("#")):
+                yield lineno, text
+
+
 def load_graph(
     edge_path, feature_path=None, label_path=None
 ) -> Graph:
@@ -271,14 +340,14 @@ def load_graph(
 
     Edge rows are "u<TAB>v" (any whitespace accepted); an optional first
     line "#n=<count>" fixes the node count, otherwise n = 1 + max id.
-    Self-loops are dropped (logged), duplicates collapsed. numpy parses each
-    file whole; a per-line scan reads what it refuses (such as "#" comments
-    below line 1, or "1_0") and names the line of any error.
+    Self-loops are dropped (logged), duplicates collapsed. numpy parses the
+    edge and feature files whole; a per-line scan reads what it refuses
+    (such as "#" comments below line 1, or "1_0") and names the line of any
+    error. Labels are read line by line.
     """
     edge_path = Path(edge_path)
-    with edge_path.open() as fh:
-        first = fh.readline().strip()
-    declared_n = node_count_header(edge_path, first) if first.startswith("#") else None
+    first = _first_line(edge_path)
+    declared_n = node_count_header(edge_path, first)
     rows = _read_table(edge_path, np.int64, skiprows=int(first.startswith("#")))
     if rows is None or rows.shape[1] != 2 or rows.min() < 0:
         rows = _scan_edges(edge_path)
@@ -286,10 +355,7 @@ def load_graph(
     if loops.any():
         logger.warning("%s: dropped %d self-loop(s)", edge_path, loops.sum())
         rows = rows[~loops]
-    max_id = int(rows.max(initial=-1))
-    n = declared_n if declared_n is not None else max_id + 1
-    if n < max_id + 1:
-        raise DataError(f"{edge_path}: header n={n} smaller than max node id {max_id}")
+    n = _node_count(edge_path, declared_n, int(rows.max(initial=-1)))
 
     features = _load_feature_csv(feature_path, n) if feature_path else None
     labels = _load_label_csv(label_path, n) if label_path else None
@@ -311,19 +377,9 @@ def _read_table(path, dtype, **loadtxt_args) -> np.ndarray | None:
     return table if table.size else None
 
 
-def _lines(path):
-    """(line number, stripped text) of each non-blank line."""
-    with path.open() as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if text := line.strip():
-                yield lineno, text
-
-
 def _scan_edges(path) -> np.ndarray:
     rows = []
-    for lineno, text in _lines(path):
-        if text.startswith("#"):  # the header, checked by load_graph, or a comment
-            continue
+    for lineno, text in _lines(path, comments=True):  # the header is read by load_graph
         parts = text.split()
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: expected 'u<TAB>v', got {text!r}")
@@ -331,10 +387,7 @@ def _scan_edges(path) -> np.ndarray:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise DataError(f"{path}:{lineno}: non-integer endpoint in {text!r}") from None
-        if u < 0 or v < 0:
-            raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
-        if u not in _INT64 or v not in _INT64:
-            raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
+        _check_node_ids(path, lineno, text, min(u, v), max(u, v))
         rows.append((u, v))
     return np.array(rows, dtype=np.int64).reshape(-1, 2)
 
@@ -362,24 +415,97 @@ def _load_feature_csv(path, n: int) -> np.ndarray:
 
 def _load_label_csv(path, n: int) -> np.ndarray:
     path = Path(path)
-    labels = _read_table(path, np.int64)
-    if labels is not None and labels.shape[1] == 1 and labels.min() >= 0:
-        labels = labels[:, 0]
-    else:  # the line scan names the line of a bad label
-        labels = []
-        for lineno, text in _lines(path):
-            try:
-                labels.append(int(text))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-integer label") from None
-            if labels[-1] not in _INT64:
-                raise DataError(f"{path}:{lineno}: label past the int64 range")
-            if labels[-1] < 0:
-                raise DataError(f"{path}:{lineno}: negative label {labels[-1]}")
-        labels = np.asarray(labels, dtype=np.int64)
+    labels = []
+    for lineno, text in _lines(path):
+        try:
+            labels.append(int(text))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-integer label") from None
+        if labels[-1] not in _INT64:
+            raise DataError(f"{path}:{lineno}: label past the int64 range")
+        if labels[-1] < 0:
+            raise DataError(f"{path}:{lineno}: negative label {labels[-1]}")
     if len(labels) != n:
         raise DataError(f"{path}: {len(labels)} labels for {n} nodes")
-    return labels
+    return np.asarray(labels, dtype=np.int64)
+
+
+def load_coauthorship(path) -> CoauthorshipComplex:
+    """Parse "order<TAB>node,node,...<TAB>signal" lines into a closed complex.
+
+    Order-0 lines carry node signals. Higher-order lines with signal <= 2
+    are dropped (occasional collaborations are treated as noise), though
+    their nodes still count towards n; faces implied by downward closure,
+    down to order 1 whatever orders the file skips, get signal 0. An
+    optional "#n=<count>" header fixes the node count.
+    """
+    path = Path(path)
+    rows: dict[int, list] = {}
+    signals: dict[int, list] = {}
+    declared_n = node_count_header(path, _first_line(path))
+    max_node = -1
+    for lineno, text in _lines(path, comments=True):
+        parts = text.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"{path}:{lineno}: expected 'order<TAB>nodes<TAB>signal'")
+        try:
+            order = int(parts[0])
+            nodes = sorted(int(tok) for tok in parts[1].split(","))
+            signal = float(parts[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: malformed line {text!r}") from None
+        if not math.isfinite(signal) or signal < 0:
+            raise DataError(f"{path}:{lineno}: signal must be finite and non-negative")
+        if len(nodes) != order + 1 or len(set(nodes)) != len(nodes):
+            raise DataError(f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes")
+        _check_node_ids(path, lineno, text, nodes[0], nodes[-1])
+        max_node = max(max_node, nodes[-1])
+        if order == 0 or signal > 2:
+            rows.setdefault(order, []).append(nodes)
+            signals.setdefault(order, []).append(signal)
+    n = _node_count(path, declared_n, max_node)
+    node_ids = np.array(rows.pop(0, []), dtype=np.int64).ravel()
+    try:
+        node_vector = np.bincount(node_ids, signals.pop(0, []), minlength=n)
+    except (MemoryError, ValueError, OverflowError):
+        raise DataError(f"{path}: the signals of {n} nodes do not fit in memory") from None
+    orders, sums = _close_downward(rows, signals)
+    return CoauthorshipComplex(SimplicialComplex(n, orders), {0: node_vector, **sums})
+
+
+def _feature_columns(g: Graph) -> str:
+    return "no features" if g.features is None else f"{g.features.shape[1]} feature columns"
+
+
+def load_graph_dataset(path) -> tuple[list[Graph], np.ndarray]:
+    """JSON-lines dataset: one object per graph with an integer n, integer
+    edge endpoints, a non-negative integer label, and optional finite
+    features, which every record gives at one width or none gives.
+    Returns the graphs and their int64 labels."""
+    graphs, labels = [], []
+    for lineno, text in _lines(Path(path)):
+        try:
+            obj = json.loads(text)
+            n, edges, label = obj["n"], obj["edges"], obj["label"]
+            # not float, and not bool: JSON true/false load as a subclass of int
+            if any(type(x) is not int or x not in _INT64
+                   for x in (n, label, *(x for e in edges for x in e))):
+                raise DataError("n, label and every edge endpoint must be int64 integers")
+            if n < 1:
+                raise DataError("a graph needs at least one node")
+            g = Graph.from_edge_list(n, edges, features=obj.get("features"))
+            if graphs and _feature_columns(g) != _feature_columns(graphs[0]):
+                raise DataError(
+                    f"{_feature_columns(g)}, but the first record has "
+                    f"{_feature_columns(graphs[0])}"
+                )
+            if label < 0:
+                raise DataError(f"negative label {label}")
+            graphs.append(g)
+            labels.append(label)
+        except (KeyError, ValueError, TypeError) as exc:
+            raise DataError(f"{path}:{lineno}: bad graph record ({exc})") from None
+    return graphs, np.asarray(labels, dtype=np.int64)
 
 
 def clique_lift(g: Graph, max_order: int = 2) -> SimplicialComplex:

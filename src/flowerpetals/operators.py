@@ -34,8 +34,8 @@ __all__ = [
 # starting a pool (0.5-0.9 ms) and handing the GIL between threads cost more
 # than a second core saves. On a 2-vCPU Xeon, two equal chains took 2.6-2.8 ms
 # serial against 4.6-5.1 ms threaded at 0.75M, 12.4-13.2 against 11.0-12.4 ms
-# at 5.0M, and 21-25 against 17 ms at 8.6M. Graph classification's per-graph
-# calls (about 20k each) and 1-column imputation signals stay serial.
+# at 5.0M, and 21-25 against 17 ms at 8.6M. Graph classification's one union
+# propagation (0.85M at perfbench seed 24) and 1-column imputation signals stay serial.
 PARALLEL_MIN_MADDS = 1 << 22
 
 

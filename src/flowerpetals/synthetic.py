@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import Graph, SimplicialComplex, _close_downward
-from .tasks import CoauthorshipComplex
+from .complexes import CoauthorshipComplex, Graph, SimplicialComplex, _close_downward
 
 # distinct stream tags so a generator never replays the byte stream of a
 # downstream consumer (splits, inits) seeded with the same bare seed

@@ -8,21 +8,17 @@ import math
 import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 import numpy as np
 
 from .complexes import (
-    _INT64,
+    CoauthorshipComplex,
     DataError,
     Graph,
     IncidenceMatrix,
     SimplicialComplex,
-    _close_downward,
-    _lines,
     clique_lift,
     incidence_matrix,
-    node_count_header,
 )
 from .model import (
     AdamState,
@@ -47,8 +43,6 @@ __all__ = [
     "SplitSpec",
     "TrainConfig",
     "MetricsReport",
-    "CoauthorshipComplex",
-    "load_coauthorship",
     "make_splits",
     "kendall_tau",
     "petal_operators",
@@ -206,6 +200,8 @@ class TrainConfig:
         object.__setattr__(self, "split_ratios", tuple(self.split_ratios))
         if not self.seeds:
             raise DataError("seeds must name at least one seed")
+        if self.task == "graphclass" and len(self.seeds) > 1:  # graph_classify runs one
+            raise DataError(f"seeds must name one seed for graphclass, got {list(self.seeds)}")
 
     @property
     def resolved_epochs(self) -> int:
@@ -454,92 +450,6 @@ def train_node_classification(g: Graph, cfg: TrainConfig) -> MetricsReport:
 
 # ---------------------------------------------------------------------------
 # simplicial signal imputation
-
-
-@dataclass(frozen=True)
-class CoauthorshipComplex:
-    """Simplicial complex with an integer signal on every simplex.
-
-    ``signals[0]`` is the node-signal vector (length n); ``signals[p]``
-    aligns with ``complex.simplices[p]``. Signals are finite and non-negative.
-    """
-
-    complex: SimplicialComplex
-    signals: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        sig = {p: np.array(v, dtype=np.float64) for p, v in self.signals.items()}
-        if 0 not in sig or sig[0].shape != (self.complex.n,):
-            raise DataError("node signals (order 0) of length n are required")
-        for p, v in sig.items():
-            if p == 0:
-                continue
-            if v.shape != (self.complex.count(p),):
-                raise DataError(f"order-{p} signals misaligned with simplices")
-        if not all(np.isfinite(v).all() and (v >= 0).all() for v in sig.values()):
-            raise DataError("signals must be finite and non-negative")
-        for v in sig.values():
-            v.flags.writeable = False
-        object.__setattr__(self, "signals", sig)
-
-    @property
-    def n(self) -> int:
-        return self.complex.n
-
-    @property
-    def node_signals(self) -> np.ndarray:
-        return self.signals[0]
-
-
-def load_coauthorship(path) -> CoauthorshipComplex:
-    """Parse "order<TAB>node,node,...<TAB>signal" lines into a closed complex.
-
-    Order-0 lines carry node signals. Higher-order lines with signal <= 2
-    are dropped (occasional collaborations are treated as noise), though
-    their nodes still count towards n; faces implied by downward closure,
-    down to order 1 whatever orders the file skips, get signal 0. An
-    optional "#n=<count>" header fixes the node count.
-    """
-    path = Path(path)
-    rows: dict[int, list] = {}
-    signals: dict[int, list] = {}
-    declared_n, max_node = None, -1
-    for lineno, text in _lines(path):
-        if text.startswith("#"):
-            if lineno == 1:
-                declared_n = node_count_header(path, text)
-            continue
-        parts = text.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"{path}:{lineno}: expected 'order<TAB>nodes<TAB>signal'")
-        try:
-            order = int(parts[0])
-            nodes = sorted(int(tok) for tok in parts[1].split(","))
-            signal = float(parts[2])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: malformed line {text!r}") from None
-        if not math.isfinite(signal) or signal < 0:
-            raise DataError(f"{path}:{lineno}: signal must be finite and non-negative")
-        if len(nodes) != order + 1 or len(set(nodes)) != len(nodes):
-            raise DataError(f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes")
-        if nodes[0] < 0:
-            raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
-        if nodes[-1] not in _INT64:
-            raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
-        max_node = max(max_node, nodes[-1])
-        if order == 0 or signal > 2:
-            rows.setdefault(order, []).append(nodes)
-            signals.setdefault(order, []).append(signal)
-    n = declared_n if declared_n is not None else max_node + 1
-    if n < max_node + 1:
-        raise DataError(f"{path}: header n={n} smaller than max node id {max_node}")
-    node_ids = np.array(rows.pop(0, []), dtype=np.int64).ravel()
-    try:
-        node_vector = np.bincount(node_ids, signals.pop(0, []), minlength=n)
-    except (MemoryError, ValueError, OverflowError):
-        raise DataError(f"{path}: the signals of {n} nodes do not fit in memory") from None
-    orders, sums = _close_downward(rows, signals)
-    return CoauthorshipComplex(SimplicialComplex(n, orders), {0: node_vector, **sums})
 
 
 def impute_signals(

@@ -1,14 +1,15 @@
 """The per-line readers of edge TSVs, feature and label CSVs and
 coauthorship TSVs that ``complexes.load_graph`` and
-``tasks.load_coauthorship`` must agree with.
+``complexes.load_coauthorship`` must agree with.
 
 Each reader walks its file line by line with Python's ``int`` and
 ``float``, so it states the file formats: blank lines skipped, ``#`` lines
 skipped as comments in an edge or coauthorship file (a first-line
 ``#n=<count>`` header fixes the node count), and every other line parsed or
 rejected with a ``DataError`` naming ``path:line``. ``load_graph`` parses
-whole files with numpy, and ``load_coauthorship`` closes its complex on
-arrays; each must return an equal value or raise the same error.
+whole edge and feature files with numpy, and ``load_coauthorship`` closes
+its complex on arrays; each must return an equal value or raise the same
+error.
 ``outcome`` puts either result in one comparable value.
 """
 
@@ -17,8 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from flowerpetals.complexes import DataError, Graph, SimplicialComplex, node_count_header
-from flowerpetals.tasks import CoauthorshipComplex
+from flowerpetals.complexes import (
+    CoauthorshipComplex,
+    DataError,
+    Graph,
+    SimplicialComplex,
+    node_count_header,
+)
 
 
 def canonical_graph(n, edges, features=None, labels=None) -> Graph:

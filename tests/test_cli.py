@@ -455,15 +455,37 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(work / "gcfg.json") in err and key in err
 
-    @pytest.mark.parametrize("command", ["train", "graphclass"])
+    def test_graphclass_config_with_more_than_one_seed_is_data_error(self, work, capsys):
+        # graphclass runs only its first seed, so a list of seeds is refused
+        write_graph_dataset(work / "gs.jsonl")
+        (work / "gcfg.json").write_text('{"task": "graphclass", "seeds": [0, 1]}')
+        assert run(["graphclass", "--dataset", str(work / "gs.jsonl"),
+                    "--config", str(work / "gcfg.json")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {work / 'gcfg.json'}: seeds must name one seed for graphclass, got [0, 1]\n")
+        assert run(["graphclass", "--dataset", str(work / "gs.jsonl"),
+                    "--config", str(work / "gcfg.json"), "--seed", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["lift", "spectra", "train", "impute", "graphclass",
+                                         "shwl", "rewire", "strength"])
     def test_negative_seed_option_is_data_error_naming_it(self, work, capsys, command):
+        argvs = {
+            "lift": ["lift", "--edges", str(work / "k4.tsv")],
+            "spectra": ["spectra", "--edges", str(work / "k4.tsv")],
+            "impute": ["impute", "--simplices", str(work / "cc.tsv")],
+            "graphclass": ["graphclass", "--dataset", str(work / "gs.jsonl")],
+            "shwl": ["shwl", "--a", str(work / "k4.tsv"), "--b", str(work / "c6.tsv")],
+            "rewire": ["rewire", "--edges", str(work / "k4.tsv"), "--target-rho2", "0.5"],
+            "strength": ["strength", "--model", str(work / "m.ck")],
+        }
         if command == "train":
-            argv = node_train_argv(work, '{"task": "node"}')
-        else:
-            write_graph_dataset(work / "gs.jsonl")
-            argv = ["graphclass", "--dataset", str(work / "gs.jsonl")]
-        assert run(argv + ["--seed", "-3"]) == 2
-        assert capsys.readouterr().err == "error: --seed: seeds must be non-negative, got (-3,)\n"
+            argvs["train"] = node_train_argv(work, '{"task": "node"}')
+        write_coauthorship(work / "cc.tsv")
+        write_graph_dataset(work / "gs.jsonl")
+        save_checkpoint(init_params(2, 3, 4, 5, 2, 0.5, seed=0), work / "m.ck")
+        assert run(argvs[command] + ["--seed", "-3"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: --seed must be non-negative, got -3\n")
 
     def test_bad_coauthorship_header_names_path_and_line(self, work, capsys):
         path = work / "cc.tsv"

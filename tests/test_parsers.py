@@ -2,7 +2,7 @@
 ``parser_oracle``: on every input both return equal graphs, or equal
 complexes with the same signal bits, or raise the same ``DataError`` with
 the same ``path:line`` message, and through ``cli.run`` a bad file exits 2
-with one line on stderr."""
+with one line on stderr. ``load_graph_dataset`` on accepted JSON lines."""
 
 import tempfile
 import warnings
@@ -14,8 +14,7 @@ import pytest
 from parser_oracle import EDGES_FOR_TABLES, outcome, table_files, write
 
 from flowerpetals.cli import run
-from flowerpetals.complexes import DataError, load_graph
-from flowerpetals.tasks import load_coauthorship
+from flowerpetals.complexes import DataError, load_coauthorship, load_graph, load_graph_dataset
 
 EDGE_CASES = {
     "comment-after-pair": "0 1\n1 2 # x\n",
@@ -285,3 +284,34 @@ def test_impute_exits_2_on_every_bad_coauthorship_file(tmp_path, capsys, text):
     assert run(["impute", "--simplices", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}") and err.count("\n") == 1
+
+
+# (file text, each graph's (n, edges, features), labels)
+DATASET_CASES = {
+    "blank-lines": ('\n{"n": 2, "edges": [[0, 1]], "label": 1}\n\n  \n'
+                    '{"n": 3, "edges": [[2, 1], [1, 2]], "label": 0}\n',
+                    [(2, [[0, 1]], None), (3, [[1, 2]], None)], [1, 0]),
+    "crlf": ('{"n": 2, "edges": [[1, 0]], "label": 0}\r\n{"n": 1, "edges": [], "label": 2}\r\n',
+             [(2, [[0, 1]], None), (1, [], None)], [0, 2]),
+    "features": ('{"n": 2, "edges": [], "label": 3, "features": [[0.1, -2.5e-300], [1e300, 0]]}\n'
+                 '{"n": 1, "edges": [], "label": 0, "features": [[-0.0, 7]]}\n',
+                 [(2, [], [[0.1, -2.5e-300], [1e300, 0.0]]), (1, [], [[-0.0, 7.0]])], [3, 0]),
+}
+
+
+@pytest.mark.parametrize("text, graphs, labels", DATASET_CASES.values(), ids=DATASET_CASES.keys())
+def test_graph_dataset_records_are_read_as_given(tmp_path, text, graphs, labels):
+    def as_bits(features):
+        return None if features is None else np.asarray(features, dtype=np.float64).tobytes()
+
+    got, got_labels = load_graph_dataset(write(tmp_path / "gs.jsonl", text))
+    assert ([(g.n, g.edges.tolist(), as_bits(g.features)) for g in got]
+            == [(n, edges, as_bits(features)) for n, edges, features in graphs])
+    assert got_labels.dtype == np.int64 and got_labels.tolist() == labels
+
+
+def test_graph_dataset_error_names_the_line_after_blank_lines(tmp_path):
+    path = write(tmp_path / "gs.jsonl", '\n{"n": 2, "edges": [[0, 1]], "label": 0}\n\n'
+                                        '{"n": 0, "edges": [], "label": 0}\n')
+    with pytest.raises(DataError, match=f"^{path}:4: bad graph record"):
+        load_graph_dataset(path)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import training_oracle
 
-from flowerpetals.complexes import DataError, Graph, clique_lift
+from flowerpetals.complexes import (
+    CoauthorshipComplex,
+    DataError,
+    Graph,
+    clique_lift,
+    load_coauthorship,
+)
 from flowerpetals.model import init_params, predict_graph_labels
 from flowerpetals.synthetic import (
     coauthorship_complex,
@@ -14,14 +20,12 @@ from flowerpetals.synthetic import (
 )
 from flowerpetals.tasks import (
     ConstantSignalError,
-    CoauthorshipComplex,
     SplitSpec,
     TrainConfig,
     disjoint_union,
     graph_classify,
     impute_signals,
     kendall_tau,
-    load_coauthorship,
     fit_node_params,
     make_splits,
     petal_features,
@@ -339,6 +343,11 @@ class TestGraphClassification:
         )
         report = graph_classify(graphs, labels, cfg)
         assert report.extras["max_mean_val_accuracy"] == 1.0
+
+    def test_config_with_more_than_one_seed_is_refused(self):
+        with pytest.raises(DataError, match="^seeds must name one seed for graphclass"):
+            TrainConfig(task="graphclass", seeds=(0, 1))
+        assert TrainConfig(task="node", seeds=(0, 1)).seeds == (0, 1)
 
     def test_single_class_dataset(self):
         graphs, _ = triangles_vs_hexagons(per_class=6, seed=1)
