@@ -1,7 +1,7 @@
 """Command-line surface: every pipeline behind one reproducible entry point.
 
-All subcommands emit deterministic JSON (sorted keys, seeds surfaced in the
-output) so a rerun with the same inputs and seed is byte-identical. Exit
+All subcommands emit deterministic JSON (sorted keys; seeded commands report
+their seeds) so a rerun with the same inputs and seed is byte-identical. Exit
 codes: 0 success, 1 usage error, 2 data error (including an input that
 cannot be read or is too large to hold in memory), 3 numerical or
 saturation error, 4 internal error (a bug: one line on stderr, the
@@ -100,17 +100,14 @@ def _load_config(args) -> TrainConfig:
     return cfg
 
 
-def _seeded_payload(report, cfg: TrainConfig) -> dict:
-    payload = report.to_dict()
-    payload["seeds"] = list(cfg.seeds)
-    payload["config"] = cfg.to_dict()
-    return payload
+def _training_payload(report, cfg: TrainConfig) -> dict:
+    return {**report.to_dict(), "config": cfg.to_dict()}
 
 
 def _cmd_lift(args) -> dict:
     g = load_graph(args.edges)
     complex_ = clique_lift(g, args.max_order)
-    payload = {"n": g.n, "seed": args.seed or 0}
+    payload = {"n": g.n}
     for p, count in complex_.counts().items():
         payload[f"n_{p}"] = count
     return payload
@@ -144,7 +141,6 @@ def _cmd_spectra(args) -> dict:
         "n": g.n,
         "orders": orders,
         "p1_closed_form_residual": residual,
-        "seed": args.seed or 0,
     }
 
 
@@ -152,7 +148,7 @@ def _cmd_train(args):
     cfg = _load_config(args)
     g = load_graph(args.edges, args.features, args.labels)
     report, params = fit_node_params(g, cfg)
-    payload = _seeded_payload(report, cfg)
+    payload = _training_payload(report, cfg)
     if args.save_model:
         return payload, lambda: save_checkpoint(params[0], args.save_model)
     return payload
@@ -161,29 +157,13 @@ def _cmd_train(args):
 def _cmd_impute(args) -> dict:
     cfg = _load_config(args)
     cc = load_coauthorship(args.simplices)
-    return _seeded_payload(impute_signals(cc, cfg.known_fraction, cfg), cfg)
+    return _training_payload(impute_signals(cc, cfg.known_fraction, cfg), cfg)
 
 
 def _cmd_graphclass(args) -> dict:
     cfg = _load_config(args)
     graphs, labels = load_graph_dataset(args.dataset)
-    report = graph_classify(graphs, labels, cfg)
-    payload = report.to_dict()
-    payload["config"] = cfg.to_dict()
-    return payload
-
-
-def _histogram_payload(rounds) -> list:
-    out = []
-    for entry in rounds:
-        out.append(
-            {
-                "round": entry["round"],
-                "a": {str(p): c for p, c in entry["a"].items()},
-                "b": {str(p): c for p, c in entry["b"].items()},
-            }
-        )
-    return out
+    return _training_payload(graph_classify(graphs, labels, cfg), cfg)
 
 
 def _cmd_shwl(args) -> dict:
@@ -194,22 +174,20 @@ def _cmd_shwl(args) -> dict:
         "method": args.method,
         "max_order": args.max_order,
         "verdict": verdict,
-        "rounds": _histogram_payload(rounds),
-        "seed": args.seed or 0,
+        "rounds": rounds,
     }
 
 
 def _cmd_rewire(args):
     g = load_graph(args.edges)
-    seed = args.seed or 0
-    graph, log = rewire_to_target(g, args.target_rho2, seed)
+    graph, log = rewire_to_target(g, args.target_rho2, args.seed)
     payload = {
-        "seed": seed,
+        "seed": args.seed,
         "target_rho2": args.target_rho2,
         "achieved_rho2": log.achieved_rho2,
         "accepted": len(log.accepted),
         "attempts": log.attempts,
-        "chains": [list(c) for c in log.accepted],
+        "chains": log.accepted,
     }
     if args.out_edges:
         edges = f"#n={graph.n}\n" + "".join(f"{u}\t{v}\n" for u, v in graph.edges.tolist())
@@ -223,7 +201,7 @@ def _cmd_strength(args) -> dict:
         "p_max": params.p_max,
         "k_max": params.k_max,
         "seed": params.seed,
-        "strength": [float(s) for s in strength(params)],
+        "strength": strength(params).tolist(),
     }
 
 
@@ -231,8 +209,9 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="flowerpetals", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed_default=None):
-        p.add_argument("--seed", type=int, default=seed_default)
+    def common(p, seeded=False, seed_default=None):
+        if seeded:  # only the commands that draw random numbers take a seed
+            p.add_argument("--seed", type=int, default=seed_default)
         p.add_argument("--out", help="write JSON here instead of stdout")
 
     p = sub.add_parser("lift", help="clique-lift a graph and report simplex counts")
@@ -251,17 +230,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--labels", required=True)
     p.add_argument("--config")
     p.add_argument("--save-model")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser("impute", help="simplicial signal imputation pipeline")
     p.add_argument("--simplices", required=True)
     p.add_argument("--config")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser("graphclass", help="graph classification pipeline")
     p.add_argument("--dataset", required=True, help="JSON-lines graph records")
     p.add_argument("--config")
-    common(p)
+    common(p, seeded=True)
 
     p = sub.add_parser("shwl", help="pairwise isomorphism refinement verdict")
     p.add_argument("--a", required=True)
@@ -274,7 +253,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--edges", required=True)
     p.add_argument("--target-rho2", type=float, required=True)
     p.add_argument("--out-edges")
-    common(p, seed_default=0)
+    common(p, seeded=True, seed_default=0)
 
     p = sub.add_parser("strength", help="per-order interaction strength of a checkpoint")
     p.add_argument("--model", required=True)
@@ -304,8 +283,9 @@ def run(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise DataError(f"--seed must be non-negative, got {args.seed}")
+        seed = getattr(args, "seed", None)
+        if seed is not None and seed < 0:
+            raise DataError(f"--seed must be non-negative, got {seed}")
         # a non-finite result is caught by the checks below, not warned about
         with np.errstate(all="ignore"):
             result = _COMMANDS[args.command](args)

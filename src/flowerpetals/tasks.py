@@ -243,6 +243,13 @@ class TrainConfig:
         return out
 
 
+def _require_task(cfg: TrainConfig, task: str) -> None:
+    """A pipeline runs only its own task's config: epochs default per task,
+    and graphclass's config alone is held to one seed."""
+    if cfg.task != task:
+        raise DataError(f"the {task!r} pipeline cannot run a config for task {cfg.task!r}")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Per-run scalar metrics with their mean and 95% confidence half-width."""
@@ -418,6 +425,7 @@ def fit_node_params(
     """Lift, build operators and propagate once, then train every seed with
     early stopping. Returns the report of test accuracy at each seed's
     best-validation epoch and that epoch's parameters, in seed order."""
+    _require_task(cfg, "node")
     if g.features is None or g.labels is None:
         raise DataError("node classification needs features and labels")
     complex_ = clique_lift(g, cfg.P)
@@ -457,6 +465,7 @@ def impute_signals(
 ) -> MetricsReport:
     """Mask node signals, median-fill, regress with an L1 objective on the
     known entries, and score Kendall tau over all nodes."""
+    _require_task(cfg, "impute")
     n = cc.n
     n_known = int(round(known_fraction * n))
     if not 0.0 < known_fraction < 1.0 or n_known == 0 or n_known == n:
@@ -535,6 +544,7 @@ def graph_classify(
     degree one-hots whose dimension is capped by the training fold's maximum
     degree (larger degrees clamp to the cap), propagated once per distinct cap.
     """
+    _require_task(cfg, "graphclass")
     labels = np.asarray(labels, dtype=np.int64)
     if len(labels) != len(graphs):
         raise DataError("one label per graph is required")

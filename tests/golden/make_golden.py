@@ -10,9 +10,10 @@ subcommand runs on them in well under a second.
 
 ``--check`` writes the fixtures and runs every subcommand in a temporary
 directory instead, and writes nothing here. It lists each file under
-``inputs`` and ``outputs`` whose bytes would change, with the largest
-relative difference of any number in a JSON file or of any parameter in a
-checkpoint (or that its header differs), and exits 1 if any would.
+``inputs`` and ``outputs`` whose bytes would change, with the JSON keys
+added or removed and the largest relative difference of any number in a
+JSON file or of any parameter in a checkpoint (or that its header
+differs), and exits 1 if any would.
 """
 
 import argparse
@@ -110,11 +111,10 @@ def _is_number(value) -> bool:
 def max_relative_difference(a, b) -> float | None:
     """The largest relative difference of two numbers at the same place in
     parsed JSON values ``a`` and ``b``; None when anything else differs (a
-    key, a length, a string)."""
+    length, a string). Keys that only one of them holds are not compared
+    (``key_changes`` names them)."""
     if isinstance(a, dict) and isinstance(b, dict):
-        if a.keys() != b.keys():
-            return None
-        parts = [max_relative_difference(a[k], b[k]) for k in a]
+        parts = [max_relative_difference(a[k], b[k]) for k in a.keys() & b.keys()]
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             return None
@@ -125,6 +125,20 @@ def max_relative_difference(a, b) -> float | None:
     else:
         return 0.0 if a == b else None
     return None if None in parts else max(parts, default=0.0)
+
+
+def key_changes(a, b, path: str = "") -> list[str]:
+    """Each key that only one of parsed JSON values ``a`` (old) and ``b``
+    (new) holds at the same place, as ``key <path> removed`` or ``added``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        changes = [f"key {path}{k} removed" for k in sorted(a.keys() - b.keys())]
+        changes += [f"key {path}{k} added" for k in sorted(b.keys() - a.keys())]
+        for k in sorted(a.keys() & b.keys()):
+            changes += key_changes(a[k], b[k], f"{path}{k}.")
+        return changes
+    if isinstance(a, list) and isinstance(b, list):
+        return [c for i, (x, y) in enumerate(zip(a, b)) for c in key_changes(x, y, f"{path}{i}.")]
+    return []
 
 
 def checkpoint_difference(old: Path, new: Path) -> str:
@@ -151,10 +165,13 @@ def changed_files(fresh: Path) -> list[str]:
             elif old.read_bytes() != new.read_bytes():
                 note = ""
                 if name.endswith(".json"):
-                    rel = max_relative_difference(json.loads(old.read_text()),
-                                                  json.loads(new.read_text()))
-                    note = (", not only in numbers" if rel is None
-                            else f", largest relative difference {rel:.3g}")
+                    a, b = json.loads(old.read_text()), json.loads(new.read_text())
+                    notes, rel = key_changes(a, b), max_relative_difference(a, b)
+                    if rel is None:
+                        notes.append("not only in numbers")
+                    elif rel or not notes:
+                        notes.append(f"largest relative difference {rel:.3g}")
+                    note = "".join(f", {n}" for n in notes)
                 elif name.endswith(".ck"):
                     note = checkpoint_difference(old, new)
                 lines.append(f"{label}: differs{note}")

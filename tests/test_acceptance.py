@@ -487,8 +487,8 @@ def test_c12_cli_determinism(tmp_path):
         json.dumps({"task": "node", "epochs": 40, "patience": 20, "hidden": 4, "seeds": [0, 1]})
     )
     invocations = [
-        ["lift", "--edges", str(edges), "--max-order", "3", "--seed", "2"],
-        ["spectra", "--edges", str(edges), "-p", "2", "--seed", "2"],
+        ["lift", "--edges", str(edges), "--max-order", "3"],
+        ["spectra", "--edges", str(edges), "-p", "2"],
         ["shwl", "--a", str(edges), "--b", str(edges), "--method", "shwl"],
         ["rewire", "--edges", str(edges), "--target-rho2", "0.1", "--seed", "4"],
         [

@@ -112,7 +112,7 @@ class TestLift:
     def test_k4_counts(self, work, capsys):
         assert run(["lift", "--edges", str(work / "k4.tsv"), "--max-order", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"n": 4, "n_1": 6, "n_2": 4, "n_3": 1, "seed": 0}
+        assert payload == {"n": 4, "n_1": 6, "n_2": 4, "n_3": 1}
 
 
 class TestSpectra:
@@ -238,6 +238,36 @@ class TestTrainImputeGraphclass:
         assert code == 0
         assert read_json(out)["extras"]["max_mean_val_accuracy"] >= 0.5
 
+
+    @pytest.mark.parametrize("command", ["train", "impute", "graphclass"])
+    def test_training_payload_holds_seeds_only_where_they_are_used(self, work, command):
+        argv = node_train_argv(work, '{"epochs": 3, "hidden": 4, "K": 2}')  # writes cfg.json
+        config = ["--config", str(work / "cfg.json")]
+        if command == "impute":
+            write_coauthorship(work / "in")
+            argv = ["impute", "--simplices", str(work / "in"), *config]
+        elif command == "graphclass":
+            write_graph_dataset(work / "in")
+            argv = ["graphclass", "--dataset", str(work / "in"), *config]
+        out = work / "out.json"
+        assert run(argv + ["--out", str(out), "--seed", "2"]) == 0
+        payload = read_json(out)
+
+        def seed_keys(value, path):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from ([f"{path}.{key}"] if "seed" in key else [])
+                    yield from seed_keys(item, f"{path}.{key}")
+            elif isinstance(value, list):
+                for item in value:
+                    yield from seed_keys(item, f"{path}[*]")
+
+        want = {".config.seeds"}
+        want |= {".extras.seed"} if command == "graphclass" else {".runs[*].seed"}
+        assert set(seed_keys(payload, "")) == want
+        used = ([payload["extras"]["seed"]] if command == "graphclass"
+                else [r["seed"] for r in payload["runs"]])
+        assert payload["config"]["seeds"] == used == [2]
 
     @pytest.mark.parametrize("command, epochs", [("impute", 500), ("graphclass", 200)])
     def test_no_config_runs_the_commands_own_task(self, work, command, epochs):
@@ -466,26 +496,34 @@ class TestExitCodes:
         assert run(["graphclass", "--dataset", str(work / "gs.jsonl"),
                     "--config", str(work / "gcfg.json"), "--seed", "1"]) == 2
 
-    @pytest.mark.parametrize("command", ["lift", "spectra", "train", "impute", "graphclass",
-                                         "shwl", "rewire", "strength"])
+    @pytest.mark.parametrize("command", ["train", "impute", "graphclass", "rewire"])
     def test_negative_seed_option_is_data_error_naming_it(self, work, capsys, command):
         argvs = {
-            "lift": ["lift", "--edges", str(work / "k4.tsv")],
-            "spectra": ["spectra", "--edges", str(work / "k4.tsv")],
             "impute": ["impute", "--simplices", str(work / "cc.tsv")],
             "graphclass": ["graphclass", "--dataset", str(work / "gs.jsonl")],
-            "shwl": ["shwl", "--a", str(work / "k4.tsv"), "--b", str(work / "c6.tsv")],
             "rewire": ["rewire", "--edges", str(work / "k4.tsv"), "--target-rho2", "0.5"],
-            "strength": ["strength", "--model", str(work / "m.ck")],
         }
         if command == "train":
             argvs["train"] = node_train_argv(work, '{"task": "node"}')
         write_coauthorship(work / "cc.tsv")
         write_graph_dataset(work / "gs.jsonl")
-        save_checkpoint(init_params(2, 3, 4, 5, 2, 0.5, seed=0), work / "m.ck")
         assert run(argvs[command] + ["--seed", "-3"]) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", "error: --seed must be non-negative, got -3\n")
+
+    @pytest.mark.parametrize("command", ["lift", "spectra", "shwl", "strength"])
+    def test_seed_on_a_command_that_draws_no_random_numbers_is_usage_error(self, work, capsys,
+                                                                          command):
+        argvs = {
+            "lift": ["lift", "--edges", str(work / "k4.tsv")],
+            "spectra": ["spectra", "--edges", str(work / "k4.tsv")],
+            "shwl": ["shwl", "--a", str(work / "k4.tsv"), "--b", str(work / "c6.tsv")],
+            "strength": ["strength", "--model", str(work / "m.ck")],
+        }
+        save_checkpoint(init_params(2, 3, 4, 5, 2, 0.5, seed=0), work / "m.ck")
+        assert run(argvs[command] + ["--seed", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: flowerpetals")
 
     def test_bad_coauthorship_header_names_path_and_line(self, work, capsys):
         path = work / "cc.tsv"
@@ -677,6 +715,5 @@ class TestDeterminism:
     def test_repeat_invocations_byte_identical(self, work):
         a, b = work / "a.json", work / "b.json"
         for out in (a, b):
-            run(["spectra", "--edges", str(work / "k3.tsv"), "-p", "2",
-                 "--seed", "3", "--out", str(out)])
+            run(["spectra", "--edges", str(work / "k3.tsv"), "-p", "2", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()

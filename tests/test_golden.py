@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from golden.make_golden import INPUTS, OUTPUTS, commands
+from golden.make_golden import INPUTS, OUTPUTS, commands, key_changes, max_relative_difference
 
 from flowerpetals.cli import run
 
@@ -44,3 +44,14 @@ def test_training_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, threa
         assert proc.returncode == 0, proc.stderr
     for name in ("train.json", "model.ck", "impute.json"):
         assert (tmp_path / name).read_bytes() == (OUTPUTS / name).read_bytes(), name
+
+
+def test_check_names_the_keys_added_or_removed():
+    old = {"seed": 0, "runs": [{"seed": 1, "x": 1.0}], "n": 3}
+    new = {"runs": [{"x": 1.5, "fold": 0}], "n": 3, "mean": 0.5}
+    assert key_changes(old, new) == [
+        "key seed removed", "key mean added", "key runs.0.seed removed", "key runs.0.fold added",
+    ]
+    # the keys both hold are still compared number by number
+    assert max_relative_difference(old, new) == 0.5 / 1.5
+    assert max_relative_difference({"s": "a"}, {"s": "b"}) is None

@@ -387,6 +387,24 @@ class TestGraphClassification:
             graph_classify(graphs, labels[:-1], TrainConfig(task="graphclass"))
 
 
+class TestPipelineTask:
+    @pytest.mark.parametrize("pipeline, task", [
+        ("node", "impute"), ("impute", "node"), ("graphclass", "node"),
+    ])
+    def test_config_for_another_task_is_refused(self, pipeline, task):
+        # a node config would train graphclass 1000 epochs, not 200, and drop seed 4
+        cfg = TrainConfig(task=task, seeds=(3, 4))
+        graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
+        runs = {
+            "node": lambda: fit_node_params(planted_two_block(20, seed=0), cfg),
+            "impute": lambda: impute_signals(coauthorship_complex(40, 20, 12, seed=0), 0.5, cfg),
+            "graphclass": lambda: graph_classify(graphs, labels, cfg),
+        }
+        with pytest.raises(DataError, match=f"the '{pipeline}' pipeline cannot run "
+                                            f"a config for task '{task}'"):
+            runs[pipeline]()
+
+
 class TestDecayGamma:
     @pytest.mark.parametrize("task", ["impute", "graphclass"])
     def test_decay_gamma_changes_what_the_model_learns(self, task):
