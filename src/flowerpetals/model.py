@@ -288,7 +288,10 @@ def backprop(
     dy = (dlogits @ params.w.T).reshape(-1, p_max, params.h).swapaxes(0, 1)
     if params.depth == 2:
         dtheta[1][...] = np.maximum(tape.pre, 0.0).swapaxes(1, 2) @ dy + weight_decay * theta[1]
-        dy = np.where(tape.pre > 0.0, dy @ theta[1].swapaxes(1, 2), 0.0)
+        dy = dy @ theta[1].swapaxes(1, 2)
+        # the rectifier's mask as an in-place product, several times faster
+        # than a select; a masked entry is -0.0 where the product is negative
+        dy *= tape.pre > 0.0
     dtheta[0][...] = tape.filtered.swapaxes(1, 2) @ dy + weight_decay * theta[0]
     dfiltered = dy @ theta[0].swapaxes(1, 2)
     # one BLAS GEMV over the hops per petal; past some size its bits depend
