@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the CLI contract wants 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _to_json(payload: dict) -> str:

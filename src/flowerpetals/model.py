@@ -5,6 +5,10 @@ sum_k gamma[p,k] * (A_p^k X) pushed through a per-petal linear (or
 linear-rectifier-linear) transform; petal outputs are concatenated and
 mapped by one output matrix. Gradients are hand-derived reverse-mode
 through a short tape; no autodiff framework is involved.
+
+Parameter sets of one shape that train on the same features run as one
+stack (:func:`stack_params`): the forward and reverse passes read the
+feature tensor once for every set, and a single set is the stack of one.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "ForwardTape",
     "AdamState",
     "init_params",
+    "stack_params",
     "forward",
     "forward_embedding",
     "nll",
@@ -62,23 +67,24 @@ def _checked_size(p_max, k_max, d, h, c, alpha, seed, depth) -> int:
 
 def _views(params: "HigcnParams", flat: np.ndarray):
     """``gamma``, ``theta`` and ``w`` as reshaped views of a vector in the
-    layout of ``params``. Each petal stores its transforms in one block;
-    ``theta[i]`` is the strided (P, rows, cols) view of the i-th transform
-    across those blocks."""
-    p_max, d, h = params.p_max, params.d, params.h
+    layout of ``params``, or of a stack of such vectors (S, size), whose
+    views then lead with the seed axis. Each petal stores its transforms in
+    one block; ``theta[i]`` is the strided (P, rows, cols) view of the i-th
+    transform across those blocks."""
+    lead, p_max, d, h = flat.shape[:-1], params.p_max, params.d, params.h
     head = p_max * (params.k_max + 1)
     size = d * h + (params.depth - 1) * h * h
-    blocks = flat[head : head + p_max * size].reshape(p_max, size)
-    theta = (blocks[:, : d * h].reshape(p_max, d, h),)
+    blocks = flat[..., head : head + p_max * size].reshape(*lead, p_max, size)
+    theta = (blocks[..., : d * h].reshape(*lead, p_max, d, h),)
     if params.depth == 2:
-        theta += (blocks[:, d * h :].reshape(p_max, h, h),)
-    w = flat[head + p_max * size :].reshape(p_max * h, params.c)
-    return flat[:head].reshape(p_max, params.k_max + 1), theta, w
+        theta += (blocks[..., d * h :].reshape(*lead, p_max, h, h),)
+    w = flat[..., head + p_max * size :].reshape(*lead, p_max * h, params.c)
+    return flat[..., :head].reshape(*lead, p_max, params.k_max + 1), theta, w
 
 
 @dataclass(frozen=True, eq=False)
 class HigcnParams:
-    """Trainable parameter set.
+    """Trainable parameter set, or a stack of S sets of one shape.
 
     The checkpoint header fields, and one read-only float64 vector ``flat``
     that stores every parameter in the checkpoint's order: gamma, then one
@@ -89,6 +95,10 @@ class HigcnParams:
     (P, h, h); ``theta[i][p]`` is petal p+1's i-th transform. A gradient is
     a plain vector in the layout of ``flat``; ``replace(params, flat=grad)``
     names its parts.
+
+    A stack (:func:`stack_params`) holds a tuple of S seeds, and ``flat``
+    holds one row per seed, (S, size); every view then leads with the seed
+    axis. :meth:`unstack` gives the sets back.
     """
 
     p_max: int
@@ -97,7 +107,7 @@ class HigcnParams:
     h: int
     c: int
     alpha: float
-    seed: int
+    seed: int | tuple[int, ...]
     depth: int
     flat: np.ndarray
     gamma: np.ndarray = field(init=False, repr=False, compare=False)
@@ -107,10 +117,16 @@ class HigcnParams:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        size = _checked_size(*(getattr(self, key) for key in _HEADER_KEYS))
+        stacked = isinstance(self.seed, tuple)
+        seeds = self.seed if stacked else (self.seed,)
+        if not seeds:
+            raise ValueError("a stack holds at least one seed")
+        header = {key: getattr(self, key) for key in _HEADER_KEYS}
+        size = max(_checked_size(**{**header, "seed": seed}) for seed in seeds)
         flat = np.array(self.flat, dtype=np.float64)  # never freeze the caller's array
-        if flat.shape != (size,):
-            raise ValueError(f"flat must hold {size} parameters, got shape {flat.shape}")
+        if flat.shape != ((len(seeds), size) if stacked else (size,)):
+            each = f" for each of {len(seeds)} seeds" if stacked else ""
+            raise ValueError(f"flat must hold {size} parameters{each}, got shape {flat.shape}")
         flat.flags.writeable = False
         object.__setattr__(self, "flat", flat)
         for name, view in zip(("gamma", "theta", "w"), _views(self, flat)):
@@ -121,14 +137,31 @@ class HigcnParams:
         yield "gamma", self.gamma
         for p in range(self.p_max):
             for i, stack in enumerate(self.theta, start=1):
-                yield f"theta{i}_p{p + 1}", stack[p]
+                yield f"theta{i}_p{p + 1}", stack[..., p, :, :]
         yield "w", self.w
+
+    def unstack(self) -> list["HigcnParams"]:
+        """The parameter sets of a stack, in seed order."""
+        return [replace(self, seed=seed, flat=row) for seed, row in zip(self.seed, self.flat)]
+
+
+def stack_params(sets) -> HigcnParams:
+    """One stack of parameter sets that share every header field but the
+    seed, in the order given."""
+    sets = list(sets)
+    header = [tuple(getattr(p, key) for key in _HEADER_KEYS if key != "seed") for p in sets]
+    if len(set(header)) != 1:
+        raise ValueError("a stack needs parameter sets that share every header field but the seed")
+    seeds = tuple(p.seed for p in sets)
+    return replace(sets[0], seed=seeds, flat=np.stack([p.flat for p in sets]))
 
 
 @dataclass(frozen=True, eq=False)
 class ForwardTape:
     """Intermediates of one forward pass, kept for reverse mode. The petal
-    axis leads every stacked array."""
+    axis leads every stacked array. The tape of a stack has a seed axis S
+    after the petal axis of ``filtered`` and ``pre``, (P, S, n, ·), and
+    before the node axis of ``z`` and ``logits``, (S, n, ·)."""
 
     filtered: np.ndarray  # (P, n, d): filtered[p-1] = sum_k gamma[p,k] tensor[p-1, k]
     pre: np.ndarray | None  # (P, n, h): filtered @ theta[0], pre-rectifier (depth-2 only)
@@ -136,6 +169,13 @@ class ForwardTape:
     logits: np.ndarray
 
     __eq__ = _fields_equal
+
+
+def _seed_axis(tape: ForwardTape, index) -> ForwardTape:
+    """``tape`` with every field's seed axis indexed by ``index``: 0 drops
+    the axis of a stack of one, None adds it to a single set's tape."""
+    pre = None if tape.pre is None else tape.pre[:, index]
+    return ForwardTape(tape.filtered[:, index], pre, tape.z[index], tape.logits[index])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -188,23 +228,35 @@ def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> Forward
     """Run the petal filters and transforms up to the concatenation Z and
     the logits."""
     _check_compat(params, feats)
-    # one BLAS product over the petals; each output entry adds its hops in an
-    # order that does not depend on the thread count. The slice reshapes as a
-    # view, so the tensor is never copied
     p_max, hops, n, d = params.p_max, params.k_max + 1, feats.n, feats.d
+    stack = params.flat.reshape(-1, params.flat.shape[-1])  # a single set is a stack of one
+    gamma, theta, w = _views(params, stack)
+    seeds = len(stack)
+    # one BLAS product per petal for every seed, which reads the tensor once:
+    # a GEMV for one seed, a GEMM for more (whose rows differ from the GEMV's
+    # in the last bits). Each output entry adds its hops in an order that does
+    # not depend on the thread count. The slice reshapes as a view, so the
+    # tensor is never copied
     tensor = feats.tensor[:p_max, :hops].reshape(p_max, hops, n * d)
-    filtered = (params.gamma[:, None, :] @ tensor).reshape(p_max, n, d)
-    pre = filtered @ params.theta[0]  # one GEMM per petal, as each product below
-    out = np.maximum(pre, 0.0) @ params.theta[1] if params.depth == 2 else pre
-    z = out.swapaxes(0, 1).reshape(n, p_max * params.h)
-    pre = pre if params.depth == 2 else None
-    return ForwardTape(filtered=filtered, pre=pre, z=z, logits=z @ params.w)
+    filtered = (gamma.swapaxes(0, 1) @ tensor).reshape(p_max, seeds, n, d)
+    theta = [t.swapaxes(0, 1) for t in theta]  # (P, S, rows, cols)
+    # the petal outputs are written in place into their h columns of z
+    z = np.empty((seeds, n, p_max * params.h))
+    out = z.reshape(seeds, n, p_max, params.h).transpose(2, 0, 1, 3)
+    pre = None
+    if params.depth == 2:
+        pre = filtered @ theta[0]  # one GEMM per petal and seed, as each product below
+        np.matmul(np.maximum(pre, 0.0), theta[1], out=out)
+    else:
+        np.matmul(filtered, theta[0], out=out)
+    tape = ForwardTape(filtered, pre, z, z @ w)
+    return tape if params.flat.ndim == 2 else _seed_axis(tape, 0)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-probabilities (max-shifted softmax)."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def forward(
@@ -269,42 +321,55 @@ def pooled_nll_loss(
 
 
 def backprop(
-    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, loss: float,
+    params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, loss,
     dlogits: np.ndarray, weight_decay: float = 0.0, decay_gamma: bool = False,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Reverse pass from a task loss and its gradient at the logits, for the
     ``tape`` of a forward at ``params``: the loss plus the L2 decay
     ``weight_decay / 2 * |params|^2``, and the gradient of that sum as a
     float64 vector in the layout of ``params.flat``.
 
+    For a stack, ``loss`` holds each seed's task loss and ``dlogits`` each
+    seed's gradient, (S, n, C); the result is each seed's loss with its
+    decay, as an array, and the (S, size) gradient.
+
     The decay skips gamma unless ``decay_gamma`` is set: filter magnitudes
     carry the interaction strength reading and are not shrunk by default.
     """
-    grad = np.empty_like(params.flat)
+    stacked = params.flat.ndim == 2
+    if not stacked:  # a single set runs as the stack of one
+        tape, dlogits = _seed_axis(tape, None), dlogits[None]
+    stack = params.flat.reshape(-1, params.flat.shape[-1])
+    gamma, theta, w = _views(params, stack)
+    grad = np.empty_like(stack)
     dgamma, dtheta, dw = _views(params, grad)
-    dw[...] = tape.z.T @ dlogits + weight_decay * params.w
-    p_max, hops, theta = params.p_max, params.k_max + 1, params.theta
-    # each petal's h columns of dlogits @ w.T, as a (P, n, h) view
-    dy = (dlogits @ params.w.T).reshape(-1, p_max, params.h).swapaxes(0, 1)
+    dw[...] = tape.z.swapaxes(1, 2) @ dlogits + weight_decay * w
+    p_max, hops, seeds = params.p_max, params.k_max + 1, len(stack)
+    theta, dtheta = [t.swapaxes(0, 1) for t in theta], [t.swapaxes(0, 1) for t in dtheta]
+    # each petal's h columns of dlogits @ w.T, as a (P, S, n, h) view
+    dy = (dlogits @ w.swapaxes(1, 2)).reshape(seeds, -1, p_max, params.h).transpose(2, 0, 1, 3)
     if params.depth == 2:
-        dtheta[1][...] = np.maximum(tape.pre, 0.0).swapaxes(1, 2) @ dy + weight_decay * theta[1]
-        dy = dy @ theta[1].swapaxes(1, 2)
+        dtheta[1][...] = np.maximum(tape.pre, 0.0).swapaxes(2, 3) @ dy + weight_decay * theta[1]
+        dy = dy @ theta[1].swapaxes(2, 3)
         # the rectifier's mask as an in-place product, several times faster
         # than a select; a masked entry is -0.0 where the product is negative
         dy *= tape.pre > 0.0
-    dtheta[0][...] = tape.filtered.swapaxes(1, 2) @ dy + weight_decay * theta[0]
-    dfiltered = dy @ theta[0].swapaxes(1, 2)
-    # one BLAS GEMV over the hops per petal; past some size its bits depend
-    # on the BLAS thread count, as the weight gradients' above already do
+    dtheta[0][...] = tape.filtered.swapaxes(2, 3) @ dy + weight_decay * theta[0]
+    dfiltered = dy @ theta[0].swapaxes(2, 3)
+    # one BLAS product per petal for every seed, which reads the tensor once:
+    # a GEMV for one seed, a GEMM for more. Past some size the GEMV's bits
+    # depend on the BLAS thread count, as the weight gradients' above already do
     tensor = feats.tensor[:p_max, :hops].reshape(p_max, hops, -1)
-    dgamma[...] = (tensor @ dfiltered.reshape(p_max, -1, 1))[..., 0]
+    dgamma.transpose(1, 2, 0)[...] = tensor @ dfiltered.reshape(p_max, seeds, -1).swapaxes(1, 2)
     # added in storage order, petal by petal, which fixes the loss's last bits
-    squares = np.stack([np.sum(t * t, axis=(1, 2)) for t in theta], axis=1)
-    reg = sum(squares.ravel().tolist()) + float(np.sum(params.w * params.w))
+    squares = np.stack([np.sum(t * t, axis=(2, 3)) for t in theta], axis=2)
+    reg = np.array([sum(squares[:, s].ravel().tolist()) for s in range(seeds)])
+    reg += np.sum(w * w, axis=(1, 2))
     if decay_gamma:
-        dgamma += weight_decay * params.gamma
-        reg += float(np.sum(params.gamma * params.gamma))
-    return loss + 0.5 * weight_decay * reg, grad
+        dgamma += weight_decay * gamma
+        reg += np.sum(gamma * gamma, axis=(1, 2))
+    loss = loss + 0.5 * weight_decay * reg
+    return (loss, grad) if stacked else (float(loss[0]), grad[0])
 
 
 def loss_and_grad(
@@ -314,13 +379,18 @@ def loss_and_grad(
     mask: np.ndarray,
     weight_decay: float = 0.0,
     decay_gamma: bool = False,
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Masked mean negative log-likelihood plus L2 decay, and its exact
-    gradient as a vector in the layout of ``params.flat``."""
+    gradient as a vector in the layout of ``params.flat``. For a stack,
+    ``mask`` holds one mask per seed, and :func:`backprop` says what the
+    results hold."""
     tape, log_probs = forward(params, feats)
-    return backprop(
-        params, feats, tape, *nll_loss(log_probs, labels, mask), weight_decay, decay_gamma
-    )
+    if params.flat.ndim == 1:
+        loss, dlogits = nll_loss(log_probs, labels, mask)
+    else:
+        per_seed = (nll_loss(lp, labels, m) for lp, m in zip(log_probs, mask, strict=True))
+        loss, dlogits = map(np.array, zip(*per_seed))
+    return backprop(params, feats, tape, loss, dlogits, weight_decay, decay_gamma)
 
 
 def signal_forward(
@@ -328,7 +398,7 @@ def signal_forward(
 ) -> tuple[ForwardTape, np.ndarray]:
     """Forward pass to the identity-head output (one scalar per node)."""
     tape = forward_embedding(params, feats)
-    return tape, tape.logits[:, 0]
+    return tape, tape.logits[..., 0]
 
 
 def readout_forward(
@@ -344,11 +414,11 @@ def readout_forward(
     if readout not in ("mean", "sum"):
         raise ValueError("readout must be 'mean' or 'sum'")
     tape = forward_embedding(params, feats)
-    n = len(tape.logits)
+    n = tape.logits.shape[-2]
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.ndim != 1 or not len(sizes) or sizes.min() < 1 or sizes.sum() != n:
         raise ValueError(f"graph sizes must be positive and sum to {n} nodes")
-    pooled = np.add.reduceat(tape.logits, np.cumsum(sizes) - sizes, axis=0)
+    pooled = np.add.reduceat(tape.logits, np.cumsum(sizes) - sizes, axis=-2)
     return tape, (pooled / sizes[:, None] if readout == "mean" else pooled)
 
 
@@ -368,7 +438,7 @@ def predict_graph_labels(
     params: HigcnParams, feats: PropagatedFeatures, sizes, readout: str
 ) -> np.ndarray:
     """Predicted class of every graph of a disjoint union."""
-    return np.argmax(readout_forward(params, feats, sizes, readout)[1], axis=1)
+    return np.argmax(readout_forward(params, feats, sizes, readout)[1], axis=-1)
 
 
 @dataclass
@@ -408,11 +478,13 @@ def adam_step(
 
 def strength(params: HigcnParams) -> np.ndarray:
     """Per-order interaction strength: row-wise absolute sum of the filters."""
-    return np.abs(params.gamma).sum(axis=1)
+    return np.abs(params.gamma).sum(axis=-1)
 
 
 def save_checkpoint(params: HigcnParams, path) -> None:
     """JSON header line plus the flat little-endian float64 parameter block."""
+    if params.flat.ndim != 1:
+        raise ValueError("a checkpoint holds one parameter set; unstack a stack first")
     header = {key: getattr(params, key) for key in _HEADER_KEYS}
     header["magic"] = CHECKPOINT_MAGIC
     with open(path, "wb") as fh:

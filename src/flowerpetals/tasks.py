@@ -7,7 +7,7 @@ import json
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .model import (
     pooled_nll_loss,
     readout_forward,
     signal_forward,
+    stack_params,
 )
 # not called here; perfbench/spans.py wraps these bindings
 from .model import loss_and_grad, predict_graph_labels, readout_loss_and_grad  # noqa: F401
@@ -361,61 +362,88 @@ def petal_features(
     return propagate_features(petal_operators(k, p_max), x, k_max)
 
 
-# what _adam_fit keeps: a parameter set, its epoch and forward output, and the curves
+# what _adam_fit keeps of each seed: a parameter set, its epoch and forward
+# output, and the curves
 _Fit = namedtuple("_Fit", "params epoch out train_curve val_curve")
 
 
 def _adam_fit(params, feats, cfg: TrainConfig, run_forward, task_loss, validate=None,
-              patience=None):
-    """Adam from ``params`` for ``cfg.resolved_epochs`` epochs, running the
-    model forward on ``feats`` once per parameter set.
+              patience=None) -> list[_Fit]:
+    """Adam from the stack ``params`` for ``cfg.resolved_epochs`` epochs,
+    running the model forward on ``feats`` once per epoch for every seed of
+    the stack; one fit per seed, in stack order.
 
-    ``run_forward(params)`` returns a tape and its output, and
-    ``task_loss(out)`` the training loss at the output and its gradient at
-    the logits; :func:`backprop` adds ``cfg.weight_decay`` (on gamma too
-    with ``cfg.decay_gamma``) and returns the gradient. The forward after
-    each Adam step is both that epoch's validation read ``validate(out)``
-    and the tape of the next epoch's gradient. With
-    ``patience``, lower reads are better: the fit keeps the parameters of
-    the first best read and stops after the read that leaves it more than
-    ``patience`` epochs old. Otherwise it keeps the last parameters.
+    ``run_forward(params)`` returns a tape and the stack's output, one row
+    per seed, and ``task_loss(i, out)`` seed i's training loss at its output
+    row and its gradient at the logits; :func:`backprop` adds
+    ``cfg.weight_decay`` (on gamma too with ``cfg.decay_gamma``) and returns
+    the gradient. The forward after each Adam step is both that epoch's
+    validation read ``validate(i, out)`` and the tape of the next epoch's
+    gradient. With ``patience``, lower reads are better: each seed keeps the
+    parameters of its first best read and stops after the read that leaves
+    it more than ``patience`` epochs old. A stopped seed leaves the stack,
+    and the others go on from a forward of the smaller stack. Otherwise
+    every seed keeps its last parameters.
     """
     state = AdamState.zeros_like(params)
     tape, out = run_forward(params)
-    kept, best, stale = (params, 0, out), np.inf, 0
-    train_curve, val_curve = [], []
+    count = len(params.seed)
+    live = list(range(count))  # the seed of each row of the stack
+    kept = [(params, i, 0, out[i]) for i in live]  # (stack, row, epoch, output row)
+    best, stale = [np.inf] * count, [0] * count
+    train_curves, val_curves = [[] for _ in live], [[] for _ in live]
     for epoch in range(cfg.resolved_epochs):
+        loss, dlogits = map(np.array, zip(*(task_loss(i, o) for i, o in zip(live, out))))
         loss, grad = backprop(
-            params, feats, tape, *task_loss(out), cfg.weight_decay, cfg.decay_gamma
+            params, feats, tape, loss, dlogits, cfg.weight_decay, cfg.decay_gamma
         )
         del tape, out  # one tape at a time: release it before the next forward
         params, state = adam_step(params, grad, state, cfg.lr)
         tape, out = run_forward(params)
-        train_curve.append(loss)
-        if validate is not None:
-            val_curve.append(validate(out))
-        if patience is None:
-            kept = (params, epoch, out)
-        elif val_curve[-1] < best:
-            kept, best, stale = (params, epoch, out), val_curve[-1], 0
-        else:
-            stale += 1
-            if stale > patience:
-                break
-    return _Fit(*kept, train_curve, val_curve)
+        going = []  # the rows that go on
+        for row, i in enumerate(live):
+            train_curves[i].append(float(loss[row]))
+            if validate is not None:
+                val_curves[i].append(validate(i, out[row]))
+            if patience is None:
+                kept[i] = (params, row, epoch, out[row])
+            elif val_curves[i][-1] < best[i]:
+                kept[i], best[i], stale[i] = (params, row, epoch, out[row]), val_curves[i][-1], 0
+            else:
+                stale[i] += 1
+                if stale[i] > patience:
+                    continue
+            going.append(row)
+        if not going:
+            break
+        if len(going) < len(live):
+            live = [live[row] for row in going]
+            seed = tuple(params.seed[row] for row in going)
+            params = replace(params, seed=seed, flat=params.flat[going])
+            state = AdamState(state.t, state.m[going], state.v[going])
+            del tape, out
+            tape, out = run_forward(params)
+    return [
+        _Fit(stack.unstack()[row], epoch, out_row, train_curves[i], val_curves[i])
+        for i, (stack, row, epoch, out_row) in enumerate(kept)
+    ]
 
 
-def _fit_node_model(feats, labels, split: SplitSpec, cfg: TrainConfig, seed: int) -> _Fit:
-    """Adam with early stopping on validation loss; keeps the best-epoch
-    parameters and their log-probabilities."""
+def _fit_node_model(feats, labels, splits, cfg: TrainConfig) -> list[_Fit]:
+    """Adam with early stopping on validation loss for every seed of
+    ``cfg.seeds`` as one stack, each on its own split; each seed keeps its
+    best-epoch parameters and their log-probabilities."""
     n_classes = int(labels.max()) + 1
-    params = init_params(
-        cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha, seed, cfg.theta_depth
+    params = stack_params(
+        init_params(cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha, seed,
+                    cfg.theta_depth)
+        for seed in cfg.seeds
     )
     return _adam_fit(
         params, feats, cfg, lambda p: forward(p, feats),
-        lambda log_probs: nll_loss(log_probs, labels, split.train),
-        validate=lambda log_probs: nll(log_probs, labels, split.val), patience=cfg.patience,
+        lambda i, log_probs: nll_loss(log_probs, labels, splits[i].train),
+        validate=lambda i, log_probs: nll(log_probs, labels, splits[i].val),
+        patience=cfg.patience,
     )
 
 
@@ -423,17 +451,18 @@ def fit_node_params(
     g: Graph, cfg: TrainConfig
 ) -> tuple[MetricsReport, list[HigcnParams]]:
     """Lift, build operators and propagate once, then train every seed with
-    early stopping. Returns the report of test accuracy at each seed's
-    best-validation epoch and that epoch's parameters, in seed order."""
+    early stopping, all seeds as one stack. Returns the report of test
+    accuracy at each seed's best-validation epoch and that epoch's
+    parameters, in seed order."""
     _require_task(cfg, "node")
     if g.features is None or g.labels is None:
         raise DataError("node classification needs features and labels")
     complex_ = clique_lift(g, cfg.P)
     feats = petal_features(complex_, g.features, cfg.P, cfg.K)
-    runs, fitted = [], []
-    for seed in cfg.seeds:
-        split = make_splits(g.n, cfg.split_ratios, seed)
-        fit = _fit_node_model(feats, g.labels, split, cfg, seed)
+    splits = [make_splits(g.n, cfg.split_ratios, seed) for seed in cfg.seeds]
+    fits = _fit_node_model(feats, g.labels, splits, cfg)
+    runs = []
+    for seed, split, fit in zip(cfg.seeds, splits, fits):
         acc = accuracy(fit.out, g.labels, split.test)
         runs.append(
             {
@@ -445,10 +474,9 @@ def fit_node_params(
                 "val_loss_curve": fit.val_curve,
             }
         )
-        fitted.append(fit.params)
     return MetricsReport.from_runs(
         "node", "accuracy", runs, extras={"n": g.n, "counts": complex_.counts()}
-    ), fitted
+    ), [fit.params for fit in fits]
 
 
 def train_node_classification(g: Graph, cfg: TrainConfig) -> MetricsReport:
@@ -489,9 +517,9 @@ def impute_signals(
 
         feats = propagate_features(ops, x, cfg.K)
         params = init_params(cfg.P, cfg.K, 1, cfg.hidden, 1, cfg.alpha, seed, cfg.theta_depth)
-        fit = _adam_fit(
-            params, feats, cfg, lambda p: signal_forward(p, feats),
-            lambda pred: l1_loss(pred, targets, known),
+        (fit,) = _adam_fit(
+            stack_params([params]), feats, cfg, lambda p: signal_forward(p, feats),
+            lambda _, pred: l1_loss(pred, targets, known),
         )
         if not np.isfinite(fit.out).all():
             raise FloatingPointError(f"seed {seed}: the imputed signals are not all finite")
@@ -577,10 +605,11 @@ def graph_classify(
             cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,
         )
-        fit = _adam_fit(
-            params, feats, cfg, lambda p: readout_forward(p, feats, sizes, cfg.readout),
-            lambda pooled: pooled_nll_loss(pooled, sizes, labels, train_idx, cfg.readout),
-            validate=lambda pooled: accuracy(pooled, labels, val_idx),
+        (fit,) = _adam_fit(
+            stack_params([params]), feats, cfg,
+            lambda p: readout_forward(p, feats, sizes, cfg.readout),
+            lambda _, pooled: pooled_nll_loss(pooled, sizes, labels, train_idx, cfg.readout),
+            validate=lambda _, pooled: accuracy(pooled, labels, val_idx),
         )
         fold_curves.append(fit.val_curve)
 

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -198,7 +197,7 @@ class TestTrainImputeGraphclass:
         # the checkpoint is seed 0 of the reported training, not a retrain
         cfg = TrainConfig.from_json(work / "cfg.json")
         g_read = load_graph(work / "e.tsv", work / "f.csv", work / "l.csv")
-        _, params = fit_node_params(g_read, replace(cfg, seeds=(0,)))
+        _, params = fit_node_params(g_read, cfg)
         save_checkpoint(params[0], work / "seed0.ck")
         assert model.read_bytes() == (work / "seed0.ck").read_bytes()
 
@@ -372,7 +371,10 @@ class TestOneSetUpPerRun:
 
     def test_one_forward_per_parameter_set(self, work, monkeypatch):
         """Each parameter set runs forward once: the forward after an Adam
-        step is both that epoch's validation read and the next epoch's tape."""
+        step is both that epoch's validation read and the next epoch's tape.
+        The node seeds share one stack and so one forward per epoch; when a
+        seed stops early, the others go on from one forward of the smaller
+        stack."""
         forwards = count_calls(monkeypatch, flowerpetals.model, "forward_embedding")
         argv = node_train_argv(work, json.dumps(
             {"task": "node", "epochs": 60, "patience": 3, "seeds": [0, 1], "hidden": 4}))
@@ -380,7 +382,7 @@ class TestOneSetUpPerRun:
                            "--save-model", str(work / "m.ck")]) == 0
         epochs_run = [len(r["train_loss_curve"]) for r in read_json(work / "t.json")["runs"]]
         assert min(epochs_run) < 60  # early stopping cut at least one seed short
-        assert len(forwards) == sum(e + 1 for e in epochs_run)
+        assert len(forwards) == max(epochs_run) + 1 + len(set(epochs_run)) - 1
 
         forwards.clear()
         write_graph_dataset(work / "gs.jsonl")
@@ -524,6 +526,17 @@ class TestExitCodes:
         assert run(argvs[command] + ["--seed", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("usage: flowerpetals")
+        assert captured.err.endswith("flowerpetals: error: unrecognized arguments: --seed 1\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["lift", "--edges"], "argument --edges: expected one argument"),
+        (["lift"], "the following arguments are required: --edges"),
+    ])
+    def test_usage_error_names_the_option(self, capsys, argv, message):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: flowerpetals lift")
+        assert captured.err.endswith(f"flowerpetals lift: error: {message}\n")
 
     def test_bad_coauthorship_header_names_path_and_line(self, work, capsys):
         path = work / "cc.tsv"

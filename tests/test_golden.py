@@ -30,20 +30,39 @@ def test_output_is_byte_identical(written, name):
     assert (out / name).read_bytes() == (OUTPUTS / name).read_bytes()
 
 
+TRAINING_OUTPUTS = ("train.json", "model.ck", "impute.json")
+
+
+@pytest.fixture(scope="module")
+def by_threads(tmp_path_factory):
+    """The training outputs written under 1 and under 2 BLAS threads, by name."""
+    written = {}
+    for threads in ("1", "2"):
+        # the thread count is read when the BLAS loads, so each run is a child
+        # process with the variable set in its own environment only
+        env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path_factory.mktemp(f"threads{threads}")
+        argvs = commands(INPUTS, out)
+        for name in ("train.json", "impute.json"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowerpetals.cli", *argvs[name], "--out", str(out / name)],
+                cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+        written[threads] = {name: (out / name).read_bytes() for name in TRAINING_OUTPUTS}
+    return written
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_training_outputs_do_not_depend_on_the_blas_thread_count(tmp_path, threads):
-    # the thread count is read when the BLAS loads, so each run is a child
-    # process with the variable set in its own environment only
-    env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": threads}
-    argvs = commands(INPUTS, tmp_path)
-    for name in ("train.json", "impute.json"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "flowerpetals.cli", *argvs[name], "--out", str(tmp_path / name)],
-            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-    for name in ("train.json", "model.ck", "impute.json"):
-        assert (tmp_path / name).read_bytes() == (OUTPUTS / name).read_bytes(), name
+def test_training_outputs_do_not_depend_on_the_blas_thread_count(by_threads, threads):
+    for name in TRAINING_OUTPUTS:
+        assert by_threads[threads][name] == (OUTPUTS / name).read_bytes(), name
+
+
+def test_one_and_two_blas_threads_write_the_same_training_outputs(by_threads):
+    # holds apart from the golden bytes, which belong to one BLAS kernel
+    for name in TRAINING_OUTPUTS:
+        assert by_threads["1"][name] == by_threads["2"][name], name
 
 
 def test_check_names_the_keys_added_or_removed():

@@ -21,7 +21,9 @@ from flowerpetals.model import (
     loss_and_grad,
     predict_graph_labels,
     readout_loss_and_grad,
+    nll_loss,
     save_checkpoint,
+    stack_params,
     strength,
 )
 from flowerpetals.operators import PropagatedFeatures, propagate_features
@@ -496,6 +498,103 @@ class TestAdam:
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-9)
         assert violations <= 5
         assert losses[-1] < losses[0]
+
+
+def stack_case(seeds, depth, n=120, d=8):
+    """Features, labels, and one parameter set per seed, each with its own
+    random filters (initialization gives every seed and petal the same)."""
+    feats = graph_feats(n, d, seed=90, k_max=4)
+    labels = np.random.default_rng(91).integers(0, 3, n)
+    sets = []
+    for seed in seeds:
+        params = init_params(2, 4, d, 6, 3, 0.5, seed=seed, depth=depth)
+        gamma = np.random.default_rng((92, seed)).normal(size=params.gamma.shape)
+        sets.append(map_arrays(params, lambda name, a, gamma=gamma: gamma if name == "gamma" else a))
+    return feats, labels, sets
+
+
+class TestStack:
+    """Seeds trained as one stack: the filter and its gradient are one GEMM
+    over the seeds instead of one GEMV per seed, so a stacked seed's bits
+    drift from its solo run's in the last places."""
+
+    @pytest.mark.parametrize("decay_gamma", [False, True])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("seeds", [(0, 1), (3, 4, 5)])
+    def test_each_seed_agrees_with_its_solo_gradient(self, seeds, depth, decay_gamma):
+        feats, labels, sets = stack_case(seeds, depth)
+        masks = [np.arange(i, len(labels), 3) for i in range(len(seeds))]
+        losses, grads = loss_and_grad(stack_params(sets), feats, labels, masks, 0.01, decay_gamma)
+        assert grads.shape == (len(seeds), sets[0].flat.size)
+        for params, mask, loss, grad in zip(sets, masks, losses, grads, strict=True):
+            want_loss, want = loss_and_grad(params, feats, labels, mask, 0.01, decay_gamma)
+            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+            got, want = replace(params, flat=grad), replace(params, flat=want)
+            for (name, a), (_, b) in zip(got.named_arrays(), want.named_arrays()):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_a_stack_of_one_is_bit_identical_to_its_set(self, depth):
+        feats, labels, (params,) = stack_case((7,), depth)
+        mask = np.arange(0, len(labels), 2)
+        stack = stack_params([params])
+        tape, log_probs = forward(stack, feats)
+        want_tape, want_log_probs = forward(params, feats)
+        assert tape.filtered[:, 0].tobytes() == want_tape.filtered.tobytes()
+        assert (tape.pre is None) == (depth == 1)
+        if depth == 2:
+            assert tape.pre[:, 0].tobytes() == want_tape.pre.tobytes()
+        assert tape.z[0].tobytes() == want_tape.z.tobytes()
+        assert log_probs[0].tobytes() == want_log_probs.tobytes()
+        loss, grad = loss_and_grad(stack, feats, labels, [mask], 0.01, True)
+        want_loss, want = loss_and_grad(params, feats, labels, mask, 0.01, True)
+        assert loss.tobytes() == np.array([want_loss]).tobytes()
+        assert grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seeds", [2, 3])
+    def test_a_stacked_epoch_holds_at_most_its_solo_epochs_memory(self, seeds):
+        # one epoch at node-train's shape as the trainer runs it: the
+        # forward, the losses, the reverse pass while the tape is held, Adam
+        rng = np.random.default_rng(23)
+        feats = PropagatedFeatures(rng.normal(size=(2, 11, 1200, 32)))
+        labels, mask = rng.integers(0, 2, 1200), np.arange(0, 1200, 2)
+
+        def epoch_peak(sets):
+            params = stack_params(sets)
+            tracemalloc.start()
+            try:
+                tape, log_probs = forward(params, feats)
+                per_seed = (nll_loss(lp, labels, mask) for lp in log_probs)
+                loss, dlogits = map(np.array, zip(*per_seed))
+                _, grad = backprop(params, feats, tape, loss, dlogits, 5e-4)
+                del tape, log_probs
+                adam_step(params, grad, AdamState.zeros_like(params), 0.05)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sets = [init_params(2, 10, 32, 32, 2, 0.5, seed=s) for s in range(seeds)]
+        solo = epoch_peak(sets[:1])
+        # 3.2 MB solo and 6.4 MB for 2 seeds; within a 2% slack. A copy that
+        # only a stack makes, such as dfiltered transposed into a contiguous
+        # (P, n*d, S) block, adds about 1.2 MB for 2 seeds
+        assert epoch_peak(sets) <= seeds * solo * 1.02
+
+    def test_a_stack_round_trips_and_is_checked(self):
+        sets = [init_params(2, 3, 4, 5, 3, 0.5, seed=s) for s in (4, 2)]
+        stack = stack_params(sets)
+        assert stack.seed == (4, 2) and stack.flat.shape == (2, sets[0].flat.size)
+        assert stack.gamma.shape == (2, 2, 4) and stack.w.shape == (2, 10, 3)
+        assert stack.unstack() == sets
+        assert np.array_equal(strength(stack), [strength(p) for p in sets])
+        with pytest.raises(ValueError, match="for each of 2 seeds"):
+            replace(stack, flat=stack.flat[:1])
+        with pytest.raises(ValueError, match="share every header field"):
+            stack_params([sets[0], init_params(2, 3, 4, 5, 3, 0.5, seed=0, depth=1)])
+        with pytest.raises(ValueError, match="share every header field"):
+            stack_params([])
+        with pytest.raises(ValueError, match="one parameter set"):
+            save_checkpoint(stack, "unused.ck")
 
 
 class TestStrength:

@@ -232,14 +232,14 @@ class TestNodeClassification:
         from flowerpetals.model import forward
 
         split = make_splits(g.n, cfg.split_ratios, 3)
-        params = _fit_node_model(feats, g.labels, split, cfg, 3).params
+        params = _fit_node_model(feats, g.labels, [split], cfg)[0].params
 
         class PermutedSplit:
             train = perm[split.train]
             val = perm[split.val]
             test = perm[split.test]
 
-        pparams = _fit_node_model(pfeats, permuted.labels, PermutedSplit, cfg, 3).params
+        pparams = _fit_node_model(pfeats, permuted.labels, [PermutedSplit], cfg)[0].params
         _, log_probs = forward(params, feats)
         _, plog_probs = forward(pparams, pfeats)
         base_acc = float(np.mean(np.argmax(log_probs[split.test], 1) == g.labels[split.test]))
@@ -443,17 +443,17 @@ class TestAgainstTwoForwardOracle:
         """Scripted reads: a tie with the best is not an improvement, and the
         fit stops after the read that leaves the best more than ``patience``
         epochs old. Zero gradients leave Adam's parameters unchanged."""
-        from flowerpetals.model import forward_embedding
+        from flowerpetals.model import forward_embedding, stack_params
         from flowerpetals.tasks import _adam_fit
 
-        params = init_params(1, 1, 2, 2, 2, 0.5, seed=0)
+        params = stack_params([init_params(1, 1, 2, 2, 2, 0.5, seed=0)])
         feats = petal_features(clique_lift(Graph(3, ((0, 1), (1, 2))), 1), np.ones((3, 2)), 1, 1)
         tape = forward_embedding(params, feats)
-        zero = np.zeros_like(tape.logits)  # with no weight decay, a zero gradient
+        zero = np.zeros_like(tape.logits[0])  # with no weight decay, a zero gradient
         reads = iter([9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5])
-        fit = _adam_fit(params, feats, TrainConfig(epochs=20, weight_decay=0.0),
-                        lambda p: (tape, next(reads)),
-                        lambda out: (out, zero), validate=float, patience=2)
+        (fit,) = _adam_fit(params, feats, TrainConfig(epochs=20, weight_decay=0.0),
+                           lambda p: (tape, [next(reads)]),
+                           lambda _, out: (out, zero), validate=lambda _, out: out, patience=2)
         assert fit.val_curve == [3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
         assert (fit.epoch, fit.out) == (3, 1.0)
         assert fit.train_curve == [9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0]

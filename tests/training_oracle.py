@@ -5,7 +5,10 @@ they were before validation was fused into the next epoch's forward. Each
 epoch takes the loss and gradients from ``loss_and_grad`` (or
 ``readout_loss_and_grad``), takes one Adam step, then runs a second forward
 on the stepped parameters for the validation read. Node classification
-also runs one more forward on the best parameters for the test accuracy.
+runs its seeds as one stack through the model's stacked ``loss_and_grad``
+and ``forward``, as the trainer does, with per-seed bookkeeping here; a
+seed that stops leaves the stack. It also runs one more forward on each
+seed's best parameters alone for the test accuracy.
 ``flowerpetals.tasks`` must give the same curves, best epochs, accuracies
 and parameters bit for bit.
 
@@ -44,6 +47,7 @@ from flowerpetals.model import (
     predict_graph_labels,
     readout_loss_and_grad,
     signal_forward,
+    stack_params,
 )
 from flowerpetals.operators import propagate_features
 from flowerpetals.tasks import (
@@ -129,51 +133,58 @@ def fit_node_params(g, cfg):
     complex_ = clique_lift(g, cfg.P)
     feats = petal_features(complex_, g.features, cfg.P, cfg.K)
     labels = g.labels
-    runs, fitted = [], []
-    for seed in cfg.seeds:
-        split = make_splits(g.n, cfg.split_ratios, seed)
-        params = init_params(
-            cfg.P, cfg.K, feats.d, cfg.hidden, int(labels.max()) + 1, cfg.alpha, seed,
-            cfg.theta_depth,
+    splits = [make_splits(g.n, cfg.split_ratios, seed) for seed in cfg.seeds]
+    params = [
+        init_params(cfg.P, cfg.K, feats.d, cfg.hidden, int(labels.max()) + 1, cfg.alpha, seed,
+                    cfg.theta_depth)
+        for seed in cfg.seeds
+    ]
+    states = [adam_zeros(p) for p in params]
+    best = [(np.inf, p, 0) for p in params]
+    stale = [0] * len(params)
+    train_curves, val_curves = [[] for _ in params], [[] for _ in params]
+    live = list(range(len(params)))  # the seeds still training, in stack order
+    for epoch in range(cfg.resolved_epochs):
+        losses, grads = loss_and_grad(
+            stack_params(params[i] for i in live), feats, labels,
+            [splits[i].train for i in live], cfg.weight_decay, cfg.decay_gamma,
         )
-        state = adam_zeros(params)
-        best = (np.inf, params, 0)
-        stale = 0
-        train_curve, val_curve = [], []
-        for epoch in range(cfg.resolved_epochs):
-            loss, grads = loss_and_grad(
-                params, feats, labels, split.train, cfg.weight_decay, cfg.decay_gamma
-            )
-            params, state = adam_step(params, grads, state, cfg.lr)
-            _, log_probs = forward(params, feats)
-            val_loss = -float(log_probs[split.val, labels[split.val]].mean())
-            train_curve.append(loss)
-            val_curve.append(val_loss)
-            if val_loss < best[0]:
-                best = (val_loss, params, epoch)
-                stale = 0
+        for row, i in enumerate(live):
+            params[i], states[i] = adam_step(params[i], grads[row], states[i], cfg.lr)
+        _, log_probs = forward(stack_params(params[i] for i in live), feats)
+        for row, i in enumerate(list(live)):
+            val = splits[i].val
+            val_loss = -float(log_probs[row][val, labels[val]].mean())
+            train_curves[i].append(float(losses[row]))
+            val_curves[i].append(val_loss)
+            if val_loss < best[i][0]:
+                best[i] = (val_loss, params[i], epoch)
+                stale[i] = 0
             else:
-                stale += 1
-                if stale > cfg.patience:
-                    break
-        log_probs = forward(best[1], feats)[1]
-        pred = np.argmax(log_probs[split.test], axis=1)
-        acc = float(np.mean(pred == labels[split.test]))
+                stale[i] += 1
+                if stale[i] > cfg.patience:
+                    live.remove(i)
+        if not live:
+            break
+    runs = []
+    for i, seed in enumerate(cfg.seeds):
+        test = splits[i].test
+        pred = np.argmax(forward(best[i][1], feats)[1][test], axis=1)
+        acc = float(np.mean(pred == labels[test]))
         runs.append(
             {
                 "seed": seed,
                 "accuracy": acc,
                 "micro_f1": acc,
-                "best_epoch": best[2],
-                "train_loss_curve": train_curve,
-                "val_loss_curve": val_curve,
+                "best_epoch": best[i][2],
+                "train_loss_curve": train_curves[i],
+                "val_loss_curve": val_curves[i],
             }
         )
-        fitted.append(best[1])
     report = MetricsReport.from_runs(
         "node", "accuracy", runs, extras={"n": g.n, "counts": complex_.counts()}
     )
-    return report, fitted
+    return report, [b[1] for b in best]
 
 
 def graph_classify(graphs, labels, cfg):
