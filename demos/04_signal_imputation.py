@@ -6,6 +6,8 @@ filters; ranking quality (Kendall tau over all nodes) grows with the
 known fraction.
 """
 
+from dataclasses import replace
+
 from flowerpetals import TrainConfig, impute_signals
 from flowerpetals.synthetic import coauthorship_complex
 
@@ -17,5 +19,5 @@ cfg = TrainConfig(
     task="impute", P=2, seeds=(0, 1, 2), alpha=0.1, lr=0.02, hidden=16, weight_decay=0.0
 )
 for fraction in (0.1, 0.3, 0.5, 0.7):
-    report = impute_signals(cc, fraction, cfg)
+    report = impute_signals(cc, replace(cfg, known_fraction=fraction))
     print(f"known fraction {fraction:.0%}: kendall tau {report.mean:.3f} +- {report.ci95:.3f}")

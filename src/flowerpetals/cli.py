@@ -157,7 +157,7 @@ def _cmd_train(args):
 def _cmd_impute(args) -> dict:
     cfg = _load_config(args)
     cc = load_coauthorship(args.simplices)
-    return _training_payload(impute_signals(cc, cfg.known_fraction, cfg), cfg)
+    return _training_payload(impute_signals(cc, cfg), cfg)
 
 
 def _cmd_graphclass(args) -> dict:

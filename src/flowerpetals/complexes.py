@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -316,14 +318,6 @@ def _node_count(path, declared_n: int | None, max_id: int) -> int:
     return n
 
 
-def _check_node_ids(path, lineno: int, text: str, low: int, high: int) -> None:
-    """Refuse a line whose smallest node id is negative or largest is past int64."""
-    if low < 0:
-        raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
-    if high not in _INT64:
-        raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
-
-
 def _lines(path, comments: bool = False):
     """(line number, stripped text) of each non-blank line; with
     ``comments``, lines starting with "#" are skipped too."""
@@ -333,101 +327,122 @@ def _lines(path, comments: bool = False):
                 yield lineno, text
 
 
-def load_graph(
-    edge_path, feature_path=None, label_path=None
-) -> Graph:
+def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
     """Read a graph from an edge TSV plus optional feature/label CSVs.
 
     Edge rows are "u<TAB>v" (any whitespace accepted); an optional first
-    line "#n=<count>" fixes the node count, otherwise n = 1 + max id.
-    Self-loops are dropped (logged), duplicates collapsed. numpy parses the
-    edge and feature files whole; a per-line scan reads what it refuses
-    (such as "#" comments below line 1, or "1_0") and names the line of any
-    error. Labels are read line by line.
+    line "#n=<count>" fixes the node count, otherwise n = 1 + max id, and
+    "#" lines are skipped. Self-loops are dropped (logged), duplicates
+    collapsed. Each file is one table in numpy's grammar (:func:`_read_table`).
     """
     edge_path = Path(edge_path)
     first = _first_line(edge_path)
     declared_n = node_count_header(edge_path, first)
-    rows = _read_table(edge_path, np.int64, skiprows=int(first.startswith("#")))
-    if rows is None or rows.shape[1] != 2 or rows.min() < 0:
-        rows = _scan_edges(edge_path)
+    rows = _read_table(edge_path, np.int64, _edge_fault, width=2, comments=True,
+                       skiprows=int(first.startswith("#"))).reshape(-1, 2)
     loops = rows[:, 0] == rows[:, 1]
     if loops.any():
         logger.warning("%s: dropped %d self-loop(s)", edge_path, loops.sum())
         rows = rows[~loops]
     n = _node_count(edge_path, declared_n, int(rows.max(initial=-1)))
 
-    features = _load_feature_csv(feature_path, n) if feature_path else None
-    labels = _load_label_csv(label_path, n) if label_path else None
+    features = _load_feature_csv(Path(feature_path), n) if feature_path else None
+    labels = _load_label_csv(Path(label_path), n) if label_path else None
     return Graph.from_edge_list(n, rows, features, labels)
 
 
-def _read_table(path, dtype, **loadtxt_args) -> np.ndarray | None:
-    """A file as one (rows, fields) array from one numpy pass; None when numpy
-    refuses a line or finds no rows, for the caller's per-line scan to judge.
-    With no comment character a stray "#" is refused, not cut off, and "3.7"
-    in an int column is refused where numpy releases that warn would truncate it."""
-    with path.open() as fh, warnings.catch_warnings():
+def _loadtxt(source, dtype, delimiter=None, skiprows=0) -> np.ndarray | None:
+    """numpy's parse of ``source`` as one (rows, fields) table; None if numpy
+    refuses it. With no comment character a stray "#" is refused, not cut off,
+    and "3.7" in an int column is refused where older numpy would truncate it."""
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # numpy's "input contained no data"
         warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
         try:
-            table = np.loadtxt(fh, dtype, comments=None, ndmin=2, **loadtxt_args)
+            return np.loadtxt(source, dtype, comments=None, delimiter=delimiter,
+                              skiprows=skiprows, ndmin=2)
         except ValueError:
             return None
-    return table if table.size else None
 
 
-def _scan_edges(path) -> np.ndarray:
-    rows = []
-    for lineno, text in _lines(path, comments=True):  # the header is read by load_graph
-        parts = text.split()
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'u<TAB>v', got {text!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer endpoint in {text!r}") from None
-        _check_node_ids(path, lineno, text, min(u, v), max(u, v))
-        rows.append((u, v))
-    return np.array(rows, dtype=np.int64).reshape(-1, 2)
+def _first_bad_row(table: np.ndarray, width: int) -> int | None:
+    """The index of the first row of the wrong width, with a negative
+    integer, or with a non-finite float; None if every row is good."""
+    if len(table) and table.shape[1] != width:
+        return 0
+    bad = table < 0 if table.dtype.kind == "i" else ~np.isfinite(table)
+    # whole-array reductions: a row-wise any() of a two-column table takes 20x as long
+    return bad.argmax() // width if bad.any() else None
 
 
-def _load_feature_csv(path, n: int) -> np.ndarray:
-    path = Path(path)
-    feats = _read_table(path, np.float64, delimiter=",")
-    if feats is None or not np.isfinite(feats).all():
-        feats = []
-        for lineno, text in _lines(path):
-            try:
-                row = [float(tok) for tok in text.split(",")]
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
-            if not all(map(math.isfinite, row)):
-                raise DataError(f"{path}:{lineno}: non-finite feature value")
-            if feats and len(row) != len(feats[0]):
-                raise DataError(f"{path}:{lineno}: ragged feature row")
-            feats.append(row)
-        feats = np.asarray(feats, dtype=np.float64)
+def _read_table(path, dtype, fault, width=None, delimiter=None, comments=False,
+                skiprows=0) -> np.ndarray:
+    """The data lines of a table file (blank lines skipped, and "#" lines with
+    ``comments``) as one array of rows ``width`` fields wide (by default the
+    first row's), of non-negative integers or finite floats. numpy reads the
+    file directly, skipping ``skiprows`` lines, and only if it refuses, again
+    from the data lines. The first bad row, or the first line numpy refuses
+    alone, is a DataError at ``path:line`` saying ``fault(text, row)``, where
+    ``row`` is numpy's parse of that line alone (None if refused)."""
+    with path.open() as fh:
+        table = _loadtxt(fh, dtype, delimiter, skiprows)
+    if table is None:
+        table = _loadtxt([text for _, text in _lines(path, comments)], dtype, delimiter)
+    start = 0
+    if table is not None:
+        width = width or table.shape[1]
+        start = _first_bad_row(table, width)  # row i is the i-th data line
+        if start is None:
+            return table
+    for lineno, text in itertools.islice(_lines(path, comments), start, None):
+        row = _loadtxt([text], dtype, delimiter)
+        if row is None or _first_bad_row(row, width or row.shape[1]) is not None:
+            raise DataError(f"{path}:{lineno}: {fault(text, row)}")
+        width = width or row.shape[1]
+
+
+_INTEGER = re.compile("[+-]?[0-9]+")  # numpy's int64 grammar, whatever the range
+
+
+def _edge_fault(text, row) -> str:
+    cells = _loadtxt([text], str)[0]  # numpy's fields, whatever they hold
+    if len(cells) != 2:
+        return f"expected 'u<TAB>v', got {text!r}"
+    if row is None and not all(map(_INTEGER.fullmatch, cells)):
+        return f"non-integer endpoint in {text!r}"
+    if row is None:  # integers past int64, read as floats for their signs
+        row = _loadtxt([text], np.float64)
+    if row.min() < 0:
+        return f"negative node id in {text!r}"
+    return f"node id past the int64 range in {text!r}"
+
+
+def _load_feature_csv(path: Path, n: int) -> np.ndarray:
+    feats = _read_table(path, np.float64, _feature_fault, delimiter=",")
     if len(feats) != n:
         raise DataError(f"{path}: {len(feats)} feature rows for {n} nodes")
     return feats
 
 
-def _load_label_csv(path, n: int) -> np.ndarray:
-    path = Path(path)
-    labels = []
-    for lineno, text in _lines(path):
-        try:
-            labels.append(int(text))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-integer label") from None
-        if labels[-1] not in _INT64:
-            raise DataError(f"{path}:{lineno}: label past the int64 range")
-        if labels[-1] < 0:
-            raise DataError(f"{path}:{lineno}: negative label {labels[-1]}")
+def _feature_fault(text, row) -> str:
+    if row is None:
+        return "non-numeric feature value"
+    return "ragged feature row" if np.isfinite(row).all() else "non-finite feature value"
+
+
+def _load_label_csv(path: Path, n: int) -> np.ndarray:
+    labels = _read_table(path, np.int64, _label_fault, width=1)[:, 0]
     if len(labels) != n:
         raise DataError(f"{path}: {len(labels)} labels for {n} nodes")
-    return np.asarray(labels, dtype=np.int64)
+    return labels
+
+
+def _label_fault(text, row) -> str:
+    if row is not None and row.shape[1] == 1:
+        return f"negative label {row[0, 0]}"
+    if row is None and _INTEGER.fullmatch(text):
+        return "label past the int64 range"
+    return "non-integer label"
 
 
 def load_coauthorship(path) -> CoauthorshipComplex:
@@ -458,7 +473,10 @@ def load_coauthorship(path) -> CoauthorshipComplex:
             raise DataError(f"{path}:{lineno}: signal must be finite and non-negative")
         if len(nodes) != order + 1 or len(set(nodes)) != len(nodes):
             raise DataError(f"{path}:{lineno}: a {order}-simplex needs {order + 1} distinct nodes")
-        _check_node_ids(path, lineno, text, nodes[0], nodes[-1])
+        if nodes[0] < 0:
+            raise DataError(f"{path}:{lineno}: negative node id in {text!r}")
+        if nodes[-1] not in _INT64:
+            raise DataError(f"{path}:{lineno}: node id past the int64 range in {text!r}")
         max_node = max(max_node, nodes[-1])
         if order == 0 or signal > 2:
             rows.setdefault(order, []).append(nodes)

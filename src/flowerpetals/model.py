@@ -160,11 +160,11 @@ def stack_params(sets) -> HigcnParams:
 class ForwardTape:
     """Intermediates of one forward pass, kept for reverse mode. The petal
     axis leads every stacked array. The tape of a stack has a seed axis S
-    after the petal axis of ``filtered`` and ``pre``, (P, S, n, ·), and
+    after the petal axis of ``filtered`` and ``act``, (P, S, n, ·), and
     before the node axis of ``z`` and ``logits``, (S, n, ·)."""
 
     filtered: np.ndarray  # (P, n, d): filtered[p-1] = sum_k gamma[p,k] tensor[p-1, k]
-    pre: np.ndarray | None  # (P, n, h): filtered @ theta[0], pre-rectifier (depth-2 only)
+    act: np.ndarray | None  # (P, n, h): max(filtered @ theta[0], 0), rectified (depth-2 only)
     z: np.ndarray  # (n, P*h): the petal outputs side by side
     logits: np.ndarray
 
@@ -174,8 +174,8 @@ class ForwardTape:
 def _seed_axis(tape: ForwardTape, index) -> ForwardTape:
     """``tape`` with every field's seed axis indexed by ``index``: 0 drops
     the axis of a stack of one, None adds it to a single set's tape."""
-    pre = None if tape.pre is None else tape.pre[:, index]
-    return ForwardTape(tape.filtered[:, index], pre, tape.z[index], tape.logits[index])
+    act = None if tape.act is None else tape.act[:, index]
+    return ForwardTape(tape.filtered[:, index], act, tape.z[index], tape.logits[index])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -243,13 +243,13 @@ def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> Forward
     # the petal outputs are written in place into their h columns of z
     z = np.empty((seeds, n, p_max * params.h))
     out = z.reshape(seeds, n, p_max, params.h).transpose(2, 0, 1, 3)
-    pre = None
+    act = None
     if params.depth == 2:
-        pre = filtered @ theta[0]  # one GEMM per petal and seed, as each product below
-        np.matmul(np.maximum(pre, 0.0), theta[1], out=out)
+        act = filtered @ theta[0]  # one GEMM per petal and seed, as each product below
+        np.matmul(np.maximum(act, 0.0, out=act), theta[1], out=out)
     else:
         np.matmul(filtered, theta[0], out=out)
-    tape = ForwardTape(filtered, pre, z, z @ w)
+    tape = ForwardTape(filtered, act, z, z @ w)
     return tape if params.flat.ndim == 2 else _seed_axis(tape, 0)
 
 
@@ -349,11 +349,11 @@ def backprop(
     # each petal's h columns of dlogits @ w.T, as a (P, S, n, h) view
     dy = (dlogits @ w.swapaxes(1, 2)).reshape(seeds, -1, p_max, params.h).transpose(2, 0, 1, 3)
     if params.depth == 2:
-        dtheta[1][...] = np.maximum(tape.pre, 0.0).swapaxes(2, 3) @ dy + weight_decay * theta[1]
+        dtheta[1][...] = tape.act.swapaxes(2, 3) @ dy + weight_decay * theta[1]
         dy = dy @ theta[1].swapaxes(2, 3)
         # the rectifier's mask as an in-place product, several times faster
         # than a select; a masked entry is -0.0 where the product is negative
-        dy *= tape.pre > 0.0
+        dy *= tape.act > 0.0
     dtheta[0][...] = tape.filtered.swapaxes(2, 3) @ dy + weight_decay * theta[0]
     dfiltered = dy @ theta[0].swapaxes(2, 3)
     # one BLAS product per petal for every seed, which reads the tensor once:

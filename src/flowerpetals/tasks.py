@@ -488,16 +488,15 @@ def train_node_classification(g: Graph, cfg: TrainConfig) -> MetricsReport:
 # simplicial signal imputation
 
 
-def impute_signals(
-    cc: CoauthorshipComplex, known_fraction: float, cfg: TrainConfig
-) -> MetricsReport:
-    """Mask node signals, median-fill, regress with an L1 objective on the
-    known entries, and score Kendall tau over all nodes."""
+def impute_signals(cc: CoauthorshipComplex, cfg: TrainConfig) -> MetricsReport:
+    """Mask node signals down to ``cfg.known_fraction``, median-fill, regress
+    with an L1 objective on the known entries, and score Kendall tau over
+    all nodes."""
     _require_task(cfg, "impute")
     n = cc.n
-    n_known = int(round(known_fraction * n))
-    if not 0.0 < known_fraction < 1.0 or n_known == 0 or n_known == n:
-        raise ValueError(f"degenerate known fraction {known_fraction} for n={n}")
+    n_known = int(round(cfg.known_fraction * n))
+    if n_known == 0 or n_known == n:
+        raise ValueError(f"degenerate known fraction {cfg.known_fraction} for n={n}")
     truth = cc.node_signals
     ops = petal_operators(cc.complex, cfg.P)
     runs = []
@@ -532,7 +531,7 @@ def impute_signals(
             {
                 "seed": seed,
                 "kendall_tau": float(tau),
-                "known_fraction": known_fraction,
+                "known_fraction": cfg.known_fraction,
                 "train_loss_curve": fit.train_curve,
             }
         )

@@ -6,14 +6,18 @@ Each reader walks its file line by line with Python's ``int`` and
 ``float``, so it states the file formats: blank lines skipped, ``#`` lines
 skipped as comments in an edge or coauthorship file (a first-line
 ``#n=<count>`` header fixes the node count), and every other line parsed or
-rejected with a ``DataError`` naming ``path:line``. ``load_graph`` parses
-whole edge and feature files with numpy, and ``load_coauthorship`` closes
-its complex on arrays; each must return an equal value or raise the same
-error.
+rejected with a ``DataError`` naming ``path:line``. In the three table
+files (edges, features, labels) a number is written in ASCII: an integer is
+an optional sign and the digits 0-9, and neither kind may hold a ``_``
+digit separator, which Python's own ``int`` and ``float`` would accept.
+``load_graph`` parses whole edge, feature and label files with numpy, and
+``load_coauthorship`` closes its complex on arrays; each must return an
+equal value or raise the same error.
 ``outcome`` puts either result in one comparable value.
 """
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,21 @@ def canonical_graph(n, edges, features=None, labels=None) -> Graph:
     return Graph(n, tuple(zip(*rows.T.tolist())), features, labels)
 
 
+def table_int(token: str) -> int:
+    """An integer of a table file: a sign and ASCII digits, any size."""
+    if not re.fullmatch("[+-]?[0-9]+", token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
+def table_float(token: str) -> float:
+    """A float of a table file: Python's ``float`` without ``_`` or non-ASCII."""
+    token = token.strip()
+    if "_" in token or not token.isascii():
+        raise ValueError(f"not a number: {token!r}")
+    return float(token)
+
+
 def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
     edge_path = Path(edge_path)
     declared_n = None
@@ -53,13 +72,17 @@ def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
             if len(parts) != 2:
                 raise DataError(f"{edge_path}:{lineno}: expected 'u<TAB>v', got {text!r}")
             try:
-                u, v = int(parts[0]), int(parts[1])
+                u, v = table_int(parts[0]), table_int(parts[1])
             except ValueError:
                 raise DataError(
                     f"{edge_path}:{lineno}: non-integer endpoint in {text!r}"
                 ) from None
             if u < 0 or v < 0:
                 raise DataError(f"{edge_path}:{lineno}: negative node id in {text!r}")
+            if max(u, v) >= 2**63:
+                raise DataError(
+                    f"{edge_path}:{lineno}: node id past the int64 range in {text!r}"
+                )
             if u == v:
                 continue
             raw_edges.append((min(u, v), max(u, v)))
@@ -70,6 +93,8 @@ def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
 
     features = load_feature_csv(feature_path, n) if feature_path else None
     labels = load_label_csv(label_path, n) if label_path else None
+    if max_id >= math.isqrt(2**63 - 1):  # the key width of Graph.from_edge_list
+        raise DataError(f"node id {max_id} is too large for int64 edge keys")
     return canonical_graph(n, raw_edges, features, labels)
 
 
@@ -83,7 +108,7 @@ def load_feature_csv(path, n: int) -> np.ndarray:
             if not text:
                 continue
             try:
-                row = [float(tok) for tok in text.split(",")]
+                row = [table_float(tok) for tok in text.split(",")]
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric feature value") from None
             if not all(map(math.isfinite, row)):
@@ -107,9 +132,11 @@ def load_label_csv(path, n: int) -> np.ndarray:
             if not text:
                 continue
             try:
-                labels.append(int(text))
+                labels.append(table_int(text))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-integer label") from None
+            if not -(2**63) <= labels[-1] < 2**63:
+                raise DataError(f"{path}:{lineno}: label past the int64 range")
             if labels[-1] < 0:
                 raise DataError(f"{path}:{lineno}: negative label {labels[-1]}")
     if len(labels) != n:

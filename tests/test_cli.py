@@ -142,6 +142,23 @@ class TestShwl:
         assert payload["verdict"] == "distinguished"
         assert payload["rounds"][0]["a"]["0"] == {"0": 6}
 
+    @pytest.mark.parametrize("method, p_max, edges, keys", [
+        # K11 at p = 10 has simplices of orders 0..10: order keys 0..10
+        ("shwl", 10, [(u, v) for u in range(11) for v in range(u + 1, 11)], "order"),
+        # WL on a 24-node path ends with 12 colours: colour keys 0..11
+        ("wl", 1, [(u, u + 1) for u in range(23)], "colour"),
+    ], ids=["order-keys", "colour-keys"])
+    def test_integer_keys_are_written_in_numeric_order(self, tmp_path, capsys, method, p_max,
+                                                       edges, keys):
+        path = tmp_path / "g.tsv"
+        path.write_text("".join(f"{u}\t{v}\n" for u, v in edges))
+        assert run(["shwl", "--a", str(path), "--b", str(path), "--method", method,
+                    "-p", str(p_max)]) == 0
+        payload = json.loads(capsys.readouterr().out, object_pairs_hook=list)  # as written
+        orders = dict(dict(payload)["rounds"][-1])["a"]
+        written = [key for key, _ in (orders if keys == "order" else dict(orders)["0"])]
+        assert len(written) >= 11 and written == [str(i) for i in range(len(written))]
+
 
 class TestRewire:
     def test_rewire_writes_edges_and_log(self, work, monkeypatch):

@@ -175,7 +175,7 @@ class TestForward:
         tape, _ = forward(params, feats)
         assert tape == forward(params, feats)[0]
         assert tape != replace(tape, logits=tape.logits + 1.0)
-        assert tape != replace(tape, pre=tape.pre[:1])
+        assert tape != replace(tape, act=tape.act[:1])
 
     def test_rows_exponentiate_to_one(self):
         feats = graph_feats(10, 4, seed=2)
@@ -338,14 +338,14 @@ class TestFeatureTensor:
         assert tape.filtered.shape == (params.p_max, feats.n, feats.d)
         loop_filtered = training_oracle.filtered_sums(params, feats)
         np.testing.assert_allclose(tape.filtered, np.stack(loop_filtered), rtol=1e-12, atol=0)
-        filtered, pre, _, z, logits = training_oracle.forward_embedding(
+        filtered, _, act, z, logits = training_oracle.forward_embedding(
             params, feats, tape.filtered
         )
         if depth == 2:
-            assert len(tape.pre) == len(pre)
-            assert all(np.array_equal(a, b) for a, b in zip(tape.pre, pre))
+            assert len(tape.act) == len(act)
+            assert all(np.array_equal(a, b) for a, b in zip(tape.act, act))
         else:
-            assert tape.pre is None
+            assert tape.act is None
         assert np.array_equal(tape.z, z) and np.array_equal(tape.logits, logits)
         if case == "signed-zero":  # the loop's sums are -0.0 there
             assert np.signbit(np.stack(loop_filtered)[:, :, [1, 3]]).all()
@@ -541,9 +541,9 @@ class TestStack:
         tape, log_probs = forward(stack, feats)
         want_tape, want_log_probs = forward(params, feats)
         assert tape.filtered[:, 0].tobytes() == want_tape.filtered.tobytes()
-        assert (tape.pre is None) == (depth == 1)
+        assert (tape.act is None) == (depth == 1)
         if depth == 2:
-            assert tape.pre[:, 0].tobytes() == want_tape.pre.tobytes()
+            assert tape.act[:, 0].tobytes() == want_tape.act.tobytes()
         assert tape.z[0].tobytes() == want_tape.z.tobytes()
         assert log_probs[0].tobytes() == want_log_probs.tobytes()
         loss, grad = loss_and_grad(stack, feats, labels, [mask], 0.01, True)

@@ -33,6 +33,7 @@ EDGE_CASES = {
     "negative-header": "#n=-2\n",
     "header-below-max-id": "#n=2\n0 5\n",
     "negative-id": "0 1\n0 -1\n",
+    "negative-id-past-int64": "0 1\n-9223372036854775809 2\n",
     "three-fields": "0 1 2\n",
     "ragged-fields": "0 1\n3\n",
     "letters": "0\t1\nx\ty\n",
@@ -202,15 +203,17 @@ FLOAT_CASES = [
 def loadtxt_reading_ints_via_floats(loadtxt):
     """``np.loadtxt`` as numpy releases with the int-via-float deprecation
     run it: a float in an int column warns once, then is truncated; a
-    warning raised as an error comes out as a ValueError."""
-    def load(fh, dtype, **kwargs):
+    warning raised as an error comes out as a ValueError. ``source`` is a
+    file or a list of lines."""
+    def load(source, dtype, **kwargs):
         try:
-            return loadtxt(fh, dtype, **kwargs)
+            return loadtxt(source, dtype, **kwargs)
         except ValueError:
             if np.dtype(dtype).kind != "i":
                 raise
-            fh.seek(0)
-            table = loadtxt(fh, np.float64, **kwargs)
+            if hasattr(source, "seek"):
+                source.seek(0)
+            table = loadtxt(source, np.float64, **kwargs)
         try:
             warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
                           DeprecationWarning)

@@ -17,7 +17,11 @@ products bit for bit on random CSR matrices and blocks of any float64
 values. The JSON property compares the CLI's writer with the indented
 ``json.dumps`` it must equal, on random nested containers. The parser
 properties load random edge, feature and label files both ways, through
-``load_graph`` and the per-line readers of ``parser_oracle``.
+``load_graph`` and the per-line readers of ``parser_oracle``, which state
+the table grammar: files of signs, ``_`` separators, Arabic-Indic digits,
+``#``, values at the edges of int64, no-break and other spaces, extra
+fields, blank and whitespace-only lines and CR or CRLF line ends must give
+the same graph or the same ``DataError`` text.
 """
 
 import json
@@ -260,21 +264,26 @@ def test_json_output_refuses_non_finite_values(value):
             _to_json(payload)
 
 
-TOKENS = ["0", "1", "2", "7", "10", "+3", "-1", "01", "1_0", "3.0", "1e3", "\u0661", "#",
-          "#n=4", "x", "nan", "inf", "1e400", "-0.0", "0.5", ""]
+INT64_EDGES = [str(v) for v in (2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**20)]
+TOKENS = ["0", "1", "2", "7", "10", "+3", "-1", "-0", "01", "1_0", "3.0", "1e3", "\u0661",
+          "\u0663\u0660", "#", "#n=4", "x", "nan", "inf", "1e400", "-0.0", "0.5", "",
+          *INT64_EDGES]
 SEPARATORS = [" ", "\t", ",", "  ", "\xa0", "\x0c", "\x1c", "\u3000"]
+SPACES = [" ", "\t", "\xa0", "\t\u3000 "]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def table_texts(draw):
-    """Files of a few lines, each a few tokens between separators."""
-    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=4), max_size=6))
+    """Files of a few lines, each a few tokens between separators, with
+    whitespace-only lines among them."""
+    lines = draw(st.lists(st.lists(st.sampled_from(TOKENS), max_size=4)
+                          | st.sampled_from(SPACES).map(lambda space: [space]), max_size=6))
     sep, end = draw(st.sampled_from(SEPARATORS)), draw(st.sampled_from(LINE_ENDS))
     return "".join(sep.join(line) + end for line in lines)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(kind=st.sampled_from(["edges", "features", "labels"]), text=table_texts())
 def test_token_files_match_the_line_reader(tmp_path_factory, kind, text):
     tmp = tmp_path_factory.mktemp("fuzz")

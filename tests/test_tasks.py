@@ -1,5 +1,7 @@
 """Splits, rank correlation, homophily, and the three training pipelines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import training_oracle
@@ -266,25 +268,30 @@ class TestImputation:
         from flowerpetals.complexes import SimplicialComplex
 
         cc = CoauthorshipComplex(SimplicialComplex(3, simplices), signals)
-        cfg = TrainConfig(task="impute", seeds=(0,), epochs=5, hidden=4, K=2)
-        report = impute_signals(cc, 1 / 3, cfg)
+        cfg = TrainConfig(task="impute", seeds=(0,), epochs=5, hidden=4, K=2,
+                          known_fraction=1 / 3)
+        report = impute_signals(cc, cfg)
         assert report.runs[0]["kendall_tau"] == 0.0
         assert "constant-signal" in report.flags
 
-    def test_degenerate_fraction_rejected(self, complex_):
-        cfg = TrainConfig(task="impute")
-        with pytest.raises(ValueError):
-            impute_signals(complex_, 0.0, cfg)
-        with pytest.raises(ValueError):
-            impute_signals(complex_, 1.0, cfg)
+    def test_degenerate_fraction_rejected(self):
+        for fraction in (0.0, 1.0):
+            with pytest.raises(DataError, match=r"known_fraction must be in \(0, 1\)"):
+                TrainConfig(task="impute", known_fraction=fraction)
+
+    def test_fraction_rounding_to_no_known_node_rejected(self):
+        cc = coauthorship_complex(40, 20, 12, seed=0)
+        cfg = TrainConfig(task="impute", known_fraction=0.01)
+        with pytest.raises(ValueError, match="degenerate known fraction 0.01 for n=40"):
+            impute_signals(cc, cfg)
 
     def test_more_known_signals_help(self, complex_):
         cfg = TrainConfig(
             task="impute", seeds=(0, 1, 2), alpha=0.1, lr=0.02, hidden=16,
             weight_decay=0.0, epochs=300,
         )
-        low = impute_signals(complex_, 0.2, cfg).mean
-        high = impute_signals(complex_, 0.7, cfg).mean
+        low = impute_signals(complex_, replace(cfg, known_fraction=0.2)).mean
+        high = impute_signals(complex_, replace(cfg, known_fraction=0.7)).mean
         assert high > low
 
     def test_perfect_predictions_have_tau_one(self):
@@ -397,7 +404,7 @@ class TestPipelineTask:
         graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
         runs = {
             "node": lambda: fit_node_params(planted_two_block(20, seed=0), cfg),
-            "impute": lambda: impute_signals(coauthorship_complex(40, 20, 12, seed=0), 0.5, cfg),
+            "impute": lambda: impute_signals(coauthorship_complex(40, 20, 12, seed=0), cfg),
             "graphclass": lambda: graph_classify(graphs, labels, cfg),
         }
         with pytest.raises(DataError, match=f"the '{pipeline}' pipeline cannot run "
@@ -414,7 +421,7 @@ class TestDecayGamma:
             cfg = TrainConfig(task=task, epochs=20, K=2, hidden=4, weight_decay=0.5,
                               decay_gamma=decay_gamma)
             if task == "impute":
-                report = impute_signals(coauthorship_complex(40, 20, 12, seed=0), 0.5, cfg)
+                report = impute_signals(coauthorship_complex(40, 20, 12, seed=0), cfg)
                 return [r["kendall_tau"] for r in report.runs]
             graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
             return [r["val_curve"] for r in graph_classify(graphs, labels, cfg).runs]
