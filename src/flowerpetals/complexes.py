@@ -9,7 +9,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -160,13 +159,6 @@ class Graph:
             _, first = np.unique(lo * width + hi, return_index=True)
             rows = np.stack([lo[first], hi[first]], axis=1)
         return cls(n, rows, features, labels)
-
-    @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        both = np.concatenate([self.edges, self.edges[:, ::-1]])
-        both = both[np.argsort(both[:, 0], kind="stable")]
-        ends = np.cumsum(self.degrees())
-        return tuple(frozenset(s.tolist()) for s in np.split(both[:, 1], ends)[: self.n])
 
     @property
     def num_edges(self) -> int:
@@ -340,6 +332,10 @@ def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
     declared_n = node_count_header(edge_path, first)
     rows = _read_table(edge_path, np.int64, _edge_fault, width=2, comments=True,
                        skiprows=int(first.startswith("#"))).reshape(-1, 2)
+    if rows.max(initial=-1) >= _MAX_KEY_WIDTH:  # past Graph.from_edge_list's int64 keys
+        row = (rows >= _MAX_KEY_WIDTH).any(axis=1).argmax()  # row i is the i-th data line
+        lineno, text = next(itertools.islice(_lines(edge_path, True), row, None))
+        raise DataError(f"{edge_path}:{lineno}: node id too large for int64 edge keys in {text!r}")
     loops = rows[:, 0] == rows[:, 1]
     if loops.any():
         logger.warning("%s: dropped %d self-loop(s)", edge_path, loops.sum())
@@ -464,6 +460,9 @@ def load_coauthorship(path) -> CoauthorshipComplex:
         if len(parts) != 3:
             raise DataError(f"{path}:{lineno}: expected 'order<TAB>nodes<TAB>signal'")
         try:
+            # as in the tables, no "_" digit separator and no non-ASCII digit, anywhere
+            if "_" in text or not "".join(text.split()).isascii():
+                raise ValueError(f"not a number in {text!r}")
             order = int(parts[0])
             nodes = sorted(int(tok) for tok in parts[1].split(","))
             signal = float(parts[2])

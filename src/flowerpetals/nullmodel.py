@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Graph, SimplicialComplex
+from .complexes import Graph, SimplicialComplex, clique_lift
 
 __all__ = [
     "SaturationError",
@@ -53,17 +53,16 @@ class RewireLog:
     achieved_rho2: float = 0.0
 
 
-def triangle_count(adj: list[set[int]]) -> int:
-    total = 0
-    for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            if v > u:
-                total += sum(1 for w in adj[u] & adj[v] if w > v)
-    return total
+def triangle_count(g: Graph) -> int:
+    """The number of triangles (2-simplices) of ``g``."""
+    return clique_lift(g, 2).count(2)
 
 
 def _adjacency_sets(g: Graph) -> list[set[int]]:
-    return [set(s) for s in g.adjacency]
+    adj: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges.tolist():
+        adj[u].add(v), adj[v].add(u)
+    return adj
 
 
 def _graph_from_sets(g: Graph, adj: list[set[int]]) -> Graph:
@@ -181,10 +180,10 @@ def rewire_to_target(
     """
     if not math.isfinite(target_rho2):
         raise ValueError(f"target_rho2 must be finite, got {target_rho2}")
-    adj = _adjacency_sets(g)
-    base = total = triangle_count(adj)
+    base = total = triangle_count(g)
     if base < 1:
         raise ValueError("target density undefined: graph has no triangles")
+    adj = _adjacency_sets(g)
     rng = np.random.default_rng(seed)
     log = RewireLog()
     budget = 10 * max(g.n, 1)

@@ -1,25 +1,29 @@
-"""Write the golden fixtures and the CLI outputs that ``test_golden.py``
-compares byte for byte.
+"""Write the golden fixtures, the CLI outputs and the demos' printed output
+that ``test_golden.py`` compares byte for byte.
 
     PYTHONPATH=src python tests/golden/make_golden.py
     PYTHONPATH=src python tests/golden/make_golden.py --check
 
 Rerun it only when a change of output is intended, and name that change
 with the commit that regenerates the files. The fixtures are tiny, so every
-subcommand runs on them in well under a second.
+subcommand runs on them in well under a second. The seven demos run as
+child processes, two at a time: about 3 s, against 6 s one after another.
 
-``--check`` writes the fixtures and runs every subcommand in a temporary
-directory instead, and writes nothing here. It lists each file under
-``inputs`` and ``outputs`` whose bytes would change, with the JSON keys
-added or removed and the largest relative difference of any number in a
-JSON file or of any parameter in a checkpoint (or that its header
-differs), and exits 1 if any would.
+``--check`` writes the fixtures and runs every subcommand and demo in a
+temporary directory instead, and writes nothing here. It lists each file
+under ``inputs``, ``outputs`` and ``demos`` whose bytes would change, with
+the JSON keys added or removed and the largest relative difference of any
+number in a JSON file or of any parameter in a checkpoint (or that its
+header differs), and exits 1 if any would.
 """
 
 import argparse
 import json
+import os
+import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +33,9 @@ from flowerpetals.model import _HEADER_KEYS, load_checkpoint
 from flowerpetals.synthetic import coauthorship_complex, planted_two_block, triangles_vs_hexagons
 
 HERE = Path(__file__).resolve().parent
-INPUTS, OUTPUTS = HERE / "inputs", HERE / "outputs"
+ROOT = HERE.parents[1]
+INPUTS, OUTPUTS, DEMOS = HERE / "inputs", HERE / "outputs", HERE / "demos"
+DEMO_SCRIPTS = sorted((ROOT / "demos").glob("*.py"))
 
 CONFIGS = {
     "train.json": {"task": "node", "epochs": 25, "patience": 10, "seeds": [0, 1], "hidden": 4,
@@ -92,15 +98,37 @@ def write_inputs(inp: Path) -> None:
         (inp / name).write_text(json.dumps(cfg, sort_keys=True) + "\n")
 
 
-def write_all(inp: Path, out: Path) -> bool:
-    """Write the fixtures to ``inp`` and every command's outputs to ``out``;
-    False when a command fails."""
+def run_demos() -> dict[str, subprocess.CompletedProcess]:
+    """Each demo run as a child process with ``src`` on its path, two at a
+    time, keyed by the name of the file its stdout is kept in."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+    def run_demo(script: Path) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, str(script)], cwd=ROOT, env=env,
+                              capture_output=True, timeout=300)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        done = pool.map(run_demo, DEMO_SCRIPTS)
+        return {f"{script.stem}.txt": proc for script, proc in zip(DEMO_SCRIPTS, done)}
+
+
+def write_all(root: Path) -> bool:
+    """Write the fixtures to ``root/inputs``, every command's outputs to
+    ``root/outputs`` and every demo's stdout to ``root/demos``; False when a
+    command or a demo fails."""
+    inp, out, demos = root / INPUTS.name, root / OUTPUTS.name, root / DEMOS.name
     write_inputs(inp)
     out.mkdir(parents=True, exist_ok=True)
     for name, argv in commands(inp, out).items():
         if run(argv + ["--out", str(out / name)]) != 0:
             print(f"{name}: the command failed", file=sys.stderr)
             return False
+    demos.mkdir(parents=True, exist_ok=True)
+    for name, proc in run_demos().items():
+        if proc.returncode != 0:
+            print(f"{name}: the demo failed\n{proc.stderr.decode()}", file=sys.stderr)
+            return False
+        (demos / name).write_bytes(proc.stdout)
     return True
 
 
@@ -153,9 +181,10 @@ def checkpoint_difference(old: Path, new: Path) -> str:
 
 def changed_files(fresh: Path) -> list[str]:
     """One line per golden file whose bytes differ from those under
-    ``fresh`` (which holds ``inputs`` and ``outputs`` as written anew)."""
+    ``fresh`` (which holds ``inputs``, ``outputs`` and ``demos`` as written
+    anew)."""
     lines = []
-    for golden in (INPUTS, OUTPUTS):
+    for golden in (INPUTS, OUTPUTS, DEMOS):
         names = {p.name for d in (golden, fresh / golden.name) for p in d.iterdir()}
         for name in sorted(names):
             old, new = golden / name, fresh / golden.name / name
@@ -183,10 +212,10 @@ def main(argv=None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="compare with fresh outputs; write nothing here")
     if not parser.parse_args(argv).check:
-        return 0 if write_all(INPUTS, OUTPUTS) else 1
+        return 0 if write_all(HERE) else 1
     with tempfile.TemporaryDirectory() as tmp:
         fresh = Path(tmp)
-        if not write_all(fresh / INPUTS.name, fresh / OUTPUTS.name):
+        if not write_all(fresh):
             return 1
         lines = changed_files(fresh)
     print("\n".join(lines) if lines else "every golden file is unchanged")

@@ -6,10 +6,12 @@ Each reader walks its file line by line with Python's ``int`` and
 ``float``, so it states the file formats: blank lines skipped, ``#`` lines
 skipped as comments in an edge or coauthorship file (a first-line
 ``#n=<count>`` header fixes the node count), and every other line parsed or
-rejected with a ``DataError`` naming ``path:line``. In the three table
-files (edges, features, labels) a number is written in ASCII: an integer is
-an optional sign and the digits 0-9, and neither kind may hold a ``_``
-digit separator, which Python's own ``int`` and ``float`` would accept.
+rejected with a ``DataError`` naming ``path:line``. In all four files a
+number is written in ASCII: an integer is an optional sign and the digits
+0-9, and neither kind may hold a ``_`` digit separator, which Python's own
+``int`` and ``float`` would accept. An edge file's node ids, self-loops'
+included, must also fit the int64 keys of ``Graph.from_edge_list``; the
+first line past that width is named once the whole file has been read.
 ``load_graph`` parses whole edge, feature and label files with numpy, and
 ``load_coauthorship`` closes its complex on arrays; each must return an
 equal value or raise the same error.
@@ -40,9 +42,13 @@ def canonical_graph(n, edges, features=None, labels=None) -> Graph:
     return Graph(n, tuple(zip(*rows.T.tolist())), features, labels)
 
 
+KEY_WIDTH = math.isqrt(2**63 - 1)  # Graph.from_edge_list's keys u * w + v fit in int64
+
+
 def table_int(token: str) -> int:
-    """An integer of a table file: a sign and ASCII digits, any size."""
-    if not re.fullmatch("[+-]?[0-9]+", token):
+    """An integer of a table file: a sign and ASCII digits, any size, with
+    the blanks around it that Python's ``int`` takes."""
+    if not re.fullmatch("[+-]?[0-9]+", token.strip()):
         raise ValueError(f"not an integer: {token!r}")
     return int(token)
 
@@ -57,7 +63,7 @@ def table_float(token: str) -> float:
 
 def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
     edge_path = Path(edge_path)
-    declared_n = None
+    declared_n = wide = None
     raw_edges: list[tuple[int, int]] = []
     with edge_path.open() as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -83,9 +89,13 @@ def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
                 raise DataError(
                     f"{edge_path}:{lineno}: node id past the int64 range in {text!r}"
                 )
+            if max(u, v) >= KEY_WIDTH and wide is None:
+                wide = f"{edge_path}:{lineno}: node id too large for int64 edge keys in {text!r}"
             if u == v:
                 continue
             raw_edges.append((min(u, v), max(u, v)))
+    if wide:  # refused once every line is read
+        raise DataError(wide)
     max_id = max((v for _, v in raw_edges), default=-1)
     n = declared_n if declared_n is not None else max_id + 1
     if n < max_id + 1:
@@ -93,8 +103,6 @@ def load_graph(edge_path, feature_path=None, label_path=None) -> Graph:
 
     features = load_feature_csv(feature_path, n) if feature_path else None
     labels = load_label_csv(label_path, n) if label_path else None
-    if max_id >= math.isqrt(2**63 - 1):  # the key width of Graph.from_edge_list
-        raise DataError(f"node id {max_id} is too large for int64 edge keys")
     return canonical_graph(n, raw_edges, features, labels)
 
 
@@ -175,9 +183,9 @@ def load_coauthorship(path) -> CoauthorshipComplex:
             if len(parts) != 3:
                 raise DataError(f"{path}:{lineno}: expected 'order<TAB>nodes<TAB>signal'")
             try:
-                order = int(parts[0])
-                nodes = tuple(sorted(int(tok) for tok in parts[1].split(",")))
-                signal = float(parts[2])
+                order = table_int(parts[0])
+                nodes = tuple(sorted(table_int(tok) for tok in parts[1].split(",")))
+                signal = table_float(parts[2])
             except ValueError:
                 raise DataError(f"{path}:{lineno}: malformed line {text!r}") from None
             if not math.isfinite(signal) or signal < 0:

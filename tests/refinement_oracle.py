@@ -16,7 +16,11 @@ Item = tuple[int, int]  # (simplex order, index); nodes are order 0
 
 
 def graph_neighbors(g) -> dict[Item, list[Item]]:
-    return {(0, v): [(0, u) for u in sorted(g.adjacency[v])] for v in range(g.n)}
+    neighbors: dict[Item, list[Item]] = {(0, v): [] for v in range(g.n)}
+    for u, v in g.edges.tolist():
+        neighbors[(0, u)].append((0, v))
+        neighbors[(0, v)].append((0, u))
+    return {item: sorted(items) for item, items in neighbors.items()}
 
 
 def complex_neighbors(k) -> dict[Item, list[Item]]:

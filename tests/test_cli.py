@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from triangle_oracle import triangles
 
 import flowerpetals.cli
 import flowerpetals.model
@@ -15,7 +16,6 @@ import flowerpetals.nullmodel
 import flowerpetals.tasks
 from flowerpetals.cli import run
 from flowerpetals.complexes import Graph, load_graph
-from flowerpetals.nullmodel import _adjacency_sets, triangle_count
 from flowerpetals.model import init_params, save_checkpoint
 from flowerpetals.tasks import TrainConfig, fit_node_params
 from flowerpetals.synthetic import (
@@ -176,8 +176,8 @@ class TestRewire:
         assert payload["achieved_rho2"] >= 0.1
         assert payload["accepted"] == len(payload["chains"])
         assert out_edges.read_text().startswith("#n=40\n")
-        base = triangle_count(_adjacency_sets(load_graph(str(edges))))
-        rewired = triangle_count(_adjacency_sets(load_graph(str(out_edges))))
+        base = triangles(load_graph(str(edges)))
+        rewired = triangles(load_graph(str(out_edges)))
         assert payload["achieved_rho2"] == rewired / base - 1.0
 
     def test_saturation_exit_code(self, work):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from triangle_oracle import triangles
 
 from flowerpetals.complexes import (
     DataError,
@@ -14,6 +15,7 @@ from flowerpetals.complexes import (
     incidence_matrix,
     load_graph,
 )
+from flowerpetals.nullmodel import triangle_count
 from flowerpetals.synthetic import er_graph
 
 K4_EDGES = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
@@ -129,6 +131,7 @@ class TestCliqueLift:
     def test_matches_subset_enumeration_oracle(self):
         rng = np.random.default_rng(7)
         cases = [Graph(0, ()), Graph(1, ()), Graph(5, ())]  # no edges to grow
+        cases += [Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4))), Graph(4, K4_EDGES)]
         for trial in range(12):
             n = int(rng.integers(3, 13))
             edges = tuple(
@@ -151,6 +154,7 @@ class TestCliqueLift:
                     )
                 ]
                 assert lifted.simplices[p].tolist() == expected, (trial, p)
+            assert triangle_count(g) == triangles(g), trial  # the lift's count, on sets
 
     def test_downward_closure_on_er_corpus(self):
         # construction argument plus the type's own closure validation

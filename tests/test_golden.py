@@ -1,6 +1,7 @@
 """Every subcommand's output on the fixtures in ``golden/inputs``, byte for
 byte against ``golden/outputs`` (written by ``golden/make_golden.py``), the
-checkpoint and the rewired edge file included."""
+checkpoint and the rewired edge file included, and every demo's printed
+output against ``golden/demos``."""
 
 import os
 import subprocess
@@ -8,7 +9,16 @@ import sys
 from pathlib import Path
 
 import pytest
-from golden.make_golden import INPUTS, OUTPUTS, commands, key_changes, max_relative_difference
+from golden.make_golden import (
+    DEMOS,
+    DEMO_SCRIPTS,
+    INPUTS,
+    OUTPUTS,
+    commands,
+    key_changes,
+    max_relative_difference,
+    run_demos,
+)
 
 from flowerpetals.cli import run
 
@@ -28,6 +38,18 @@ def test_output_is_byte_identical(written, name):
     out, codes = written
     assert codes.get(name, 0) == 0
     assert (out / name).read_bytes() == (OUTPUTS / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def demos():
+    return run_demos()
+
+
+@pytest.mark.parametrize("name", [f"{script.stem}.txt" for script in DEMO_SCRIPTS])
+def test_demo_prints_the_golden_bytes(demos, name):
+    proc = demos[name]
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (DEMOS / name).read_bytes()
 
 
 TRAINING_OUTPUTS = ("train.json", "model.ck", "impute.json")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from triangle_oracle import adjacency_sets, apply_chain, triangle_count, triangles
 
 import flowerpetals.nullmodel
 from flowerpetals.complexes import Graph, clique_lift
@@ -10,8 +11,6 @@ from flowerpetals.nullmodel import (
     relative_density,
     rewire_add_triangle,
     rewire_to_target,
-    triangle_count,
-    _adjacency_sets,
     _triangle_gain,
 )
 from flowerpetals.synthetic import er_graph
@@ -20,17 +19,13 @@ P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 K4 = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
 
 
-def n2(g: Graph) -> int:
-    return triangle_count(_adjacency_sets(g))
-
-
 class TestRewireAddTriangle:
     def test_path_example(self):
         rewired, chain = rewire_add_triangle(P5, seed=0)
         assert set(map(tuple, rewired.edges.tolist())) == {(0, 4), (1, 2), (1, 3), (2, 3)}
         assert chain == (2, 1, 3, 0, 4)
         assert np.array_equal(np.sort(rewired.degrees()), np.sort(P5.degrees()))
-        assert n2(P5) == 0 and n2(rewired) == 1
+        assert triangles(P5) == 0 and triangles(rewired) == 1
 
     def test_complete_graph_saturates(self):
         with pytest.raises(SaturationError):
@@ -41,10 +36,10 @@ class TestRewireAddTriangle:
         degrees = g.degrees().copy()
         edges = g.num_edges
         rng = np.random.default_rng(7)
-        count = n2(g)
+        count = triangles(g)
         for _ in range(50):
             g, _ = rewire_add_triangle(g, rng)
-            new_count = n2(g)
+            new_count = triangles(g)
             assert new_count > count
             count = new_count
         assert np.array_equal(g.degrees(), degrees)
@@ -85,35 +80,31 @@ class TestRewireToTarget:
     def test_overshoot_is_at_most_one_rewire(self):
         g = er_graph(128, 0.1, seed=1)
         out, log = rewire_to_target(g, 0.2, seed=3)
-        base = n2(g)
-        achieved = n2(out) / base - 1.0
+        base = triangles(g)
+        achieved = triangles(out) / base - 1.0
         assert achieved >= 0.2
         assert log.achieved_rho2 == achieved
         # replay the accepted chains: density crosses the target only at the
         # very last one
-        adj = _adjacency_sets(g)
+        adj = adjacency_sets(g.n, g.edges.tolist())
         for chain in log.accepted[:-1]:
-            a, b, c, d, e = chain
-            adj[b].discard(d), adj[d].discard(b)
-            adj[c].discard(e), adj[e].discard(c)
-            adj[b].add(c), adj[c].add(b)
-            adj[d].add(e), adj[e].add(d)
+            apply_chain(adj, chain)
             assert triangle_count(adj) / base - 1.0 < 0.2
 
     def test_running_total_matches_recount_and_stops_at_target(self):
         g = er_graph(200, 0.05, seed=4)
         target = 0.3
         out, log = rewire_to_target(g, target, seed=2)
-        base = n2(g)
+        base = triangles(g)
         # replay: each accepted move's gain, summed, tracks a full recount
-        adj = _adjacency_sets(g)
+        adj = adjacency_sets(g.n, g.edges.tolist())
         total = base
         reached = []
         for chain in log.accepted:
             total += _triangle_gain(adj, chain)
             assert total == triangle_count(adj)
             reached.append(total / base - 1.0 >= target)
-        assert n2(out) == total
+        assert triangles(out) == total
         assert reached[-1] and not any(reached[:-1])
 
     def test_unreachable_target_reports_partial(self):
@@ -123,7 +114,7 @@ class TestRewireToTarget:
         assert err.value.achieved_rho2 is not None
         assert err.value.graph is not None
         assert err.value.achieved_rho2 < 50.0
-        assert err.value.achieved_rho2 == n2(err.value.graph) / n2(g) - 1.0
+        assert err.value.achieved_rho2 == triangles(err.value.graph) / triangles(g) - 1.0
         assert err.value.log.achieved_rho2 == err.value.achieved_rho2
 
     def test_no_triangles_rejected(self):

@@ -34,6 +34,9 @@ EDGE_CASES = {
     "header-below-max-id": "#n=2\n0 5\n",
     "negative-id": "0 1\n0 -1\n",
     "negative-id-past-int64": "0 1\n-9223372036854775809 2\n",
+    "id-past-key-width": "0\t3037000499\n",
+    "id-past-key-width-then-letters": "0 1\n3037000499 0\nx y\n",
+    "self-loop-past-key-width": "0 1\n3037000499 3037000499\n",
     "three-fields": "0 1 2\n",
     "ragged-fields": "0 1\n3\n",
     "letters": "0\t1\nx\ty\n",
@@ -105,6 +108,12 @@ COAUTHORSHIP_CASES = {
     "empty-node-field": "1\t\t3\n",
     "spaces-around-nodes": "1\t0 , 1\t3\n",
     "underscore-node": "1\t0,1_0\t3\n",
+    "underscore-order-0-node": "0\t1_0\t3\n",
+    "arabic-indic-node": "0\t\u0661\t3\n",
+    "underscore-order": "0_1\t0,1\t3\n",
+    "underscore-signal": "1\t0,1\t1_0\n",
+    "arabic-indic-signal": "1\t0,1\t\u0663\n",
+    "no-break-space-around-node": "1\t0,\xa01\t3\n",
     "nan-signal": "1\t0,1\tnan\n",
     "inf-signal": "1\t0,1\tinf\n",
     "negative-signal": "1\t0,1\t-3\n",
