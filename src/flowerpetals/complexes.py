@@ -543,15 +543,18 @@ def clique_lift(g: Graph, max_order: int = 2) -> SimplicialComplex:
     simplices = {1: edges}
     rows = edges
     for p in range(2, max_order + 1):
-        first = starts[rows[:, -1]]
-        count = starts[rows[:, -1] + 1] - first
-        parent = np.repeat(np.arange(len(rows)), count)
-        shift = np.repeat(first - (np.cumsum(count) - count), count)
-        grown = edges[np.arange(len(parent)) + shift, 1]
-        keep = np.ones(len(grown), dtype=bool)
-        for col in range(p - 1):  # the last member is adjacent by construction
-            keep &= _in_sorted(keys, rows[parent, col] * g.n + grown)
-        rows = np.concatenate([rows[parent[keep]], grown[keep, None]], axis=1)
+        if len(rows):
+            first = starts[rows[:, -1]]
+            count = starts[rows[:, -1] + 1] - first
+            parent = np.repeat(np.arange(len(rows)), count)
+            shift = np.repeat(first - (np.cumsum(count) - count), count)
+            grown = edges[np.arange(len(parent)) + shift, 1]
+            keep = np.ones(len(grown), dtype=bool)
+            for col in range(p - 1):  # the last member is adjacent by construction
+                keep &= _in_sorted(keys, rows[parent, col] * g.n + grown)
+            rows = np.concatenate([rows[parent[keep]], grown[keep, None]], axis=1)
+        else:  # no (p+1)-clique without a p-clique
+            rows = np.zeros((0, p + 1), dtype=np.int64)
         rows.flags.writeable = False
         simplices[p] = rows
     return SimplicialComplex._unchecked(g.n, simplices)

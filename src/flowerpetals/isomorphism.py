@@ -8,17 +8,17 @@ updates higher simplices by plain coefficient-1 summation of integer
 color codes.
 
 Refinement runs on integer arrays, as label compression by sorting in the
-WL subtree kernel: every item's neighborhood is a CSR row, each round
-sorts the neighbor colors within every row, deduplicates the (own color,
-sorted neighbor colors) signatures, and digests each distinct signature
-once. Digests are 64-bit with an explicit collision table; codes are
-re-densified each round as ranks of (previous color, rule, value), so the
-partition can only refine, never merge.
+WL subtree kernel: every item's neighborhood is a CSR row, and each round
+sorts the neighbor colors within every row and names each hash-rule
+signature by its rank among the distinct (row length, own color, sorted
+neighbor colors) signatures. Colors are re-densified each round as ranks
+of (previous color, rule, value), so the partition can only refine, never
+merge. SHWL's simplex sums add these colors, so its partition follows
+from the rule alone, with no outside numbering such as a hash.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Iterator, Sequence
 
 import numpy as np
@@ -74,16 +74,6 @@ def _dense_ranks(keys: list[np.ndarray]) -> np.ndarray:
     return ranks
 
 
-def _digest(payload: tuple, table: dict[int, tuple]) -> int:
-    """Stable 64-bit digest with an explicit collision check."""
-    raw = hashlib.blake2b(repr(payload).encode("ascii"), digest_size=8).digest()
-    code = int.from_bytes(raw, "big")
-    seen = table.setdefault(code, payload)
-    if seen != payload:
-        raise RuntimeError(f"64-bit hash collision between {seen} and {payload}")
-    return code
-
-
 def refine(structures: Sequence[Structure], method: str) -> Iterator[np.ndarray]:
     """Refine structures in one shared color namespace, one round at a time.
 
@@ -124,23 +114,19 @@ def refine(structures: Sequence[Structure], method: str) -> Iterator[np.ndarray]
         rows = np.flatnonzero(rule == r)
         groups.append((rows, starts[rows, None] + np.arange(r // 2), r % 2))
 
-    table: dict[int, tuple] = {}
     classes = 1
     for _ in range(total + 1):
         shift = row * classes
         nbrs = np.sort(shift + colors[idx]) - shift  # ascending within each row
-        value = np.empty(total, dtype=np.uint64)
+        value = np.empty(total, dtype=np.int64)
+        offset = 0  # distinct signatures of the shorter hash-rule rows
         for rows, pos, is_sum in groups:
             own, nbr = colors[rows], nbrs[pos]
             if is_sum:  # nonvanishing linear rule: all coefficients 1
                 value[rows] = own + nbr.sum(axis=1)
                 continue
-            sig = _dense_ranks([own, *nbr.T])
-            rep = np.empty(sig.max() + 1, dtype=np.int64)  # one row per distinct signature
-            rep[sig] = np.arange(len(rows))
-            payloads = np.column_stack([own, nbr])[rep].tolist()
-            codes = [_digest((p[0], tuple(p[1:])), table) for p in payloads]
-            value[rows] = np.array(codes, dtype=np.uint64)[sig]
+            value[rows] = offset + _dense_ranks([own, *nbr.T])
+            offset = int(value[rows].max()) + 1
         colors = _dense_ranks([2 * colors + summed, value])
         yield colors
         joint = int(colors.max(initial=-1)) + 1
@@ -172,10 +158,13 @@ def distinguish(
     Returns ("distinguished", rounds) at the first histogram mismatch, or
     ("inconclusive", rounds) once the joint coloring stabilizes. Each round
     is {"round": r, "a": {order: {color: count}}, "b": ...}. HWL and SHWL
-    lift both graphs to clique complexes of order ``p_max`` first.
+    lift both graphs to clique complexes of order ``p_max`` first; WL
+    ignores ``p_max``, which must still be at least 1.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if p_max < 1:
+        raise ValueError("max_order must be >= 1")
     pair = [a, b] if method == "wl" else [clique_lift(a, p_max), clique_lift(b, p_max)]
     rounds = []
     for rnd, colors in enumerate(refine(pair, method)):

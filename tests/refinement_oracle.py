@@ -1,13 +1,14 @@
 """Reference colour refinement on dicts of (order, index) items.
 
 A direct transcription of the WL/HWL/SHWL update rules, one item at a
-time: every item's signature is digested on its own, and the dense colour
-ids are the ranks of the sorted (own, rule, value) keys. The array
-implementation in ``flowerpetals.isomorphism`` must give the same colour
-ids, verdicts and histograms.
+time. A hash-rule item's code is its signature itself, (row length,
+sorted neighbour colours), and an SHWL simplex's code is the sum of its
+own and its neighbours' colours. The dense colour ids are the ranks of
+the sorted (own, rule, code) keys. The array implementation in
+``flowerpetals.isomorphism`` must give the same colour ids, verdicts and
+histograms.
 """
 
-import hashlib
 from collections import Counter
 
 from flowerpetals.complexes import clique_lift
@@ -33,21 +34,11 @@ def complex_neighbors(k) -> dict[Item, list[Item]]:
     return neighbors
 
 
-def _digest(payload: tuple, table: dict[int, tuple]) -> int:
-    raw = hashlib.blake2b(repr(payload).encode("ascii"), digest_size=8).digest()
-    code = int.from_bytes(raw, "big")
-    seen = table.setdefault(code, payload)
-    if seen != payload:
-        raise RuntimeError(f"64-bit hash collision between {seen} and {payload}")
-    return code
-
-
 def reference_rounds(structures: list[dict[Item, list[Item]]], method: str) -> list[list[dict]]:
     """Per round, one {item: colour} dict per structure, until stable."""
     colorings = [{item: 0 for item in s} for s in structures]
     history = [colorings]
     total = sum(len(s) for s in structures)
-    digests: dict[int, tuple] = {}
     joint_classes = 1
     for _ in range(1, total + 2):
         raw = []
@@ -59,7 +50,7 @@ def reference_rounds(structures: list[dict[Item, list[Item]]], method: str) -> l
                 if method == "shwl" and item[0] > 0:
                     codes[item] = (own, 1, own + sum(nbr_colors))
                 else:
-                    codes[item] = (own, 0, _digest((own, tuple(sorted(nbr_colors))), digests))
+                    codes[item] = (own, 0, (len(nbrs), tuple(sorted(nbr_colors))))
             raw.append(codes)
         dense = {key: i for i, key in enumerate(sorted({k for c in raw for k in c.values()}))}
         colorings = [{item: dense[code] for item, code in codes.items()} for codes in raw]

@@ -142,6 +142,15 @@ class TestShwl:
         assert payload["verdict"] == "distinguished"
         assert payload["rounds"][0]["a"]["0"] == {"0": 6}
 
+    @pytest.mark.parametrize("method", ["wl", "hwl", "shwl"])
+    def test_max_order_below_one_is_data_error(self, work, capsys, method):
+        out = work / "v.json"
+        assert run(["shwl", "--a", str(work / "k3.tsv"), "--b", str(work / "c6.tsv"),
+                    "--method", method, "-p", "-3", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: max_order must be >= 1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("method, p_max, edges, keys", [
         # K11 at p = 10 has simplices of orders 0..10: order keys 0..10
         ("shwl", 10, [(u, v) for u in range(11) for v in range(u + 1, 11)], "order"),

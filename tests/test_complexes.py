@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from triangle_oracle import triangles
 
+from flowerpetals import complexes
 from flowerpetals.complexes import (
     DataError,
     Graph,
@@ -170,6 +171,18 @@ class TestCliqueLift:
             assert rows.dtype == np.int64 and rows.flags.c_contiguous
             assert not rows.flags.writeable
         assert lifted == SimplicialComplex(g.n, dict(lifted.simplices))
+
+    def test_orders_above_the_largest_clique_are_not_searched(self, monkeypatch):
+        searched = []
+        real = complexes._in_sorted
+        monkeypatch.setattr(complexes, "_in_sorted", lambda *a: searched.append(1) or real(*a))
+        g = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))  # largest clique: one triangle
+        lifted = clique_lift(g, 200)
+        assert len(searched) == 1 + 2  # one search growing edges, two growing the triangle
+        assert lifted.counts() == {1: 4, 2: 1, **{p: 0 for p in range(3, 201)}}
+        for p, rows in lifted.simplices.items():
+            assert rows.shape[1] == p + 1 and rows.dtype == np.int64
+            assert rows.flags.c_contiguous and not rows.flags.writeable
 
     def test_value_equality(self):
         k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))

@@ -1,13 +1,11 @@
 """Refinement behavior, witness pairs, soundness, and partition properties."""
 
-import hashlib
 from collections import Counter
 
 import numpy as np
 import pytest
 from refinement_oracle import reference_distinguish
 
-from flowerpetals import isomorphism
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.isomorphism import distinguish, refine
 
@@ -21,6 +19,15 @@ def random_graph(rng, n, density=0.4):
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density
     )
     return Graph(n, edges)
+
+
+def geometric_graph(rng, n, radius):
+    """Nodes at uniform points in the unit square, joined when closer than
+    ``radius``: many triangles and tetrahedra."""
+    points = rng.random((n, 2))
+    u, v = np.triu_indices(n, 1)
+    near = np.hypot(*(points[u] - points[v]).T) < radius
+    return Graph(n, np.stack([u[near], v[near]], axis=1))
 
 
 def relabel(g, perm):
@@ -195,7 +202,12 @@ class TestAgainstReference:
             g = random_graph(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
             other = random_graph(rng, n, 0.5) if rng.random() < 0.5 else g
             random.append((g, relabel(other, rng.permutation(n))))
-        return fixed + random
+        # 80 nodes, 491 triangles: SHWL's sums collide here, so its partition
+        # depends on the colour numbering, and the isomorphic pair refines to
+        # the end
+        rng = np.random.default_rng(0)
+        g = geometric_graph(rng, 80, 0.2)
+        return fixed + random + [(g, relabel(g, rng.permutation(g.n)))]
 
     @pytest.mark.parametrize("method", ["wl", "hwl", "shwl"])
     def test_verdicts_and_histograms_match_reference(self, method):
@@ -208,12 +220,3 @@ class TestAgainstReference:
                 assert repr(rounds) == repr(ref_rounds)
                 verdicts[verdict] += 1
         assert verdicts["distinguished"] and verdicts["inconclusive"]
-
-    def test_digest_collision_raises(self, monkeypatch):
-        real = hashlib.blake2b
-        monkeypatch.setattr(
-            isomorphism.hashlib, "blake2b", lambda data, digest_size: real(b"", digest_size=digest_size)
-        )
-        path = Graph(3, ((0, 1), (1, 2)))
-        with pytest.raises(RuntimeError, match="collision"):
-            distinguish(path, path, "wl")
