@@ -6,9 +6,11 @@ linear-rectifier-linear) transform; petal outputs are concatenated and
 mapped by one output matrix. Gradients are hand-derived reverse-mode
 through a short tape; no autodiff framework is involved.
 
-Parameter sets of one shape that train on the same features run as one
-stack (:func:`stack_params`): the forward and reverse passes read the
-feature tensor once for every set, and a single set is the stack of one.
+The passes take a stack (:func:`stack_params`) of parameter sets of one
+shape that train on the same features, and read the feature tensor once
+for every set; every result keeps the seed axis. A single set is the
+stored form: what :func:`init_params`, :meth:`HigcnParams.unstack` and the
+checkpoints give, and a pass runs it as ``stack_params([params])``.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def _views(params: "HigcnParams", flat: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class HigcnParams:
-    """Trainable parameter set, or a stack of S sets of one shape.
+    """Trainable parameter set, or a stack of S sets of one shape; the
+    passes take only stacks, and a single set is the stored form.
 
     The checkpoint header fields, and one read-only float64 vector ``flat``
     that stores every parameter in the checkpoint's order: gamma, then one
@@ -158,24 +161,16 @@ def stack_params(sets) -> HigcnParams:
 
 @dataclass(frozen=True, eq=False)
 class ForwardTape:
-    """Intermediates of one forward pass, kept for reverse mode. The petal
-    axis leads every stacked array. The tape of a stack has a seed axis S
-    after the petal axis of ``filtered`` and ``act``, (P, S, n, ·), and
-    before the node axis of ``z`` and ``logits``, (S, n, ·)."""
+    """Intermediates of one forward pass of a stack of S seeds, kept for
+    reverse mode. The petal axis leads ``filtered`` and ``act``, and the
+    seed axis follows it; the seed axis leads ``z`` and ``logits``."""
 
-    filtered: np.ndarray  # (P, n, d): filtered[p-1] = sum_k gamma[p,k] tensor[p-1, k]
-    act: np.ndarray | None  # (P, n, h): max(filtered @ theta[0], 0), rectified (depth-2 only)
-    z: np.ndarray  # (n, P*h): the petal outputs side by side
-    logits: np.ndarray
+    filtered: np.ndarray  # (P, S, n, d): filtered[p-1, s] = sum_k gamma[s,p,k] tensor[p-1, k]
+    act: np.ndarray | None  # (P, S, n, h): max(filtered @ theta[0], 0) (depth-2 only)
+    z: np.ndarray  # (S, n, P*h): the petal outputs side by side
+    logits: np.ndarray  # (S, n, C)
 
     __eq__ = _fields_equal
-
-
-def _seed_axis(tape: ForwardTape, index) -> ForwardTape:
-    """``tape`` with every field's seed axis indexed by ``index``: 0 drops
-    the axis of a stack of one, None adds it to a single set's tape."""
-    act = None if tape.act is None else tape.act[:, index]
-    return ForwardTape(tape.filtered[:, index], act, tape.z[index], tape.logits[index])
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -215,6 +210,8 @@ def init_params(
 
 
 def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
+    if params.flat.ndim != 2:
+        raise ValueError("the passes take a stack; run a single set as stack_params([params])")
     p_max, hops, _, d = feats.tensor.shape
     if p_max < params.p_max:
         raise ValueError(f"features cover petals up to {p_max}, params need {params.p_max}")
@@ -225,13 +222,12 @@ def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
 
 
 def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> ForwardTape:
-    """Run the petal filters and transforms up to the concatenation Z and
-    the logits."""
+    """Run the petal filters and transforms of every seed of the stack
+    ``params`` up to the concatenation Z and the logits."""
     _check_compat(params, feats)
     p_max, hops, n, d = params.p_max, params.k_max + 1, feats.n, feats.d
-    stack = params.flat.reshape(-1, params.flat.shape[-1])  # a single set is a stack of one
-    gamma, theta, w = _views(params, stack)
-    seeds = len(stack)
+    gamma, theta, w = params.gamma, params.theta, params.w
+    seeds = len(params.flat)
     # one BLAS product per petal for every seed, which reads the tensor once:
     # a GEMV for one seed, a GEMM for more (whose rows differ from the GEMV's
     # in the last bits). Each output entry adds its hops in an order that does
@@ -249,8 +245,7 @@ def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> Forward
         np.matmul(np.maximum(act, 0.0, out=act), theta[1], out=out)
     else:
         np.matmul(filtered, theta[0], out=out)
-    tape = ForwardTape(filtered, act, z, z @ w)
-    return tape if params.flat.ndim == 2 else _seed_axis(tape, 0)
+    return ForwardTape(filtered, act, z, z @ w)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -323,28 +318,22 @@ def pooled_nll_loss(
 def backprop(
     params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, loss,
     dlogits: np.ndarray, weight_decay: float = 0.0, decay_gamma: bool = False,
-) -> tuple[float | np.ndarray, np.ndarray]:
-    """Reverse pass from a task loss and its gradient at the logits, for the
-    ``tape`` of a forward at ``params``: the loss plus the L2 decay
-    ``weight_decay / 2 * |params|^2``, and the gradient of that sum as a
-    float64 vector in the layout of ``params.flat``.
-
-    For a stack, ``loss`` holds each seed's task loss and ``dlogits`` each
-    seed's gradient, (S, n, C); the result is each seed's loss with its
-    decay, as an array, and the (S, size) gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Reverse pass from each seed's task loss and its gradient at the
+    logits, (S, n, C), for the ``tape`` of a forward at the stack
+    ``params``: each seed's loss plus its L2 decay
+    ``weight_decay / 2 * |params|^2``, as an array, and the gradient of
+    that sum in the layout of ``params.flat``, (S, size).
 
     The decay skips gamma unless ``decay_gamma`` is set: filter magnitudes
     carry the interaction strength reading and are not shrunk by default.
     """
-    stacked = params.flat.ndim == 2
-    if not stacked:  # a single set runs as the stack of one
-        tape, dlogits = _seed_axis(tape, None), dlogits[None]
-    stack = params.flat.reshape(-1, params.flat.shape[-1])
-    gamma, theta, w = _views(params, stack)
-    grad = np.empty_like(stack)
+    _check_compat(params, feats)
+    gamma, theta, w = params.gamma, params.theta, params.w
+    grad = np.empty_like(params.flat)
     dgamma, dtheta, dw = _views(params, grad)
     dw[...] = tape.z.swapaxes(1, 2) @ dlogits + weight_decay * w
-    p_max, hops, seeds = params.p_max, params.k_max + 1, len(stack)
+    p_max, hops, seeds = params.p_max, params.k_max + 1, len(grad)
     theta, dtheta = [t.swapaxes(0, 1) for t in theta], [t.swapaxes(0, 1) for t in dtheta]
     # each petal's h columns of dlogits @ w.T, as a (P, S, n, h) view
     dy = (dlogits @ w.swapaxes(1, 2)).reshape(seeds, -1, p_max, params.h).transpose(2, 0, 1, 3)
@@ -368,8 +357,7 @@ def backprop(
     if decay_gamma:
         dgamma += weight_decay * gamma
         reg += np.sum(gamma * gamma, axis=(1, 2))
-    loss = loss + 0.5 * weight_decay * reg
-    return (loss, grad) if stacked else (float(loss[0]), grad[0])
+    return loss + 0.5 * weight_decay * reg, grad
 
 
 def loss_and_grad(
@@ -379,18 +367,13 @@ def loss_and_grad(
     mask: np.ndarray,
     weight_decay: float = 0.0,
     decay_gamma: bool = False,
-) -> tuple[float | np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Masked mean negative log-likelihood plus L2 decay, and its exact
-    gradient as a vector in the layout of ``params.flat``. For a stack,
-    ``mask`` holds one mask per seed, and :func:`backprop` says what the
-    results hold."""
+    gradient, for each seed of the stack ``params``: ``mask`` holds one
+    mask per seed, and :func:`backprop` says what the results hold."""
     tape, log_probs = forward(params, feats)
-    if params.flat.ndim == 1:
-        loss, dlogits = nll_loss(log_probs, labels, mask)
-    else:
-        per_seed = (nll_loss(lp, labels, m) for lp, m in zip(log_probs, mask, strict=True))
-        loss, dlogits = map(np.array, zip(*per_seed))
-    return backprop(params, feats, tape, loss, dlogits, weight_decay, decay_gamma)
+    per_seed = (nll_loss(lp, labels, m) for lp, m in zip(log_probs, mask, strict=True))
+    return backprop(params, feats, tape, *map(np.array, zip(*per_seed)), weight_decay, decay_gamma)
 
 
 def signal_forward(
@@ -425,19 +408,21 @@ def readout_forward(
 def readout_loss_and_grad(
     params: HigcnParams, feats: PropagatedFeatures, sizes, labels: np.ndarray, mask,
     readout: str, weight_decay: float = 0.0, decay_gamma: bool = False,
-) -> tuple[float, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Graph classification on a disjoint union of graphs with ``sizes``
     nodes each: pooled logits, mean NLL over the masked graphs, L2 decay,
-    and the gradient as a vector in the layout of ``params.flat``."""
+    and the gradient, for each seed of the stack ``params``, as
+    :func:`loss_and_grad` gives them; ``mask`` holds one mask per seed."""
     tape, pooled = readout_forward(params, feats, sizes, readout)
-    loss = pooled_nll_loss(pooled, sizes, labels, mask, readout)
-    return backprop(params, feats, tape, *loss, weight_decay, decay_gamma)
+    per_seed = (pooled_nll_loss(p, sizes, labels, m, readout)
+                for p, m in zip(pooled, mask, strict=True))
+    return backprop(params, feats, tape, *map(np.array, zip(*per_seed)), weight_decay, decay_gamma)
 
 
 def predict_graph_labels(
     params: HigcnParams, feats: PropagatedFeatures, sizes, readout: str
 ) -> np.ndarray:
-    """Predicted class of every graph of a disjoint union."""
+    """Predicted class of every graph of a disjoint union, for each seed."""
     return np.argmax(readout_forward(params, feats, sizes, readout)[1], axis=-1)
 
 

@@ -180,7 +180,8 @@ class TrainConfig:
         "lr": (lambda v: v > 0, "positive"),
         "alpha": (lambda v: 0 < v <= 1, "in (0, 1]"),
         "known_fraction": (lambda v: 0 < v < 1, "in (0, 1)"),
-        "seeds": (lambda v: all(s >= 0 for s in v), "non-negative"),
+        "seeds": (lambda v: all(s >= 0 for s in v) and len(set(v)) == len(v),
+                  "non-negative and distinct"),
         "split_ratios": (_valid_ratios, "three positive numbers summing to 1"),
         "theta_depth": (lambda v: v in (1, 2), "1 or 2"),
     }
@@ -504,15 +505,13 @@ def impute_signals(cc: CoauthorshipComplex, cfg: TrainConfig) -> MetricsReport:
     for seed in cfg.seeds:
         rng = np.random.default_rng(seed)
         known = np.sort(rng.permutation(n)[:n_known])
-        filled = truth.copy()
-        missing = np.setdiff1d(np.arange(n), known)
-        filled[missing] = np.median(truth[known])
         # standardize by known-entry statistics; ranks are scale-free
         center = float(np.median(truth[known]))
         scale = float(np.std(truth[known]))
         scale = scale if scale > 1e-12 else 1.0
-        x = ((filled - center) / scale)[:, None]
         targets = (truth - center) / scale
+        x = np.zeros((n, 1))  # a missing entry holds the known median, 0 once centred
+        x[known, 0] = targets[known]
 
         feats = propagate_features(ops, x, cfg.K)
         params = init_params(cfg.P, cfg.K, 1, cfg.hidden, 1, cfg.alpha, seed, cfg.theta_depth)

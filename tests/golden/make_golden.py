@@ -9,15 +9,22 @@ with the commit that regenerates the files. The fixtures are tiny, so every
 subcommand runs on them in well under a second. The seven demos run as
 child processes, two at a time: about 3 s, against 6 s one after another.
 
+The dense products' bits depend on the BLAS kernel, so ``blas.json``
+records the numpy version and the configuration and core name of numpy's
+bundled OpenBLAS ("unknown" where that library is not found): the golden
+bytes belong to that core.
+
 ``--check`` writes the fixtures and runs every subcommand and demo in a
 temporary directory instead, and writes nothing here. It lists each file
 under ``inputs``, ``outputs`` and ``demos`` whose bytes would change, with
 the JSON keys added or removed and the largest relative difference of any
 number in a JSON file or of any parameter in a checkpoint (or that its
-header differs), and exits 1 if any would.
+header differs), and ``blas.json`` if this host's BLAS is another, and exits
+1 if any would.
 """
 
 import argparse
+import ctypes
 import json
 import os
 import subprocess
@@ -35,6 +42,7 @@ from flowerpetals.synthetic import coauthorship_complex, planted_two_block, tria
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parents[1]
 INPUTS, OUTPUTS, DEMOS = HERE / "inputs", HERE / "outputs", HERE / "demos"
+BLAS = HERE / "blas.json"
 DEMO_SCRIPTS = sorted((ROOT / "demos").glob("*.py"))
 
 CONFIGS = {
@@ -98,6 +106,22 @@ def write_inputs(inp: Path) -> None:
         (inp / name).write_text(json.dumps(cfg, sort_keys=True) + "\n")
 
 
+def blas_info() -> dict[str, str]:
+    """The numpy version, and the configuration and core name of the
+    OpenBLAS that numpy bundles, read from the library itself; "unknown"
+    where it is not found."""
+    info = {"numpy": np.__version__, "openblas_config": "unknown", "openblas_core": "unknown"}
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))  # the library numpy has already loaded
+        for key, name in (("openblas_config", "scipy_openblas_get_config64_"),
+                          ("openblas_core", "scipy_openblas_get_corename64_")):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_char_p
+                info[key] = getter().decode()
+    return info
+
+
 def run_demos() -> dict[str, subprocess.CompletedProcess]:
     """Each demo run as a child process with ``src`` on its path, two at a
     time, keyed by the name of the file its stdout is kept in."""
@@ -114,9 +138,11 @@ def run_demos() -> dict[str, subprocess.CompletedProcess]:
 
 def write_all(root: Path) -> bool:
     """Write the fixtures to ``root/inputs``, every command's outputs to
-    ``root/outputs`` and every demo's stdout to ``root/demos``; False when a
-    command or a demo fails."""
+    ``root/outputs``, every demo's stdout to ``root/demos`` and the BLAS
+    they ran on to ``root/blas.json``; False when a command or a demo
+    fails."""
     inp, out, demos = root / INPUTS.name, root / OUTPUTS.name, root / DEMOS.name
+    (root / BLAS.name).write_text(json.dumps(blas_info(), indent=2, sort_keys=True) + "\n")
     write_inputs(inp)
     out.mkdir(parents=True, exist_ok=True)
     for name, argv in commands(inp, out).items():
@@ -181,9 +207,14 @@ def checkpoint_difference(old: Path, new: Path) -> str:
 
 def changed_files(fresh: Path) -> list[str]:
     """One line per golden file whose bytes differ from those under
-    ``fresh`` (which holds ``inputs``, ``outputs`` and ``demos`` as written
-    anew)."""
+    ``fresh`` (which holds ``inputs``, ``outputs``, ``demos`` and
+    ``blas.json`` as written anew)."""
     lines = []
+    if not BLAS.exists():
+        lines.append(f"{BLAS.name}: added")
+    elif BLAS.read_bytes() != (fresh / BLAS.name).read_bytes():
+        old, new = json.loads(BLAS.read_text()), json.loads((fresh / BLAS.name).read_text())
+        lines.append(f"{BLAS.name}: differs, recorded {old} against this host's {new}")
     for golden in (INPUTS, OUTPUTS, DEMOS):
         names = {p.name for d in (golden, fresh / golden.name) for p in d.iterdir()}
         for name in sorted(names):

@@ -22,6 +22,7 @@ from flowerpetals.model import (
     forward,
     init_params,
     loss_and_grad,
+    stack_params,
     strength,
 )
 from flowerpetals.nullmodel import (
@@ -225,11 +226,14 @@ def test_c05_gradient_check():
             feats, params, labels, mask = _gradient_instance(seed, depth)
             if depth == 2:
                 # keep rectifier kinks far away from the finite-difference step
-                tape, _ = forward(params, feats)
-                pre = tape.filtered @ params.theta[0]
+                tape, _ = forward(stack_params([params]), feats)
+                pre = tape.filtered[:, 0] @ params.theta[0]
                 if float(np.abs(pre).min()) < 1e-3:
                     continue
-            loss_fn = lambda p: loss_and_grad(p, feats, labels, mask, 0.01)
+            def loss_fn(p):  # row 0 of a stack of one: its loss and gradient
+                loss, grads = loss_and_grad(stack_params([p]), feats, labels, [mask], 0.01)
+                return loss[0], grads[0]
+
             _, grads = loss_fn(params)
             gmap = dict(replace(params, flat=grads).named_arrays())
             for name, arr in params.named_arrays():
@@ -266,7 +270,7 @@ def test_c06_permutation_equivariance():
         x = rng.normal(size=(n, 3))
         feats = petal_features(clique_lift(g, 2), x, 2, 4)
         params = init_params(2, 4, 3, 5, 3, 0.4, seed=trial)
-        _, base = forward(params, feats)
+        _, (base,) = forward(stack_params([params]), feats)
 
         perm = rng.permutation(n)
         edges = tuple(
@@ -275,7 +279,7 @@ def test_c06_permutation_equivariance():
         inv = np.argsort(perm)
         permuted = Graph(n, edges)
         pfeats = petal_features(clique_lift(permuted, 2), x[inv], 2, 4)
-        _, out = forward(params, pfeats)
+        _, (out,) = forward(stack_params([params]), pfeats)
         worst = max(worst, float(np.max(np.abs(out[perm] - base))))
     assert worst <= 1e-10
     _report(6, "permutation equivariance", f"max deviation={worst:.1e}")

@@ -494,7 +494,7 @@ class TestExitCodes:
                                        '"decay_gamma": 1', '"hidden": true',
                                        '"epochs": 0', '"P": 0', '"K": -1', '"hidden": 0',
                                        '"patience": -1', '"theta_depth": 3',
-                                       '"seeds": [0, -1]', '"lr": NaN', '"alpha": Infinity',
+                                       '"seeds": [0, -1]', '"seeds": [0, 0]', '"lr": NaN', '"alpha": Infinity',
                                        '"weight_decay": -Infinity', '"lr": 0', '"lr": -1',
                                        '"weight_decay": -1', '"alpha": 0', '"alpha": 1.5',
                                        '"known_fraction": 0', '"known_fraction": 1',

@@ -1,8 +1,11 @@
 """Every subcommand's output on the fixtures in ``golden/inputs``, byte for
 byte against ``golden/outputs`` (written by ``golden/make_golden.py``), the
 checkpoint and the rewired edge file included, and every demo's printed
-output against ``golden/demos``."""
+output against ``golden/demos``. The bytes belong to the BLAS core that
+``golden/blas.json`` records, and a failed byte comparison names it beside
+the core this run uses."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,10 +13,12 @@ from pathlib import Path
 
 import pytest
 from golden.make_golden import (
+    BLAS,
     DEMOS,
     DEMO_SCRIPTS,
     INPUTS,
     OUTPUTS,
+    blas_info,
     commands,
     key_changes,
     max_relative_difference,
@@ -26,6 +31,15 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
+def cores():
+    """The message of a failed byte comparison: the BLAS core the golden
+    bytes were written on, and the one this run uses."""
+    recorded, running = json.loads(BLAS.read_text()), blas_info()
+    return (f"golden bytes of OpenBLAS core {recorded['openblas_core']}; "
+            f"this run uses {running['openblas_core']}")
+
+
+@pytest.fixture(scope="module")
 def written(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     codes = {name: run(argv + ["--out", str(out / name)])
@@ -34,10 +48,10 @@ def written(tmp_path_factory):
 
 
 @pytest.mark.parametrize("name", sorted(path.name for path in OUTPUTS.iterdir()))
-def test_output_is_byte_identical(written, name):
+def test_output_is_byte_identical(written, cores, name):
     out, codes = written
     assert codes.get(name, 0) == 0
-    assert (out / name).read_bytes() == (OUTPUTS / name).read_bytes()
+    assert (out / name).read_bytes() == (OUTPUTS / name).read_bytes(), cores
 
 
 @pytest.fixture(scope="module")
@@ -46,10 +60,10 @@ def demos():
 
 
 @pytest.mark.parametrize("name", [f"{script.stem}.txt" for script in DEMO_SCRIPTS])
-def test_demo_prints_the_golden_bytes(demos, name):
+def test_demo_prints_the_golden_bytes(demos, cores, name):
     proc = demos[name]
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (DEMOS / name).read_bytes()
+    assert proc.stdout == (DEMOS / name).read_bytes(), cores
 
 
 TRAINING_OUTPUTS = ("train.json", "model.ck", "impute.json")
@@ -76,9 +90,9 @@ def by_threads(tmp_path_factory):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_training_outputs_do_not_depend_on_the_blas_thread_count(by_threads, threads):
+def test_training_outputs_do_not_depend_on_the_blas_thread_count(by_threads, cores, threads):
     for name in TRAINING_OUTPUTS:
-        assert by_threads[threads][name] == (OUTPUTS / name).read_bytes(), name
+        assert by_threads[threads][name] == (OUTPUTS / name).read_bytes(), f"{name}: {cores}"
 
 
 def test_one_and_two_blas_threads_write_the_same_training_outputs(by_threads):

@@ -20,9 +20,11 @@ from flowerpetals.model import (
     load_checkpoint,
     loss_and_grad,
     predict_graph_labels,
+    readout_forward,
     readout_loss_and_grad,
     nll_loss,
     save_checkpoint,
+    signal_forward,
     stack_params,
     strength,
 )
@@ -52,7 +54,10 @@ def union_feats(ns, d, seeds, p_max=2, k_max=2, density=0.35):
 
 
 def finite_difference_max_rel(loss_fn, params, h=1e-5):
-    _, grads = loss_fn(params)
+    """The largest relative gap between the gradient that ``loss_fn`` gives
+    for the set ``params`` and central differences of its loss; ``loss_fn``
+    takes a stack, and the sets run as stacks of one."""
+    _, (grads,) = loss_fn(stack_params([params]))
     gmap = dict(replace(params, flat=grads).named_arrays())
     worst = 0.0
     for name, arr in params.named_arrays():
@@ -68,8 +73,8 @@ def finite_difference_max_rel(loss_fn, params, h=1e-5):
 
                 return map_arrays(params, bump)
 
-            plus, _ = loss_fn(shifted(h))
-            minus, _ = loss_fn(shifted(-h))
+            (plus,), _ = loss_fn(stack_params([shifted(h)]))
+            (minus,), _ = loss_fn(stack_params([shifted(-h)]))
             fd = (plus - minus) / (2 * h)
             an = gmap[name][idx]
             worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-6))
@@ -163,7 +168,7 @@ class TestForward:
                 "w": np.eye(6),
             }.get(name, a)
         )
-        _, log_probs = forward(params, feats)
+        _, (log_probs,) = forward(stack_params([params]), feats)
         x = feats.tensor[0, 0]
         z = np.hstack([x, x])
         expected = z - np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - z.max(axis=1, keepdims=True)
@@ -171,7 +176,7 @@ class TestForward:
 
     def test_tape_value_equality(self):
         feats = graph_feats(6, 3, seed=1)
-        params = init_params(2, 2, 3, 4, 2, 0.5, seed=0)
+        params = stack_params([init_params(2, 2, 3, 4, 2, 0.5, seed=0)])
         tape, _ = forward(params, feats)
         assert tape == forward(params, feats)[0]
         assert tape != replace(tape, logits=tape.logits + 1.0)
@@ -179,9 +184,9 @@ class TestForward:
 
     def test_rows_exponentiate_to_one(self):
         feats = graph_feats(10, 4, seed=2)
-        params = init_params(2, 2, 4, 8, 3, 0.5, seed=3)
+        params = stack_params([init_params(2, 2, 4, 8, 3, 0.5, seed=3)])
         _, log_probs = forward(params, feats)
-        assert np.max(np.abs(np.exp(log_probs).sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(np.exp(log_probs).sum(axis=-1) - 1.0)) <= 1e-12
 
     def test_single_petal_matches_direct_fixed_filter(self):
         # frozen geometric filter with a linear transform equals the explicit
@@ -200,8 +205,8 @@ class TestForward:
             for k in range(k_max + 1)
         )
         expected_logits = filtered @ params.theta[0][0] @ params.w
-        tape, _ = forward(params, feats)
-        assert np.max(np.abs(tape.logits - expected_logits)) <= 1e-10
+        tape, _ = forward(stack_params([params]), feats)
+        assert np.max(np.abs(tape.logits[0] - expected_logits)) <= 1e-10
 
 
 class TestGradients:
@@ -214,7 +219,9 @@ class TestGradients:
             lambda name, a: np.zeros_like(a) if name == "w" else a
         )
         labels = np.zeros(8, dtype=np.int64)
-        loss, _ = loss_and_grad(params, feats, labels, np.arange(8), weight_decay=0.0)
+        (loss,), _ = loss_and_grad(
+            stack_params([params]), feats, labels, [np.arange(8)], weight_decay=0.0
+        )
         assert abs(loss - np.log(5)) <= 1e-12
 
     def test_dead_petal_filter_gradients_vanish(self):
@@ -222,7 +229,7 @@ class TestGradients:
         feats = petal_features(clique_lift(c6, 2), np.ones((6, 2)), 2, 3)
         params = init_params(2, 3, 2, 4, 2, 0.5, seed=8)
         labels = np.array([0, 1, 0, 1, 0, 1])
-        _, grads = loss_and_grad(params, feats, labels, np.arange(6))
+        _, (grads,) = loss_and_grad(stack_params([params]), feats, labels, [np.arange(6)])
         grads = replace(params, flat=grads)
         assert np.array_equal(grads.gamma[1, 1:], np.zeros(3))
         assert np.any(grads.gamma[0] != 0)
@@ -235,7 +242,7 @@ class TestGradients:
         labels = rng.integers(0, 2, 8)
         mask = np.array([0, 2, 3, 5, 6])
         rel = finite_difference_max_rel(
-            lambda p: loss_and_grad(p, feats, labels, mask, weight_decay=0.01),
+            lambda s: loss_and_grad(s, feats, labels, [mask], weight_decay=0.01),
             params,
         )
         assert rel <= 1e-4
@@ -245,7 +252,7 @@ class TestGradients:
         params = init_params(2, 2, 2, 4, 1, 0.5, seed=41)
         targets = np.random.default_rng(42).normal(size=8)
         rel = finite_difference_max_rel(
-            lambda p: l1_loss_and_grad(p, feats, targets, np.arange(8), 0.01),
+            lambda s: l1_loss_and_grad(s, feats, targets, np.arange(8), 0.01),
             params,
         )
         assert rel <= 1e-4
@@ -256,8 +263,8 @@ class TestGradients:
         labels = np.array([0, 1, 0, 1])
         params = init_params(2, 2, 3, 4, 2, 0.5, seed=50)
         rel = finite_difference_max_rel(
-            lambda p: readout_loss_and_grad(
-                p, feats, sizes, labels, np.arange(4), readout, 0.01
+            lambda s: readout_loss_and_grad(
+                s, feats, sizes, labels, [np.arange(4)], readout, 0.01
             ),
             params,
         )
@@ -268,7 +275,7 @@ class TestGradients:
         params = init_params(2, 2, 2, 4, 1, 0.5, seed=44)
         targets = np.random.default_rng(45).normal(size=8)
         rel = finite_difference_max_rel(
-            lambda p: l1_loss_and_grad(p, feats, targets, np.arange(8), 0.01, True),
+            lambda s: l1_loss_and_grad(s, feats, targets, np.arange(8), 0.01, True),
             params,
         )
         assert rel <= 1e-4
@@ -279,8 +286,8 @@ class TestGradients:
         labels = np.array([1, 0, 0, 1])
         params = init_params(2, 2, 3, 4, 2, 0.5, seed=51)
         rel = finite_difference_max_rel(
-            lambda p: readout_loss_and_grad(
-                p, feats, sizes, labels, np.arange(4), readout, 0.01, True
+            lambda s: readout_loss_and_grad(
+                s, feats, sizes, labels, [np.arange(4)], readout, 0.01, True
             ),
             params,
         )
@@ -289,22 +296,24 @@ class TestGradients:
     def test_decay_gamma_adds_only_the_filter_decay(self):
         feats = graph_feats(8, 3, seed=46)
         params = init_params(2, 2, 3, 4, 2, 0.5, seed=47)
-        tape = forward_embedding(params, feats)
+        stack = stack_params([params])
+        tape = forward_embedding(stack, feats)
         dlogits = np.random.default_rng(48).normal(size=tape.logits.shape)
-        loss_off, off = backprop(params, feats, tape, 1.5, dlogits, 0.01)
-        loss_on, on = backprop(params, feats, tape, 1.5, dlogits, 0.01, True)
+        (loss_off,), (off,) = backprop(stack, feats, tape, 1.5, dlogits, 0.01)
+        (loss_on,), (on,) = backprop(stack, feats, tape, 1.5, dlogits, 0.01, True)
         n_gamma = params.gamma.size
         assert np.array_equal(on[n_gamma:], off[n_gamma:])
         assert np.allclose(on[:n_gamma] - off[:n_gamma], 0.01 * params.gamma.ravel(),
                            rtol=1e-9, atol=1e-15)
         assert abs(loss_on - loss_off - 0.005 * np.sum(params.gamma**2)) <= 1e-15
-        assert backprop(params, feats, tape, 1.5, dlogits)[0] == 1.5
+        assert backprop(stack, feats, tape, 1.5, dlogits)[0].tolist() == [1.5]
 
     def test_empty_mask_rejected(self):
         feats = graph_feats(4, 2, seed=60)
         params = init_params(2, 2, 2, 3, 2, 0.5, seed=61)
         with pytest.raises(ValueError):
-            loss_and_grad(params, feats, np.zeros(4, dtype=int), np.array([], dtype=int))
+            loss_and_grad(stack_params([params]), feats, np.zeros(4, dtype=int),
+                          [np.array([], dtype=int)])
 
 
 def tensor_case(name, depth):
@@ -334,27 +343,31 @@ class TestFeatureTensor:
         # 3e-15 relative), and everything computed from the tape's filtered
         # sums is bit-equal
         params, feats = tensor_case(case, depth)
-        tape = forward_embedding(params, feats)
-        assert tape.filtered.shape == (params.p_max, feats.n, feats.d)
+        stack = stack_params([params])
+        tape = forward_embedding(stack, feats)
+        assert tape.filtered.shape == (params.p_max, 1, feats.n, feats.d)
         loop_filtered = training_oracle.filtered_sums(params, feats)
-        np.testing.assert_allclose(tape.filtered, np.stack(loop_filtered), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            tape.filtered[:, 0], np.stack(loop_filtered), rtol=1e-12, atol=0
+        )
         filtered, _, act, z, logits = training_oracle.forward_embedding(
-            params, feats, tape.filtered
+            params, feats, tape.filtered[:, 0]
         )
         if depth == 2:
             assert len(tape.act) == len(act)
-            assert all(np.array_equal(a, b) for a, b in zip(tape.act, act))
+            assert all(np.array_equal(a, b) for a, b in zip(tape.act[:, 0], act))
         else:
             assert tape.act is None
-        assert np.array_equal(tape.z, z) and np.array_equal(tape.logits, logits)
+        assert np.array_equal(tape.z[0], z) and np.array_equal(tape.logits[0], logits)
         if case == "signed-zero":  # the loop's sums are -0.0 there
             assert np.signbit(np.stack(loop_filtered)[:, :, [1, 3]]).all()
 
         rng = np.random.default_rng(17)
         dlogits = rng.normal(size=logits.shape)
         dlogits[rng.random(len(dlogits)) < 0.4] = 0.0  # rows off the mask
-        grads = replace(params, flat=backprop(params, feats, tape, 0.0, dlogits, 0.01)[1])
-        expected = training_oracle.backprop(params, feats, dlogits, 0.01, tape.filtered)
+        (grads,) = backprop(stack, feats, tape, 0.0, dlogits[None], 0.01)[1]
+        grads = replace(params, flat=grads)
+        expected = training_oracle.backprop(params, feats, dlogits, 0.01, tape.filtered[:, 0])
         np.testing.assert_allclose(grads.gamma, expected.gamma, rtol=1e-12, atol=0)
         for (name, a), (_, b) in zip(grads.named_arrays(), expected.named_arrays()):
             assert name == "gamma" or np.array_equal(a, b), name
@@ -365,8 +378,8 @@ class TestFeatureTensor:
         # never as a copy
         rng = np.random.default_rng(20)
         feats = PropagatedFeatures(rng.normal(size=(3, 8, 1500, 16)))
-        params = init_params(2, 5, 16, 8, 3, 0.5, seed=21)
-        dlogits = rng.normal(size=(feats.n, params.c))
+        params = stack_params([init_params(2, 5, 16, 8, 3, 0.5, seed=21)])
+        dlogits = rng.normal(size=(1, feats.n, params.c))
         tracemalloc.start()
         try:
             tape, _ = forward(params, feats)
@@ -385,7 +398,7 @@ class TestFeatureTensor:
         feats = graph_feats(6, 3, seed=18)
         p_max, k_max, d = dims
         with pytest.raises(ValueError, match=message):
-            forward(init_params(p_max, k_max, d, 4, 2, 0.5, seed=19), feats)
+            forward(stack_params([init_params(p_max, k_max, d, 4, 2, 0.5, seed=19)]), feats)
 
     @pytest.mark.parametrize("n, c, p_max, h", [
         (1200, 2, 2, 32), (2400, 4, 3, 32), (600, 1, 2, 16),
@@ -435,8 +448,12 @@ class TestAdam:
         state, ref_state = AdamState.zeros_like(params), training_oracle.adam_zeros(ref)
         names = [name for name, _ in params.named_arrays()]
         for _ in range(50):
-            _, grads = loss_and_grad(params, feats, labels, np.arange(7), 0.01, True)
-            _, ref_grads = loss_and_grad(ref, feats, labels, np.arange(7), 0.01, True)
+            _, (grads,) = loss_and_grad(
+                stack_params([params]), feats, labels, [np.arange(7)], 0.01, True
+            )
+            _, (ref_grads,) = loss_and_grad(
+                stack_params([ref]), feats, labels, [np.arange(7)], 0.01, True
+            )
             params, state = adam_step(params, grads, state, lr=0.05)
             ref, ref_state = training_oracle.adam_step(ref, ref_grads, ref_state, lr=0.05)
             assert params.flat.tobytes() == ref.flat.tobytes()
@@ -470,10 +487,10 @@ class TestAdam:
         labels = np.random.default_rng(71).integers(0, 2, 6)
 
         def train():
-            params = init_params(2, 2, 2, 3, 2, 0.5, seed=72)
+            params = stack_params([init_params(2, 2, 2, 3, 2, 0.5, seed=72)])
             state = AdamState.zeros_like(params)
             for _ in range(20):
-                _, grads = loss_and_grad(params, feats, labels, np.arange(6), 0.001)
+                _, grads = loss_and_grad(params, feats, labels, [np.arange(6)], 0.001)
                 params, state = adam_step(params, grads, state, lr=0.05)
             return params
 
@@ -488,11 +505,11 @@ class TestAdam:
 
         g = planted_two_block(30, seed=5)
         feats = petal_features(clique_lift(g, 2), g.features, 2, 3)
-        params = init_params(2, 3, 2, 8, 2, 0.5, seed=73)
+        params = stack_params([init_params(2, 3, 2, 8, 2, 0.5, seed=73)])
         state = AdamState.zeros_like(params)
         losses = []
         for _ in range(50):
-            loss, grads = loss_and_grad(params, feats, g.labels, np.arange(g.n))
+            (loss,), grads = loss_and_grad(params, feats, g.labels, [np.arange(g.n)])
             params, state = adam_step(params, grads, state, lr=0.05)
             losses.append(loss)
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-9)
@@ -516,7 +533,7 @@ def stack_case(seeds, depth, n=120, d=8):
 class TestStack:
     """Seeds trained as one stack: the filter and its gradient are one GEMM
     over the seeds instead of one GEMV per seed, so a stacked seed's bits
-    drift from its solo run's in the last places."""
+    drift from those of its stack of one in the last places."""
 
     @pytest.mark.parametrize("decay_gamma", [False, True])
     @pytest.mark.parametrize("depth", [1, 2])
@@ -527,29 +544,37 @@ class TestStack:
         losses, grads = loss_and_grad(stack_params(sets), feats, labels, masks, 0.01, decay_gamma)
         assert grads.shape == (len(seeds), sets[0].flat.size)
         for params, mask, loss, grad in zip(sets, masks, losses, grads, strict=True):
-            want_loss, want = loss_and_grad(params, feats, labels, mask, 0.01, decay_gamma)
+            (want_loss,), (want,) = loss_and_grad(
+                stack_params([params]), feats, labels, [mask], 0.01, decay_gamma
+            )
             assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
             got, want = replace(params, flat=grad), replace(params, flat=want)
             for (name, a), (_, b) in zip(got.named_arrays(), want.named_arrays()):
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
 
-    @pytest.mark.parametrize("depth", [1, 2])
-    def test_a_stack_of_one_is_bit_identical_to_its_set(self, depth):
-        feats, labels, (params,) = stack_case((7,), depth)
-        mask = np.arange(0, len(labels), 2)
-        stack = stack_params([params])
-        tape, log_probs = forward(stack, feats)
-        want_tape, want_log_probs = forward(params, feats)
-        assert tape.filtered[:, 0].tobytes() == want_tape.filtered.tobytes()
-        assert (tape.act is None) == (depth == 1)
-        if depth == 2:
-            assert tape.act[:, 0].tobytes() == want_tape.act.tobytes()
-        assert tape.z[0].tobytes() == want_tape.z.tobytes()
-        assert log_probs[0].tobytes() == want_log_probs.tobytes()
-        loss, grad = loss_and_grad(stack, feats, labels, [mask], 0.01, True)
-        want_loss, want = loss_and_grad(params, feats, labels, mask, 0.01, True)
-        assert loss.tobytes() == np.array([want_loss]).tobytes()
-        assert grad.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("name", [
+        "forward_embedding", "forward", "signal_forward", "readout_forward", "backprop",
+        "loss_and_grad", "readout_loss_and_grad", "predict_graph_labels",
+    ])
+    def test_a_lone_set_is_refused(self, name):
+        feats, sizes = union_feats([4, 5], 2, seeds=range(2))
+        params = init_params(2, 2, 2, 3, 2, 0.5, seed=83)
+        tape = forward_embedding(stack_params([params]), feats)
+        labels, graphs = np.zeros(9, dtype=int), np.array([0, 1])
+        passes = {
+            "forward_embedding": lambda: forward_embedding(params, feats),
+            "forward": lambda: forward(params, feats),
+            "signal_forward": lambda: signal_forward(params, feats),
+            "readout_forward": lambda: readout_forward(params, feats, sizes, "mean"),
+            "backprop": lambda: backprop(params, feats, tape, 0.0, tape.logits[0]),
+            "loss_and_grad": lambda: loss_and_grad(params, feats, labels, np.arange(9)),
+            "readout_loss_and_grad": lambda: readout_loss_and_grad(
+                params, feats, sizes, graphs, graphs, "mean"
+            ),
+            "predict_graph_labels": lambda: predict_graph_labels(params, feats, sizes, "mean"),
+        }
+        with pytest.raises(ValueError, match=r"stack_params\(\[params\]\)"):
+            passes[name]()
 
     @pytest.mark.parametrize("seeds", [2, 3])
     def test_a_stacked_epoch_holds_at_most_its_solo_epochs_memory(self, seeds):
@@ -645,7 +670,7 @@ class TestGraphReadout:
         # same node count per graph: sum readout scales logits by n, so the
         # predicted labels coincide at any fixed parameters
         feats, sizes = union_feats([6] * 6, 3, seeds=range(6), density=0.5)
-        params = init_params(2, 2, 3, 4, 3, 0.5, seed=80)
+        params = stack_params([init_params(2, 2, 3, 4, 3, 0.5, seed=80)])
         mean_pred = predict_graph_labels(params, feats, sizes, "mean")
         sum_pred = predict_graph_labels(params, feats, sizes, "sum")
         assert np.array_equal(mean_pred, sum_pred)
@@ -657,15 +682,16 @@ class TestGraphReadout:
         mask = np.array([0, 1, 3, 5])
         wd = 0.01
         params = init_params(2, 2, 3, 4, 3, 0.5, seed=81)
+        stack = stack_params([params])
         feats, sizes = union_feats(ns, 3, seeds)
-        loss, grads = readout_loss_and_grad(
-            params, feats, sizes, labels, mask, readout, wd
+        (loss,), (grads,) = readout_loss_and_grad(
+            stack, feats, sizes, labels, [mask], readout, wd
         )
-        pred = predict_graph_labels(params, feats, sizes, readout)
+        (pred,) = predict_graph_labels(stack, feats, sizes, readout)
 
         # reference: one forward and backward per graph on its own features
-        tape = forward_embedding(params, feats)
-        ref_loss = backprop(params, feats, tape, 0.0, np.zeros_like(tape.logits), wd)[0]
+        tape = forward_embedding(stack, feats)
+        (ref_loss,) = backprop(stack, feats, tape, 0.0, np.zeros_like(tape.logits), wd)[0]
         ref = dict(map_arrays(
             params,
             lambda name, a: np.zeros_like(a) if name == "gamma" else wd * a
@@ -673,8 +699,8 @@ class TestGraphReadout:
         ref_pred = []
         for gi, (n, seed) in enumerate(zip(ns, seeds)):
             g_feats = graph_feats(n, 3, seed)
-            tape = forward_embedding(params, g_feats)
-            vec = tape.z.mean(axis=0) if readout == "mean" else tape.z.sum(axis=0)
+            tape = forward_embedding(stack, g_feats)
+            vec = tape.z[0].mean(axis=0) if readout == "mean" else tape.z[0].sum(axis=0)
             logits = vec @ params.w
             ref_pred.append(int(np.argmax(logits)))
             if gi not in mask:
@@ -685,7 +711,7 @@ class TestGraphReadout:
             dlogit = np.exp(log_probs)
             dlogit[labels[gi]] -= 1.0
             dlogit /= len(mask) * (n if readout == "mean" else 1)
-            g = backprop(params, g_feats, tape, 0.0, np.tile(dlogit, (n, 1)), 0.0)[1]
+            (g,) = backprop(stack, g_feats, tape, 0.0, np.tile(dlogit, (1, n, 1)), 0.0)[1]
             for name, arr in replace(params, flat=g).named_arrays():
                 ref[name] = ref[name] + arr
 
@@ -697,7 +723,7 @@ class TestGraphReadout:
 
     def test_sizes_must_cover_the_nodes(self):
         feats, _ = union_feats([4, 5], 2, seeds=range(2))
-        params = init_params(2, 2, 2, 3, 2, 0.5, seed=82)
+        params = stack_params([init_params(2, 2, 2, 3, 2, 0.5, seed=82)])
         for bad in ([4, 4], [9, 0], [0, 9]):
             with pytest.raises(ValueError, match="sizes"):
                 predict_graph_labels(params, feats, bad, "mean")

@@ -1,5 +1,6 @@
 """Splits, rank correlation, homophily, and the three training pipelines."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from flowerpetals.complexes import (
     clique_lift,
     load_coauthorship,
 )
-from flowerpetals.model import init_params, predict_graph_labels
+from flowerpetals.model import init_params, predict_graph_labels, stack_params
 from flowerpetals.synthetic import (
     coauthorship_complex,
     planted_two_block,
@@ -154,6 +155,12 @@ class TestTrainConfig:
         with pytest.raises(DataError, match="seed"):
             TrainConfig(task="node", seeds=())
 
+    def test_repeated_seeds_rejected(self):
+        # a seed named twice would count one run twice and hide its spread
+        want = r"^seeds must be non-negative and distinct, got \(3, 1, 3\)"
+        with pytest.raises(DataError, match=want):
+            TrainConfig(task="node", seeds=(3, 1, 3))
+
     def test_round_trip(self):
         cfg = TrainConfig(task="impute", seeds=(1, 2), known_fraction=0.3)
         again = TrainConfig.from_dict(cfg.to_dict())
@@ -231,7 +238,7 @@ class TestNodeClassification:
         feats = petal_features(clique_lift(g, cfg.P), g.features, cfg.P, cfg.K)
         pfeats = petal_features(clique_lift(permuted, cfg.P), permuted.features, cfg.P, cfg.K)
         from flowerpetals.tasks import _fit_node_model, make_splits
-        from flowerpetals.model import forward
+        from flowerpetals.model import forward, stack_params
 
         split = make_splits(g.n, cfg.split_ratios, 3)
         params = _fit_node_model(feats, g.labels, [split], cfg)[0].params
@@ -242,8 +249,8 @@ class TestNodeClassification:
             test = perm[split.test]
 
         pparams = _fit_node_model(pfeats, permuted.labels, [PermutedSplit], cfg)[0].params
-        _, log_probs = forward(params, feats)
-        _, plog_probs = forward(pparams, pfeats)
+        _, (log_probs,) = forward(stack_params([params]), feats)
+        _, (plog_probs,) = forward(stack_params([pparams]), pfeats)
         base_acc = float(np.mean(np.argmax(log_probs[split.test], 1) == g.labels[split.test]))
         perm_acc = float(
             np.mean(
@@ -284,6 +291,16 @@ class TestImputation:
         cfg = TrainConfig(task="impute", known_fraction=0.01)
         with pytest.raises(ValueError, match="degenerate known fraction 0.01 for n=40"):
             impute_signals(cc, cfg)
+
+    def test_each_seed_of_a_run_is_the_run_of_that_seed_alone(self):
+        # each seed trains its own stack of one on its own mask, so a seed's
+        # run is byte for byte the same whichever seeds run beside it
+        cc = coauthorship_complex(40, 20, 12, seed=0)
+        cfg = TrainConfig(task="impute", seeds=(4, 0, 7), epochs=30, hidden=4, K=3)
+        runs = impute_signals(cc, cfg).runs
+        for seed, run in zip(cfg.seeds, runs, strict=True):
+            (alone,) = impute_signals(cc, replace(cfg, seeds=(seed,))).runs
+            assert json.dumps(run) == json.dumps(alone)
 
     def test_more_known_signals_help(self, complex_):
         cfg = TrainConfig(
@@ -366,7 +383,7 @@ class TestGraphClassification:
     def test_equal_sizes_make_readouts_agree(self):
         union, sizes = disjoint_union([planted_two_block(8, seed=s) for s in range(6)])
         feats = petal_features(clique_lift(union, 2), union.features, 2, 2)
-        params = init_params(2, 2, 2, 4, 2, 0.5, seed=12)
+        params = stack_params([init_params(2, 2, 2, 4, 2, 0.5, seed=12)])
         assert np.array_equal(
             predict_graph_labels(params, feats, sizes, "mean"),
             predict_graph_labels(params, feats, sizes, "sum"),
@@ -450,7 +467,7 @@ class TestAgainstTwoForwardOracle:
         """Scripted reads: a tie with the best is not an improvement, and the
         fit stops after the read that leaves the best more than ``patience``
         epochs old. Zero gradients leave Adam's parameters unchanged."""
-        from flowerpetals.model import forward_embedding, stack_params
+        from flowerpetals.model import forward_embedding
         from flowerpetals.tasks import _adam_fit
 
         params = stack_params([init_params(1, 1, 2, 2, 2, 0.5, seed=0)])

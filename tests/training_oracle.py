@@ -8,7 +8,8 @@ on the stepped parameters for the validation read. Node classification
 runs its seeds as one stack through the model's stacked ``loss_and_grad``
 and ``forward``, as the trainer does, with per-seed bookkeeping here; a
 seed that stops leaves the stack. It also runs one more forward on each
-seed's best parameters alone for the test accuracy.
+seed's best parameters alone, as a stack of one, for the test accuracy.
+Graph classification runs each fold's set as a stack of one.
 ``flowerpetals.tasks`` must give the same curves, best epochs, accuracies
 and parameters bit for bit.
 
@@ -121,11 +122,11 @@ def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
 
 
 def l1_loss_and_grad(params, feats, targets, mask, weight_decay=0.0, decay_gamma=False):
-    """Signal regression's L1 loss and gradient from a fresh forward."""
+    """Signal regression's L1 loss and gradient from a fresh forward, for
+    each seed of the stack ``params`` on the one ``mask``."""
     tape, pred = signal_forward(params, feats)
-    return model_backprop(
-        params, feats, tape, *l1_loss(pred, targets, mask), weight_decay, decay_gamma
-    )
+    loss, dlogits = map(np.array, zip(*(l1_loss(p, targets, mask) for p in pred)))
+    return model_backprop(params, feats, tape, loss, dlogits, weight_decay, decay_gamma)
 
 
 def fit_node_params(g, cfg):
@@ -169,7 +170,7 @@ def fit_node_params(g, cfg):
     runs = []
     for i, seed in enumerate(cfg.seeds):
         test = splits[i].test
-        pred = np.argmax(forward(best[i][1], feats)[1][test], axis=1)
+        pred = np.argmax(forward(stack_params([best[i][1]]), feats)[1][0][test], axis=1)
         acc = float(np.mean(pred == labels[test]))
         runs.append(
             {
@@ -215,10 +216,12 @@ def graph_classify(graphs, labels, cfg):
         curve = []
         for _ in range(cfg.resolved_epochs):
             _, grads = readout_loss_and_grad(
-                params, feats, sizes, labels, train_idx, cfg.readout, cfg.weight_decay
+                stack_params([params]), feats, sizes, labels, [train_idx], cfg.readout,
+                cfg.weight_decay,
             )
-            params, state = adam_step(params, grads, state, cfg.lr)
-            pred = predict_graph_labels(params, feats, sizes, cfg.readout)[val_idx]
+            params, state = adam_step(params, grads[0], state, cfg.lr)
+            pred = predict_graph_labels(stack_params([params]), feats, sizes, cfg.readout)
+            pred = pred[0][val_idx]
             curve.append(float(np.mean(pred == labels[val_idx])))
         fold_curves.append(curve)
     per_epoch = np.array(fold_curves).mean(axis=0)
