@@ -1,16 +1,24 @@
-"""Minimal CSR sparse algebra and a dense symmetric eigensolver.
+"""Minimal CSR sparse algebra, a dense symmetric eigensolver and the
+package's two thread helpers.
 
 Everything is 64-bit floats. Products use a fixed summation order
 (ascending column index within each row) so repeated runs are
 bit-identical: the kernel adds the row slots (entry j of every row
 longer than j) in ascending j, over a slot layout cached per matrix.
-The eigensolver wraps LAPACK for small dense matrices.
+The eigensolver wraps LAPACK for small dense matrices. ``_thread_map``
+runs independent tasks on a thread pool, and ``_one_blas_thread`` holds
+numpy's bundled OpenBLAS at one thread while tasks that call it run side
+by side.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -260,3 +268,90 @@ def dense_sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh((a + a.T) / 2.0)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition did not converge ({exc})") from None
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_map(fn, items, workers: int) -> list:
+    """``[fn(item) for item in items]``, on up to ``workers`` threads.
+
+    Each task runs in its own copy of the caller's context, which pool
+    threads do not inherit: numpy's errstate lives there. With one worker
+    or one item the loop runs on the calling thread and starts no pool.
+    Results come in item order; a task's exception is raised here.
+    """
+    items = list(items)
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    # imported on first use, so a process that never threads skips their
+    # 2-4 ms of imports
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        return [future.result() for future in futures]
+
+
+@cache
+def _openblas():
+    """numpy's bundled OpenBLAS (the scipy-openblas library of numpy's wheels,
+    in ``numpy.libs``) as a ctypes handle with its thread-count getter and
+    setter declared; None where it is not found."""
+    import ctypes
+
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))  # the library numpy has already loaded
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return lib
+    return None
+
+
+class _BlasThreadHold:
+    """Reference-counted hold of the bundled OpenBLAS at one thread.
+
+    The first entry saves the library's thread count and sets it to one;
+    the last exit, also on an exception, restores the saved count. Nested
+    and concurrent entries share the hold. The thread count is one
+    setting of the process, so one instance serves the package.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries = 0
+        self._saved = 0
+
+    @contextmanager
+    def __call__(self):
+        """Yields whether the library was found: where it is not, the
+        scope does nothing, and its caller should not run BLAS calls side
+        by side."""
+        lib = _openblas()
+        if lib is None:
+            yield False
+            return
+        with self._lock:
+            if not self._entries:
+                self._saved = lib.scipy_openblas_get_num_threads64_()
+                lib.scipy_openblas_set_num_threads64_(1)
+            self._entries += 1
+        try:
+            yield True
+        finally:
+            with self._lock:
+                self._entries -= 1
+                if not self._entries:
+                    lib.scipy_openblas_set_num_threads64_(self._saved)
+
+
+_one_blas_thread = _BlasThreadHold()

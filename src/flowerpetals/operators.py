@@ -9,13 +9,19 @@ diagonal of 1.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import IncidenceMatrix
-from .linalg import SparseMatrix, _fields_equal, dense_sym_eig, spmm_dense
+from .linalg import (
+    SparseMatrix,
+    _fields_equal,
+    _thread_map,
+    _usable_cpus,
+    dense_sym_eig,
+    spmm_dense,
+)
 
 __all__ = [
     "FpOperator",
@@ -211,13 +217,6 @@ def two_step_walk(h: IncidenceMatrix, pi0: WalkState, steps: int) -> WalkState:
     return WalkState(h.p, pi)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def propagate_features(
     ops: list[FpOperator], x: np.ndarray, k_max: int
 ) -> PropagatedFeatures:
@@ -254,20 +253,12 @@ def propagate_features(
     madds = sum(op.a_tilde.nnz for op in ops) * x.shape[1] * k_max
     workers = min(len(ops), _usable_cpus()) if madds >= PARALLEL_MIN_MADDS else 1
     if workers > 1:
-        # imported on first use, so a process that never threads (graph
-        # classification, analysis) skips its 2-4 ms of imports
-        from concurrent.futures import ThreadPoolExecutor
-
         for op in ops:
             # the cached slot layouts are built on the calling thread, so no
             # task waits behind cached_property's lock (Python < 3.12) and the
             # layouts stay in the calling thread's malloc arena
             op.a_tilde._slots
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(chain, range(len(ops))))
-    else:
-        for i in range(len(ops)):
-            chain(i)
+    _thread_map(chain, range(len(ops)), workers)
     tensor.flags.writeable = False
     return PropagatedFeatures(tensor)
 

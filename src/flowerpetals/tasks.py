@@ -20,6 +20,7 @@ from .complexes import (
     clique_lift,
     incidence_matrix,
 )
+from .linalg import _one_blas_thread, _thread_map, _usable_cpus
 from .model import (
     AdamState,
     HigcnParams,
@@ -569,6 +570,8 @@ def graph_classify(
     Given features propagate once per run. Graphs without features get
     degree one-hots whose dimension is capped by the training fold's maximum
     degree (larger degrees clamp to the cap), propagated once per distinct cap.
+    The folds train concurrently, one per usable CPU, while numpy's bundled
+    OpenBLAS is held at one thread; the report keeps fold order.
     """
     _require_task(cfg, "graphclass")
     labels = np.asarray(labels, dtype=np.int64)
@@ -586,7 +589,9 @@ def graph_classify(
     degrees = union.degrees()
     feats_by_cap: dict[int | None, PropagatedFeatures] = {}  # None: given features
 
-    fold_curves = []
+    # set-up is serial: every fold's indices and features are built here, and
+    # the folds' training only reads them
+    jobs = []
     for fold_idx, val_idx in enumerate(folds):
         train_idx = np.setdiff1d(perm, val_idx)
         cap = None
@@ -598,7 +603,10 @@ def graph_classify(
                 x = np.zeros((union.n, cap + 1))
                 x[np.arange(union.n), np.minimum(degrees, cap)] = 1.0
             feats_by_cap[cap] = propagate_features(ops, x, cfg.K)
-        feats = feats_by_cap[cap]
+        jobs.append((fold_idx, train_idx, val_idx, feats_by_cap[cap]))
+
+    def fold_curve(job) -> list[float]:
+        fold_idx, train_idx, val_idx, feats = job
         params = init_params(
             cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,
@@ -609,7 +617,16 @@ def graph_classify(
             lambda _, pooled: pooled_nll_loss(pooled, sizes, labels, train_idx, cfg.readout),
             validate=lambda _, pooled: accuracy(pooled, labels, val_idx),
         )
-        fold_curves.append(fit.val_curve)
+        return fit.val_curve
+
+    # The folds train side by side, one per usable CPU, each BLAS call on one
+    # thread. With two BLAS threads per call the threads oversubscribe the
+    # cores: on a 2-vCPU Xeon, perfbench's graphclass run took 0.43-0.56 s
+    # that way, against 0.24-0.28 s with the folds one after another and
+    # 0.19-0.20 s under one BLAS thread. Without the bundled OpenBLAS, whose
+    # thread count cannot then be held, the folds train one after another.
+    with _one_blas_thread() as held:
+        fold_curves = _thread_map(fold_curve, jobs, _usable_cpus() if held else 1)
 
     per_epoch = np.array(fold_curves).mean(axis=0)
     best_epoch = int(np.argmax(per_epoch))

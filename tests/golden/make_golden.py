@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from flowerpetals.cli import run
+from flowerpetals.linalg import _openblas
 from flowerpetals.model import _HEADER_KEYS, load_checkpoint
 from flowerpetals.synthetic import coauthorship_complex, planted_two_block, triangles_vs_hexagons
 
@@ -108,17 +109,18 @@ def write_inputs(inp: Path) -> None:
 
 def blas_info() -> dict[str, str]:
     """The numpy version, and the configuration and core name of the
-    OpenBLAS that numpy bundles, read from the library itself; "unknown"
-    where it is not found."""
+    OpenBLAS that numpy bundles, read from the library itself through the
+    package's handle; "unknown" where it is not found."""
     info = {"numpy": np.__version__, "openblas_config": "unknown", "openblas_core": "unknown"}
-    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
-        lib = ctypes.CDLL(str(path))  # the library numpy has already loaded
-        for key, name in (("openblas_config", "scipy_openblas_get_config64_"),
-                          ("openblas_core", "scipy_openblas_get_corename64_")):
-            getter = getattr(lib, name, None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_char_p
-                info[key] = getter().decode()
+    lib = _openblas()
+    if lib is None:
+        return info
+    for key, name in (("openblas_config", "scipy_openblas_get_config64_"),
+                      ("openblas_core", "scipy_openblas_get_corename64_")):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_char_p
+            info[key] = getter().decode()
     return info
 
 

@@ -1,6 +1,9 @@
 """CSR kernels and the LAPACK eigensolver wrapper against closed forms and
 oracles."""
 
+import concurrent.futures
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,8 @@ from flowerpetals.linalg import (
     SLOT_GROUP_BYTES,
     ConvergenceError,
     SparseMatrix,
+    _BlasThreadHold,
+    _thread_map,
     dense_sym_eig,
     spmm_dense,
     spmv,
@@ -281,3 +286,153 @@ class TestDenseSymEig:
 
     def test_convergence_error_is_exposed(self):
         assert issubclass(ConvergenceError, RuntimeError)
+
+
+class TestThreadMap:
+    def test_tasks_run_in_the_callers_context(self):
+        # pool threads start from an empty context, where numpy's errstate
+        # reads "warn"; the barrier puts both tasks on pool threads at once
+        barrier = threading.Barrier(2, timeout=10)
+
+        def read(_):
+            barrier.wait()
+            return np.geterr()["over"], threading.get_ident()
+
+        with np.errstate(all="ignore"):
+            got = _thread_map(read, range(2), 2)
+        assert [mode for mode, _ in got] == ["ignore", "ignore"]
+        assert len({ident for _, ident in got} - {threading.get_ident()}) == 2
+
+    def test_results_keep_item_order_and_a_task_error_is_raised(self):
+        assert _thread_map(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
+
+        def fail_on_three(i):
+            if i == 3:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            _thread_map(fail_on_three, range(5), 2)
+
+    @pytest.mark.parametrize("items, workers", [(range(4), 1), ([5], 4), ([], 2)])
+    def test_one_worker_runs_the_loop_on_the_calling_thread(self, monkeypatch, items, workers):
+        def no_pool(*args):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        caller = threading.get_ident()
+        got = _thread_map(lambda i: (i, threading.get_ident()), items, workers)
+        assert got == [(i, caller) for i in items]
+
+
+class FakeOpenblas:
+    """Stands in for the bundled library: a thread count and every setting
+    made of it."""
+
+    def __init__(self, threads):
+        self.threads, self.settings = threads, []
+
+    def scipy_openblas_get_num_threads64_(self):
+        return self.threads
+
+    def scipy_openblas_set_num_threads64_(self, threads):
+        self.threads = threads
+        self.settings.append(threads)
+
+
+class TestBlasThreadHold:
+    @pytest.fixture
+    def fake(self, monkeypatch):
+        lib = FakeOpenblas(3)
+        monkeypatch.setattr(linalg, "_openblas", lambda: lib)
+        return lib
+
+    def test_normal_exit_restores_the_callers_count(self, fake):
+        hold = _BlasThreadHold()
+        with hold() as held:
+            assert held and fake.threads == 1
+        assert fake.threads == 3 and fake.settings == [1, 3]
+
+    def test_an_exception_restores_the_callers_count(self, fake):
+        hold = _BlasThreadHold()
+        with pytest.raises(KeyError), hold():
+            assert fake.threads == 1
+            raise KeyError("inside the scope")
+        assert fake.threads == 3 and fake.settings == [1, 3]
+
+    def test_nested_entries_share_one_hold(self, fake):
+        hold = _BlasThreadHold()
+        with hold():
+            with hold():
+                assert fake.threads == 1
+            assert fake.threads == 1
+        assert fake.settings == [1, 3]
+
+    def test_overlapping_entries_on_two_threads_share_one_hold(self, fake):
+        hold = _BlasThreadHold()
+        first_in, second_in, first_out = (threading.Event() for _ in range(3))
+        seen = []
+
+        def first():
+            with hold():
+                first_in.set()
+                second_in.wait(10)
+            first_out.set()
+
+        def second():
+            first_in.wait(10)
+            with hold():
+                second_in.set()
+                first_out.wait(10)
+                seen.append(fake.threads)  # the first thread has left
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+            assert not t.is_alive()
+        assert seen == [1] and fake.threads == 3 and fake.settings == [1, 3]
+
+    def test_many_threads_entering_at_once_restore_the_count(self, fake):
+        hold, wrong = _BlasThreadHold(), []
+
+        def enter_often():
+            for _ in range(200):
+                with hold():
+                    if fake.threads != 1:
+                        wrong.append(fake.threads)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=enter_often) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [] and fake.threads == 3
+
+    def test_without_the_library_the_scope_does_nothing(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        with _BlasThreadHold()() as held:
+            assert held is False
+
+    def test_the_bundled_library_gets_the_callers_count_back(self):
+        lib = linalg._openblas()
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS is not found")
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        before = get()
+        set_(2)
+        try:
+            with _BlasThreadHold()():
+                assert get() == 1
+                a = np.arange(64.0).reshape(8, 8)
+                assert np.array_equal(a @ np.eye(8), a)
+            assert get() == 2
+        finally:
+            set_(before)

@@ -1,5 +1,6 @@
 """Splits, rank correlation, homophily, and the three training pipelines."""
 
+import concurrent.futures
 import json
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 import training_oracle
 
+from flowerpetals import linalg, tasks
 from flowerpetals.complexes import (
     CoauthorshipComplex,
     DataError,
@@ -15,6 +17,7 @@ from flowerpetals.complexes import (
     load_coauthorship,
 )
 from flowerpetals.model import init_params, predict_graph_labels, stack_params
+from flowerpetals.operators import propagate_features
 from flowerpetals.synthetic import (
     coauthorship_complex,
     planted_two_block,
@@ -409,6 +412,51 @@ class TestGraphClassification:
         graphs, labels = triangles_vs_hexagons(per_class=6, seed=2)
         with pytest.raises(DataError):
             graph_classify(graphs, labels[:-1], TrainConfig(task="graphclass"))
+
+
+class TestConcurrentFolds:
+    @staticmethod
+    def two_cap_dataset():
+        """Triangles and hexagons (degree 2) and one star of degree 4: the
+        fold that validates on the star has degree cap 2, the others 4."""
+        graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
+        star = Graph(5, ((0, 1), (0, 2), (0, 3), (0, 4)))
+        return graphs + [star], np.append(labels, 0)
+
+    def test_one_and_two_workers_give_the_same_report(self, monkeypatch):
+        graphs, labels = self.two_cap_dataset()
+        cfg = TrainConfig(task="graphclass", epochs=12, K=3, hidden=8)
+        propagations, pools = [], []
+
+        def counted(*args):
+            propagations.append(args[1].shape[1])  # the one-hot width: cap + 1
+            return propagate_features(*args)
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, workers):
+                pools.append(workers)
+                super().__init__(workers)
+
+        monkeypatch.setattr(tasks, "propagate_features", counted)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        reports = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(tasks, "_usable_cpus", lambda: workers)
+            reports[workers] = graph_classify(graphs, labels, cfg).to_dict()
+        assert sorted(set(propagations)) == [3, 5]
+        assert pools == ([2] if linalg._openblas() is not None else [])
+        assert reports[1] == reports[2]
+
+    def test_without_the_bundled_blas_the_folds_train_one_by_one(self, monkeypatch):
+        def no_pool(*args):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(linalg, "_openblas", lambda: None)
+        monkeypatch.setattr(tasks, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        graphs, labels = triangles_vs_hexagons(per_class=6, seed=0)
+        report = graph_classify(graphs, labels, TrainConfig(task="graphclass", epochs=3, K=2))
+        assert len(report.runs) == 10
 
 
 class TestPipelineTask:
