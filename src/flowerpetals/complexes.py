@@ -81,7 +81,8 @@ _MAX_KEY_WIDTH = math.isqrt(_INT64.stop - 1)  # w * w stays within int64
 
 def _in_sorted(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Whether each query occurs in the ascending ``keys``."""
-    return np.searchsorted(keys, queries, "right") > np.searchsorted(keys, queries)
+    at = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)  # past the end: the last key
+    return keys[at] == queries if len(keys) else np.zeros(len(queries), dtype=bool)
 
 
 def _faces(rows: np.ndarray) -> np.ndarray:

@@ -8,13 +8,17 @@ updates higher simplices by plain coefficient-1 summation of integer
 color codes.
 
 Refinement runs on integer arrays, as label compression by sorting in the
-WL subtree kernel: every item's neighborhood is a CSR row, and each round
-sorts the neighbor colors within every row and names each hash-rule
-signature by its rank among the distinct (row length, own color, sorted
-neighbor colors) signatures. Colors are re-densified each round as ranks
-of (previous color, rule, value), so the partition can only refine, never
-merge. SHWL's simplex sums add these colors, so its partition follows
-from the rule alone, with no outside numbering such as a hash.
+WL subtree kernel. Every item's neighborhood is a CSR row. A hash-rule row
+is sorted each round by the key row * classes + color, which needs
+total**2 < 2**63 (total items), and named by its dense rank among the
+distinct (row length, own color, sorted neighbor colors), shortest rows
+first, built in passes over neighbor positions on the rows kept longest
+first. A pass ranks the rows still that long, a prefix, by one int64 key:
+the last rank, then q colors + 1 as base-(classes + 1) digits, 0 past a
+row's end, with q the most that keep count * base**q < 2**62. Colors are
+re-densified each round as ranks of (previous color, rule, value), one key
+below 2*(p+2)*total**2 for top order p, so the partition only refines.
+SHWL's simplex sums add these colors, so the rule alone sets its partition.
 """
 
 from __future__ import annotations
@@ -34,44 +38,30 @@ Structure = Graph | SimplicialComplex
 def _blocks(s: Structure) -> list[tuple[int, int]]:
     """(order, count) of a structure's items in item order: its nodes, then
     the p-simplices of every stored order p ascending."""
-    if isinstance(s, Graph):
-        return [(0, s.n)]
-    return [(0, s.n)] + [(p, s.count(p)) for p in sorted(s.simplices)]
+    stored = () if isinstance(s, Graph) else sorted(s.simplices)
+    return [(0, s.n)] + [(p, s.count(p)) for p in stored]
 
 
-def _pairs(s: Structure) -> tuple[np.ndarray, np.ndarray]:
-    """Directed (item, neighbor) pairs in the structure's own item ids.
+def _pairs(s: Structure) -> np.ndarray:
+    """Directed (item, neighbor) pairs, as columns, in the structure's own ids.
 
     A graph node's neighbors are its adjacent nodes; in a complex a node's
     neighbors are the simplices containing it and a simplex's are its nodes.
     """
     if isinstance(s, Graph):
-        u, v = s.edges.T
-        return _cat([u, v]), _cat([v, u])
-    src, dst, base = [], [], s.n
+        return np.concatenate([s.edges, s.edges[:, ::-1]]).T
+    pairs, base = [np.zeros((2, 0), dtype=np.int64)], s.n
     for p, members in sorted(s.simplices.items()):
         simplex = np.repeat(np.arange(base, base + len(members)), p + 1)
-        src += [simplex, members.ravel()]
-        dst += [members.ravel(), simplex]
+        pairs += [(simplex, members.ravel()), (members.ravel(), simplex)]
         base += len(members)
-    return _cat(src), _cat(dst)
+    return np.concatenate(pairs, axis=1)
 
 
-def _cat(parts: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([np.zeros(0, dtype=np.int64), *parts])
-
-
-def _dense_ranks(keys: list[np.ndarray]) -> np.ndarray:
-    """Rank of every position among the distinct key tuples, the first key
-    most significant; equal tuples share a rank."""
-    ranked = np.lexsort(keys[::-1])
-    step = np.zeros(len(ranked), dtype=np.int64)
-    for key in keys:
-        key = key[ranked]
-        step[1:] |= key[1:] != key[:-1]
-    ranks = np.empty(len(ranked), dtype=np.int64)
-    ranks[ranked] = np.cumsum(step)
-    return ranks
+def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense rank of every key among the distinct keys, and their number."""
+    distinct, rank = np.unique(key, return_inverse=True)
+    return rank, len(distinct)
 
 
 def refine(structures: Sequence[Structure], method: str) -> Iterator[np.ndarray]:
@@ -88,48 +78,57 @@ def refine(structures: Sequence[Structure], method: str) -> Iterator[np.ndarray]
     kind = Graph if method == "wl" else SimplicialComplex
     if not all(isinstance(s, kind) for s in structures):
         raise TypeError(f"{method} refines {kind.__name__} structures")
-    blocks = [_blocks(s) for s in structures]
-    order = _cat([np.repeat([p for p, _ in b], [c for _, c in b]) for b in blocks])
+    orders = [np.repeat(*zip(*_blocks(s))) for s in structures]
+    order = np.concatenate([np.zeros(0, dtype=np.int64), *orders])
     total = len(order)
     colors = np.zeros(total, dtype=np.int64)
     yield colors
 
     # neighborhoods are built only once a round past 0 is asked for
-    src, dst, base = [], [], 0
-    for s, b in zip(structures, blocks):
-        a, c = _pairs(s)
-        src.append(a + base)
-        dst.append(c + base)
-        base += sum(count for _, count in b)
-    src = _cat(src)
-    by_row = np.argsort(src, kind="stable")
-    row, idx = src[by_row], _cat(dst)[by_row]
+    bases = np.cumsum([0] + [len(o) for o in orders])
+    pairs = [_pairs(s) + base for s, base in zip(structures, bases)]
+    pairs = np.concatenate([np.zeros((2, 0), dtype=np.int64), *pairs], axis=1)
+    row, idx = pairs[:, np.argsort(pairs[0])]
     length = np.bincount(row, minlength=total)
-    starts = np.cumsum(length) - length
     summed = (order > 0) if method == "shwl" else np.zeros(total, dtype=bool)
-    # one group per (row length, rule): its rows and the positions of their entries
-    rule = 2 * length + summed
-    groups = []
-    for r in np.unique(rule).tolist():
-        rows = np.flatnonzero(rule == r)
-        groups.append((rows, starts[rows, None] + np.arange(r // 2), r % 2))
+    sums = []  # the sum-rule rows of each length and their neighbors
+    for r in np.unique(length[summed]).tolist():
+        rows = np.flatnonzero(summed & (length == r))
+        sums.append((rows, idx[np.searchsorted(row, rows)[:, None] + np.arange(r)]))
+    row, idx = row[~summed[row]], idx[~summed[row]]  # the hash-rule rows' entries
+    # the hash-rule rows, longest first: those longer than j are the first longer[j]
+    hashed = np.flatnonzero(~summed)[np.argsort(-length[~summed], kind="stable")]
+    size, first = length[hashed], np.searchsorted(row, hashed)
+    longer = np.append(np.cumsum(np.bincount(size)[::-1])[-2::-1], 0)
 
     classes = 1
     for _ in range(total + 1):
         shift = row * classes
         nbrs = np.sort(shift + colors[idx]) - shift  # ascending within each row
         value = np.empty(total, dtype=np.int64)
-        offset = 0  # distinct signatures of the shorter hash-rule rows
-        for rows, pos, is_sum in groups:
-            own, nbr = colors[rows], nbrs[pos]
-            if is_sum:  # nonvanishing linear rule: all coefficients 1
-                value[rows] = own + nbr.sum(axis=1)
-                continue
-            value[rows] = offset + _dense_ranks([own, *nbr.T])
-            offset = int(value[rows].max()) + 1
-        colors = _dense_ranks([2 * colors + summed, value])
+        for rows, nbr in sums:  # nonvanishing linear rule: all coefficients 1
+            value[rows] = colors[rows] + colors[nbr].sum(axis=1)
+        rank, count = _rank(size * classes + colors[hashed])
+        base, offset, j, m = classes + 1, 0, 0, len(hashed)
+        while True:
+            # rows past their end, or already apart, hold the lowest ranks: done
+            kept = longer[j] if count < m else 0
+            value[hashed[kept:m]] = offset + rank[kept:]
+            if not kept:
+                break
+            done = int(rank[kept:].max(initial=-1)) + 1
+            rank, offset, count, m = rank[:kept] - done, offset + done, count - done, kept
+            q = 1  # as many positions as keep the key below 2**62
+            while longer[j + q] and count * base ** (q + 1) < 2**62:
+                q += 1
+            key = rank * base**q  # a row ending inside the pass adds 0 past its end
+            for t in range(q):
+                n = longer[j + t]
+                key[:n] += (nbrs[first[:n] + j + t] + 1) * base ** (q - 1 - t)
+            rank, count = _rank(key)
+            j += q
+        colors, joint = _rank((2 * colors + summed) * (int(value.max(initial=0)) + 1) + value)
         yield colors
-        joint = int(colors.max(initial=-1)) + 1
         if joint == classes:
             return
         classes = joint

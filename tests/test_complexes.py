@@ -184,6 +184,17 @@ class TestCliqueLift:
             assert rows.shape[1] == p + 1 and rows.dtype == np.int64
             assert rows.flags.c_contiguous and not rows.flags.writeable
 
+    def test_membership_search_at_the_ends_and_on_empty_keys(self):
+        keys = np.array([3, 5, 9], dtype=np.int64)
+        queries = np.array([0, 3, 4, 5, 9, 10, 12], dtype=np.int64)  # below, among, past
+        found = [False, True, False, True, True, False, False]
+        assert complexes._in_sorted(keys, queries).tolist() == found
+        assert complexes._in_sorted(keys[:0], queries).tolist() == [False] * 7
+        assert complexes._in_sorted(keys, queries[:0]).tolist() == []
+        rows = complexes._row_keys(keys[:, None])  # the bytes keys of a closure check
+        assert complexes._in_sorted(rows, complexes._row_keys(queries[:, None])).tolist() == found
+        assert complexes._in_sorted(rows[:0], rows).tolist() == [False] * 3
+
     def test_value_equality(self):
         k3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
         assert clique_lift(k3, 2) == clique_lift(k3, 2)

@@ -4,7 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from refinement_oracle import reference_distinguish
+from refinement_oracle import (
+    complex_neighbors,
+    graph_neighbors,
+    reference_distinguish,
+    reference_rounds,
+)
 
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.isomorphism import distinguish, refine
@@ -185,6 +190,20 @@ class TestAgainstReference:
     """The array refinement gives the dict-of-tuples reference's bytes."""
 
     @staticmethod
+    def hub(rng, leaves=240):
+        """A random graph whose node 0 also has ``leaves`` leaves: its row
+        spans many passes, and the leaves' rows end inside the first."""
+        g = random_graph(rng, 12, 0.5)
+        spokes = [(0, v) for v in range(12, 12 + leaves)]
+        return Graph.from_edge_list(12 + leaves, [*g.edges.tolist(), *spokes])
+
+    @staticmethod
+    def scattered(rng):
+        """A random graph on nodes 0..11 beside 8 isolated nodes: rows of
+        length 0 among longer ones."""
+        return Graph(20, random_graph(rng, 12, 0.5).edges)
+
+    @staticmethod
     def pairs():
         rng = np.random.default_rng(8)
         fixed = [
@@ -202,12 +221,22 @@ class TestAgainstReference:
             g = random_graph(rng, n, float(rng.choice([0.2, 0.5, 0.8])))
             other = random_graph(rng, n, 0.5) if rng.random() < 0.5 else g
             random.append((g, relabel(other, rng.permutation(n))))
+        hub, moved = TestAgainstReference.hub(rng), TestAgainstReference.hub(rng)
+        spokes = [(1, v) if v == 12 else (u, v) for u, v in moved.edges.tolist()]
+        moved = Graph.from_edge_list(moved.n, spokes)
+        scattered = TestAgainstReference.scattered(rng)
+        shaped = [
+            (hub, relabel(hub, rng.permutation(hub.n))),
+            (hub, moved),  # one leaf moved from node 0 to node 1
+            (scattered, relabel(scattered, rng.permutation(scattered.n))),
+            (scattered, TestAgainstReference.scattered(rng)),
+        ]
         # 80 nodes, 491 triangles: SHWL's sums collide here, so its partition
         # depends on the colour numbering, and the isomorphic pair refines to
         # the end
         rng = np.random.default_rng(0)
         g = geometric_graph(rng, 80, 0.2)
-        return fixed + random + [(g, relabel(g, rng.permutation(g.n)))]
+        return fixed + random + shaped + [(g, relabel(g, rng.permutation(g.n)))]
 
     @pytest.mark.parametrize("method", ["wl", "hwl", "shwl"])
     def test_verdicts_and_histograms_match_reference(self, method):
@@ -220,3 +249,29 @@ class TestAgainstReference:
                 assert repr(rounds) == repr(ref_rounds)
                 verdicts[verdict] += 1
         assert verdicts["distinguished"] and verdicts["inconclusive"]
+
+    @pytest.mark.parametrize("method", ["hwl", "shwl"])
+    def test_dense_geometric_pair_matches_reference(self, method):
+        # over a thousand classes: late rounds pack only a few positions a pass
+        rng = np.random.default_rng(1)
+        g = geometric_graph(rng, 70, 0.35)
+        twin = relabel(g, rng.permutation(g.n))
+        verdict, rounds = distinguish(g, twin, method, 2)
+        ref_verdict, ref_rounds = reference_distinguish(g, twin, method, 2)
+        assert verdict == ref_verdict and repr(rounds) == repr(ref_rounds)
+        assert sum(len(hist) for hist in rounds[-1]["a"].values()) > 1000
+
+    @pytest.mark.parametrize("method", ["wl", "hwl", "shwl"])
+    def test_joint_refinement_of_three_structures_matches_reference_rounds(self, method):
+        rng = np.random.default_rng(9)
+        graphs = [self.hub(rng), self.scattered(rng), geometric_graph(rng, 40, 0.3)]
+        if method == "wl":
+            structures, neighbors = graphs, [graph_neighbors(g) for g in graphs]
+        else:
+            structures = [clique_lift(g, 3) for g in graphs]
+            neighbors = [complex_neighbors(k) for k in structures]
+        expected = reference_rounds(neighbors, method)
+        rounds = list(refine(structures, method))
+        assert len(rounds) == len(expected)
+        for colors, coloring in zip(rounds, expected):
+            assert colors.tolist() == [c for per in coloring for c in per.values()]
