@@ -46,6 +46,7 @@ from .tasks import (
 __all__ = ["run", "main"]
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR, INTERNAL_ERROR = 1, 2, 3, 4
+_SCALARS = frozenset({int, float, str, bool, type(None)})  # the exact types of JSON scalars
 
 logger = logging.getLogger("flowerpetals")
 
@@ -66,11 +67,12 @@ def _to_json(payload: dict) -> str:
 
 
 def _indented(obj, pad: str) -> str:
-    """``obj`` as the indented dump writes it after ``pad``. A flat container
-    goes to the C encoder whole, which ``json.dumps`` skips once ``indent`` is set."""
+    """``obj`` as the indented dump writes it after ``pad``. A flat container (each
+    value's exact type a JSON scalar's, tested in C, or else no value a container) goes
+    to the C encoder whole, which ``json.dumps`` skips once ``indent`` is set."""
     inner, nests = pad + "  ", (dict, list, tuple)
     values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, nests) else ()
-    if not any(isinstance(v, nests) for v in values):
+    if _SCALARS.issuperset(map(type, values)) or not any(isinstance(v, nests) for v in values):
         flat = json.dumps(obj, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
         return f"{flat[0]}{inner}{flat[1:-1]}{pad}{flat[-1]}" if values else flat
     if isinstance(obj, dict):  # a key is written as the dump writes it: {key: 0} -> "key"
@@ -190,7 +192,8 @@ def _cmd_rewire(args):
         "chains": log.accepted,
     }
     if args.out_edges:
-        edges = f"#n={graph.n}\n" + "".join(f"{u}\t{v}\n" for u, v in graph.edges.tolist())
+        ids = tuple(graph.edges.ravel().tolist())  # u, v of each row in turn
+        edges = f"#n={graph.n}\n" + "%d\t%d\n" * graph.num_edges % ids
         return payload, lambda: _write(edges, args.out_edges)
     return payload
 

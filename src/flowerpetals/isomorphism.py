@@ -60,8 +60,11 @@ def _pairs(s: Structure) -> np.ndarray:
 
 def _rank(key: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense rank of every key among the distinct keys, and their number."""
-    distinct, rank = np.unique(key, return_inverse=True)
-    return rank, len(distinct)
+    order = np.argsort(key)
+    ordered = key[order]
+    rank = np.zeros(len(key), dtype=np.intp)  # the first sorted key ranks 0
+    rank[order[1:]] = np.cumsum(ordered[1:] != ordered[:-1])
+    return rank, int(rank[order[-1]]) + 1 if len(key) else 0
 
 
 def refine(structures: Sequence[Structure], method: str) -> Iterator[np.ndarray]:

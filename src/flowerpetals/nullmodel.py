@@ -58,26 +58,40 @@ def triangle_count(g: Graph) -> int:
     return clique_lift(g, 2).count(2)
 
 
-def _adjacency_sets(g: Graph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for u, v in g.edges.tolist():
-        adj[u].add(v), adj[v].add(u)
-    return adj
+class _Neighbours(dict):
+    """Node -> neighbour set, built on its first read from one neighbour table
+    sorted by node. The keys are the nodes read, both ends of any changed edge among them."""
+
+    def __init__(self, g: Graph):
+        ends = g.edges.ravel()  # an end's partner is the other end of its row
+        self._nbrs = g.edges[:, ::-1].ravel()[np.argsort(ends)]
+        self.degrees = np.bincount(ends, minlength=g.n)
+        self._starts = np.concatenate([[0], np.cumsum(self.degrees)]).tolist()
+
+    def __missing__(self, v: int) -> set[int]:
+        nbrs = self[v] = set(self._nbrs[self._starts[v] : self._starts[v + 1]].tolist())
+        return nbrs
 
 
-def _graph_from_sets(g: Graph, adj: list[set[int]]) -> Graph:
-    edges = [(u, v) for u in range(g.n) for v in adj[u] if u < v]
-    return Graph.from_edge_list(g.n, edges, g.features, g.labels)
+def _graph_from_sets(g: Graph, adj: _Neighbours) -> Graph:
+    """The rows of ``g`` with neither end read, and the pairs of the sets read
+    (a pair seen from both ends is merged by ``from_edge_list``)."""
+    read = np.fromiter(adj, dtype=np.int64, count=len(adj))
+    touched = np.bincount(read, minlength=g.n) > 0
+    partners = np.array([v for nbrs in adj.values() for v in nbrs], dtype=np.int64)
+    pairs = np.stack([np.repeat(read, [len(nbrs) for nbrs in adj.values()]), partners], axis=1)
+    kept = g.edges[~(touched[g.edges[:, 0]] | touched[g.edges[:, 1]])]
+    return Graph.from_edge_list(g.n, np.concatenate([kept, pairs]), g.features, g.labels)
 
 
 def _choice(rng: np.random.Generator, candidates):
     return candidates[int(rng.integers(len(candidates)))]
 
 
-def _centres(adj) -> list[int]:
+def _centres(degrees: np.ndarray) -> list[int]:
     """The nodes of degree at least 2, the possible chain centres A. A move
     keeps every degree, so the list holds for a whole run."""
-    return [v for v, nbrs in enumerate(adj) if len(nbrs) >= 2]
+    return np.flatnonzero(degrees >= 2).tolist()
 
 
 def _try_add_chain(adj, eligible, rng) -> tuple[int, int, int, int, int] | None:
@@ -150,9 +164,9 @@ def rewire_add_triangle(
     """Apply one triangle-creating rewire; raises SaturationError if none fits."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     budget = max_attempts if max_attempts is not None else 10 * max(g.n, 1)
-    adj = _adjacency_sets(g)
+    adj = _Neighbours(g)
     try:
-        chain, _, _ = _rewire_once(adj, _centres(adj), rng, budget)
+        chain, _, _ = _rewire_once(adj, _centres(adj.degrees), rng, budget)
     except SaturationError as exc:
         raise SaturationError(str(exc), graph=g) from None
     return _graph_from_sets(g, adj), chain
@@ -183,11 +197,11 @@ def rewire_to_target(
     base = total = triangle_count(g)
     if base < 1:
         raise ValueError("target density undefined: graph has no triangles")
-    adj = _adjacency_sets(g)
+    adj = _Neighbours(g)
     rng = np.random.default_rng(seed)
     log = RewireLog()
     budget = 10 * max(g.n, 1)
-    eligible = _centres(adj)
+    eligible = _centres(adj.degrees)
     while log.achieved_rho2 < target_rho2:
         try:
             chain, used, gain = _rewire_once(adj, eligible, rng, budget)

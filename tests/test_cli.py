@@ -4,7 +4,10 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
+from enum import IntEnum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ import flowerpetals.tasks
 from flowerpetals.cli import run
 from flowerpetals.complexes import Graph, load_graph
 from flowerpetals.model import init_params, save_checkpoint
+from flowerpetals.nullmodel import rewire_to_target
 from flowerpetals.tasks import TrainConfig, fit_node_params
 from flowerpetals.synthetic import (
     coauthorship_complex,
@@ -189,6 +193,19 @@ class TestRewire:
         rewired = triangles(load_graph(str(out_edges)))
         assert payload["achieved_rho2"] == rewired / base - 1.0
 
+    def test_out_edges_is_one_line_per_edge_row_in_row_order(self, work):
+        # isolated nodes after the last edge: the header, not the lines, carries n
+        g = planted_two_block(40, p_in=0.35, p_out=0.1, seed=0)
+        edges = work / "er.tsv"
+        edges.write_text("#n=45\n" + "".join(f"{u}\t{v}\n" for u, v in g.edges))
+        out_edges = work / "rw.tsv"
+        assert run(["rewire", "--edges", str(edges), "--target-rho2", "0.1", "--seed", "5",
+                    "--out", str(work / "rw.json"), "--out-edges", str(out_edges)]) == 0
+        rewired, _ = rewire_to_target(load_graph(str(edges)), 0.1, 5)
+        lines = out_edges.read_text().splitlines(keepends=True)
+        assert lines[0] == "#n=45\n" and len(lines) == 1 + rewired.num_edges
+        assert lines[1:] == [f"{u}\t{v}\n" for u, v in rewired.edges.tolist()]
+
     def test_saturation_exit_code(self, work):
         assert run(["rewire", "--edges", str(work / "k4.tsv"), "--target-rho2", "0.5"]) == 3
 
@@ -200,6 +217,40 @@ class TestRewire:
                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: target_rho2 must be finite, got {target}\n"
         assert not attempts and not out.exists()
+
+
+class _Point(NamedTuple):
+    x: int
+    y: float
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class TestJsonWriter:
+    """Values whose exact type is not a JSON scalar's take the ``isinstance``
+    scan; the text must still be the indented dump's."""
+
+    @pytest.mark.parametrize("payload", [
+        {"points": [_Point(1, 2.5), _Point(-3, 0.0)]},
+        {"points": [[_Point(1, 2.5)], _Point(4, 1e-300)], "n": 2},
+        {"x": np.float64(0.1), "xs": [np.float64(1.5), 2, None]},
+        {"level": _Level.HIGH, "levels": [_Level.LOW, _Level.HIGH, True]},
+        {"o": OrderedDict([("b", 1), ("a", [1, 2])]), "flat": OrderedDict([("z", 1), ("y", "s")])},
+        OrderedDict([("b", {"d": _Point(0, 1.0)}), ("a", np.float64(-2.0))]),
+        {"empty": [], "nested": [{}, [], [_Level.LOW]], "t": (1, (2, 3))},
+    ], ids=["namedtuple-in-list", "nested-namedtuple", "np.float64", "IntEnum", "OrderedDict",
+            "OrderedDict-top", "empty-and-tuples"])
+    def test_fallback_values_write_the_indented_dump(self, payload):
+        expected = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert flowerpetals.cli._to_json(payload) == expected
+
+    @pytest.mark.parametrize("value", [float("nan"), np.float64("inf")])
+    def test_non_finite_value_is_refused(self, value):
+        with pytest.raises(FloatingPointError):
+            flowerpetals.cli._to_json({"a": [1, value]})
 
 
 class TestTrainImputeGraphclass:

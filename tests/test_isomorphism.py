@@ -12,7 +12,7 @@ from refinement_oracle import (
 )
 
 from flowerpetals.complexes import Graph, clique_lift
-from flowerpetals.isomorphism import distinguish, refine
+from flowerpetals.isomorphism import _rank, distinguish, refine
 
 K3 = Graph(3, ((0, 1), (0, 2), (1, 2)))
 TWO_TRIANGLES = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
@@ -64,6 +64,25 @@ def node_partition(colors, n):
     for v in range(n):
         groups.setdefault(int(colors[v]), set()).add(v)
     return frozenset(frozenset(g) for g in groups.values())
+
+
+class TestRank:
+    RNG = np.random.default_rng(11)
+
+    @pytest.mark.parametrize("key", [
+        np.zeros(0, dtype=np.int64),
+        np.array([7]),
+        np.full(9, 42),
+        RNG.integers(0, 50, 2000),  # ties
+        RNG.integers(-5, 5, 300),
+        2**62 - 1 - RNG.integers(0, 40, 500),  # near the packed passes' bound
+        np.array([2**62 - 1, 0, 2**62 - 2, 2**62 - 1, 1]),
+    ], ids=["empty", "single", "all-equal", "ties", "negative", "near-2**62", "extremes"])
+    def test_matches_unique_inverse(self, key):
+        distinct, inverse = np.unique(key, return_inverse=True)
+        rank, count = _rank(key)
+        assert count == len(distinct)
+        assert rank.dtype == inverse.dtype and np.array_equal(rank, inverse)
 
 
 class TestWl:

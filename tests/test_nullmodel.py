@@ -13,7 +13,7 @@ from flowerpetals.nullmodel import (
     rewire_to_target,
     _triangle_gain,
 )
-from flowerpetals.synthetic import er_graph
+from flowerpetals.synthetic import er_graph, planted_two_block
 
 P5 = Graph(5, ((0, 1), (1, 2), (2, 3), (3, 4)))
 K4 = Graph(4, tuple((i, j) for i in range(4) for j in range(i + 1, 4)))
@@ -127,10 +127,64 @@ class TestRewireToTarget:
         calls = []
         centres = flowerpetals.nullmodel._centres
         monkeypatch.setattr(
-            flowerpetals.nullmodel, "_centres", lambda adj: calls.append(1) or centres(adj)
+            flowerpetals.nullmodel, "_centres", lambda degrees: calls.append(1) or centres(degrees)
         )
         with pytest.raises(SaturationError) as err:
             rewire_to_target(er_graph(24, 0.2, seed=5), 50.0, seed=1)
         assert err.value.log.attempts > 240 and len(calls) == 1
         rewire_add_triangle(P5, seed=0)
         assert len(calls) == 2
+
+
+def replayed_rows(g, chains):
+    """The edge rows of ``g`` after the chains, replayed on one neighbour set
+    per node built from every edge row."""
+    adj = adjacency_sets(g.n, g.edges.tolist())
+    for chain in chains:
+        apply_chain(adj, chain)
+    pairs = sorted((u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v)
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+class TestAgainstFullSetReplay:
+    """The rewired rows are the input's untouched rows plus the sets read;
+    a full-set replay of the accepted chains must give the same rows."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_run_reaching_its_target(self, seed):
+        g = er_graph(120, 0.08, seed=seed)
+        out, log = rewire_to_target(g, 0.3, seed=seed)
+        assert log.achieved_rho2 >= 0.3 and len(log.accepted) > 5
+        assert np.array_equal(out.edges, replayed_rows(g, log.accepted))
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_saturating_run(self, seed):
+        g = er_graph(24, 0.2, seed=seed)
+        with pytest.raises(SaturationError) as err:
+            rewire_to_target(g, 50.0, seed=1)
+        accepted = err.value.log.accepted
+        assert accepted and np.array_equal(err.value.graph.edges, replayed_rows(g, accepted))
+
+    @pytest.mark.parametrize("target", [0.0, -0.5])
+    def test_non_positive_target_returns_the_input_rows(self, target):
+        g = planted_two_block(40, p_in=0.35, p_out=0.1, seed=0)
+        out, log = rewire_to_target(g, target, seed=0)
+        assert log.accepted == [] and log.attempts == 0
+        assert out == g
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rewire_add_triangle(self, seed):
+        g = er_graph(80, 0.1, seed=seed)
+        out, chain = rewire_add_triangle(g, seed=seed)
+        assert np.array_equal(out.edges, replayed_rows(g, [chain]))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_graph_with_isolated_nodes(self, seed):
+        # the nodes spread to every third id, with isolated ids between and after them
+        base = planted_two_block(60, p_in=0.3, p_out=0.05, seed=seed)
+        n = 3 * base.n + 7
+        g = Graph(n, 3 * base.edges, np.arange(2.0 * n).reshape(n, 2), np.arange(n) % 2)
+        out, log = rewire_to_target(g, 0.3, seed=seed)
+        assert log.accepted and np.array_equal(out.edges, replayed_rows(g, log.accepted))
+        assert out.n == n and np.array_equal(out.degrees(), g.degrees())
+        assert np.array_equal(out.features, g.features) and np.array_equal(out.labels, g.labels)
