@@ -68,11 +68,11 @@ def _to_json(payload: dict) -> str:
 
 def _indented(obj, pad: str) -> str:
     """``obj`` as the indented dump writes it after ``pad``. A flat container (each
-    value's exact type a JSON scalar's, tested in C, or else no value a container) goes
-    to the C encoder whole, which ``json.dumps`` skips once ``indent`` is set."""
+    value's exact type a JSON scalar's, tested in C) goes to the C encoder whole, which
+    ``json.dumps`` skips once ``indent`` is set; any other container goes value by value."""
     inner, nests = pad + "  ", (dict, list, tuple)
     values = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, nests) else ()
-    if _SCALARS.issuperset(map(type, values)) or not any(isinstance(v, nests) for v in values):
+    if _SCALARS.issuperset(map(type, values)):
         flat = json.dumps(obj, sort_keys=True, allow_nan=False, separators=("," + inner, ": "))
         return f"{flat[0]}{inner}{flat[1:-1]}{pad}{flat[-1]}" if values else flat
     if isinstance(obj, dict):  # a key is written as the dump writes it: {key: 0} -> "key"

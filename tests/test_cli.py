@@ -230,8 +230,8 @@ class _Level(IntEnum):
 
 
 class TestJsonWriter:
-    """Values whose exact type is not a JSON scalar's take the ``isinstance``
-    scan; the text must still be the indented dump's."""
+    """Containers holding a value whose exact type is not a JSON scalar's are
+    written value by value; the text must still be the indented dump's."""
 
     @pytest.mark.parametrize("payload", [
         {"points": [_Point(1, 2.5), _Point(-3, 0.0)]},
