@@ -9,11 +9,15 @@ traceback at FP_LOG=debug).
 
 Run it as ``flowerpetals <command> ...`` or ``python -m flowerpetals.cli
 <command> ...``.
+
+Each subcommand is declared once, in ``_COMMANDS``: its handler, its help
+line and its flags. The parser is built from that table once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -90,12 +94,7 @@ def _write(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-# the task each training command runs
-_TASKS = {"train": "node", "impute": "impute", "graphclass": "graphclass"}
-
-
-def _load_config(args) -> TrainConfig:
-    task = _TASKS[args.command]
+def _load_config(args, task: str) -> TrainConfig:
     cfg = TrainConfig.from_json(args.config, task) if args.config else TrainConfig(task=task)
     if args.seed is not None:
         cfg = replace(cfg, seeds=(args.seed,))
@@ -147,7 +146,7 @@ def _cmd_spectra(args) -> dict:
 
 
 def _cmd_train(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args, "node")
     g = load_graph(args.edges, args.features, args.labels)
     report, params = fit_node_params(g, cfg)
     payload = _training_payload(report, cfg)
@@ -157,13 +156,13 @@ def _cmd_train(args):
 
 
 def _cmd_impute(args) -> dict:
-    cfg = _load_config(args)
+    cfg = _load_config(args, "impute")
     cc = load_coauthorship(args.simplices)
     return _training_payload(impute_signals(cc, cfg), cfg)
 
 
 def _cmd_graphclass(args) -> dict:
-    cfg = _load_config(args)
+    cfg = _load_config(args, "graphclass")
     graphs, labels = load_graph_dataset(args.dataset)
     return _training_payload(graph_classify(graphs, labels, cfg), cfg)
 
@@ -208,81 +207,59 @@ def _cmd_strength(args) -> dict:
     }
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="flowerpetals", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, seeded=False, seed_default=None):
-        if seeded:  # only the commands that draw random numbers take a seed
-            p.add_argument("--seed", type=int, default=seed_default)
-        p.add_argument("--out", help="write JSON here instead of stdout")
-
-    p = sub.add_parser("lift", help="clique-lift a graph and report simplex counts")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--max-order", "-p", type=int, default=2)
-    common(p)
-
-    p = sub.add_parser("spectra", help="spectral summary of the petal operators")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--max-order", "-p", type=int, default=2)
-    common(p)
-
-    p = sub.add_parser("train", help="node classification pipeline")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--config")
-    p.add_argument("--save-model")
-    common(p, seeded=True)
-
-    p = sub.add_parser("impute", help="simplicial signal imputation pipeline")
-    p.add_argument("--simplices", required=True)
-    p.add_argument("--config")
-    common(p, seeded=True)
-
-    p = sub.add_parser("graphclass", help="graph classification pipeline")
-    p.add_argument("--dataset", required=True, help="JSON-lines graph records")
-    p.add_argument("--config")
-    common(p, seeded=True)
-
-    p = sub.add_parser("shwl", help="pairwise isomorphism refinement verdict")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--method", choices=("wl", "hwl", "shwl"), default="shwl")
-    p.add_argument("--max-order", "-p", type=int, default=2)
-    common(p)
-
-    p = sub.add_parser("rewire", help="triangle-raising degree-preserving rewiring")
-    p.add_argument("--edges", required=True)
-    p.add_argument("--target-rho2", type=float, required=True)
-    p.add_argument("--out-edges")
-    common(p, seeded=True, seed_default=0)
-
-    p = sub.add_parser("strength", help="per-order interaction strength of a checkpoint")
-    p.add_argument("--model", required=True)
-    common(p)
-
-    return parser
+def _flag(*names: str, **options) -> tuple:
+    return names, options
 
 
+# the flags that several commands take, each declared once
+_EDGES = _flag("--edges", required=True)
+_MAX_ORDER = _flag("--max-order", "-p", type=int, default=2)
+_CONFIG = _flag("--config")
+_SEED = _flag("--seed", type=int)  # only the commands that draw random numbers take a seed
+
+
+# each command's handler, help line and flags (names, options), but --out, which all take
 _COMMANDS = {
-    "lift": _cmd_lift,
-    "spectra": _cmd_spectra,
-    "train": _cmd_train,
-    "impute": _cmd_impute,
-    "graphclass": _cmd_graphclass,
-    "shwl": _cmd_shwl,
-    "rewire": _cmd_rewire,
-    "strength": _cmd_strength,
+    "lift": (_cmd_lift, "clique-lift a graph and report simplex counts", (_EDGES, _MAX_ORDER)),
+    "spectra": (_cmd_spectra, "spectral summary of the petal operators", (_EDGES, _MAX_ORDER)),
+    "train": (_cmd_train, "node classification pipeline",
+              (_EDGES, _flag("--features", required=True),
+               _flag("--labels", required=True), _CONFIG, _flag("--save-model"), _SEED)),
+    "impute": (_cmd_impute, "simplicial signal imputation pipeline",
+               (_flag("--simplices", required=True), _CONFIG, _SEED)),
+    "graphclass": (_cmd_graphclass, "graph classification pipeline",
+                   (_flag("--dataset", required=True, help="JSON-lines graph records"),
+                    _CONFIG, _SEED)),
+    "shwl": (_cmd_shwl, "pairwise isomorphism refinement verdict",
+             (_flag("--a", required=True), _flag("--b", required=True),
+              _flag("--method", choices=("wl", "hwl", "shwl"), default="shwl"),
+              _MAX_ORDER)),
+    "rewire": (_cmd_rewire, "triangle-raising degree-preserving rewiring",
+               (_EDGES, _flag("--target-rho2", type=float, required=True),
+                _flag("--out-edges"), _flag("--seed", type=int, default=0))),
+    "strength": (_cmd_strength, "per-order interaction strength of a checkpoint",
+                 (_flag("--model", required=True),)),
 }
+
+
+@functools.cache
+def _parser() -> _Parser:
+    # the docstring's last paragraph is for readers of this file, not of --help
+    parser = _Parser(prog="flowerpetals", description=__doc__.rsplit("\n\n", 1)[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for names, options in flags:
+            p.add_argument(*names, **options)
+        p.add_argument("--out", help="write JSON here instead of stdout")
+    return parser
 
 
 def run(argv) -> int:
     level = os.environ.get("FP_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -291,13 +268,13 @@ def run(argv) -> int:
             raise DataError(f"--seed must be non-negative, got {seed}")
         # a non-finite result is caught by the checks below, not warned about
         with np.errstate(all="ignore"):
-            result = _COMMANDS[args.command](args)
+            result = _COMMANDS[args.command][0](args)
         # a side output (checkpoint, edge file) is written only after the JSON
         payload, write_side = result if isinstance(result, tuple) else (result, None)
         _write(_to_json(payload), args.out)
         if write_side is not None:
             write_side()
-    except (DataError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # DataError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
     except MemoryError as exc:  # such as the arrays of a declared node count
@@ -309,9 +286,6 @@ def run(argv) -> int:
             extra = {"achieved_rho2": exc.achieved_rho2}
         print(f"error: {exc} {json.dumps(extra) if extra else ''}".rstrip(), file=sys.stderr)
         return NUMERIC_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except Exception as exc:
         logger.debug("internal error", exc_info=True)
         print(f"error: internal error ({type(exc).__name__}: {exc})", file=sys.stderr)

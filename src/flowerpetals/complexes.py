@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -298,8 +299,26 @@ def node_count_header(path, text: str) -> int | None:
     return count
 
 
+@contextlib.contextmanager
+def _open_text(path: Path):
+    """``path`` open as UTF-8 text. A byte that does not decode is a DataError
+    at ``path:line``; a forgiving second read finds the line, since the decoder
+    reads ahead in chunks and fails before the lines in front are handed out."""
+    try:
+        with path.open(encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        with path.open(encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+        raise
+
+
 def _first_line(path: Path) -> str:
-    with path.open() as fh:
+    with _open_text(path) as fh:
         return fh.readline().strip()
 
 
@@ -314,7 +333,7 @@ def _node_count(path, declared_n: int | None, max_id: int) -> int:
 def _lines(path, comments: bool = False):
     """(line number, stripped text) of each non-blank line; with
     ``comments``, lines starting with "#" are skipped too."""
-    with path.open() as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if (text := line.strip()) and not (comments and text.startswith("#")):
                 yield lineno, text
@@ -381,7 +400,7 @@ def _read_table(path, dtype, fault, width=None, delimiter=None, comments=False,
     from the data lines. The first bad row, or the first line numpy refuses
     alone, is a DataError at ``path:line`` saying ``fault(text, row)``, where
     ``row`` is numpy's parse of that line alone (None if refused)."""
-    with path.open() as fh:
+    with _open_text(path) as fh:
         table = _loadtxt(fh, dtype, delimiter, skiprows)
     if table is None:
         table = _loadtxt([text for _, text in _lines(path, comments)], dtype, delimiter)

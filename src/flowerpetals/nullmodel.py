@@ -159,14 +159,13 @@ def _rewire_once(adj, eligible, rng, budget) -> tuple[tuple[int, int, int, int, 
 
 
 def rewire_add_triangle(
-    g: Graph, seed: int | np.random.Generator, max_attempts: int | None = None
+    g: Graph, seed: int | np.random.Generator
 ) -> tuple[Graph, tuple[int, int, int, int, int]]:
     """Apply one triangle-creating rewire; raises SaturationError if none fits."""
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    budget = max_attempts if max_attempts is not None else 10 * max(g.n, 1)
     adj = _Neighbours(g)
     try:
-        chain, _, _ = _rewire_once(adj, _centres(adj.degrees), rng, budget)
+        chain, _, _ = _rewire_once(adj, _centres(adj.degrees), rng, 10 * max(g.n, 1))
     except SaturationError as exc:
         raise SaturationError(str(exc), graph=g) from None
     return _graph_from_sets(g, adj), chain

@@ -222,10 +222,10 @@ class TrainConfig:
     def from_json(cls, path, task: str | None = None) -> "TrainConfig":
         """The config in a JSON file. With ``task``, a config that leaves
         out its task runs ``task``, and one that names another is refused."""
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not JSON, or a byte that is not UTF-8
                 raise DataError(f"{path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise DataError(f"{path}: config must be a JSON object")

@@ -101,14 +101,19 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestHelp:
-    @pytest.mark.parametrize(
-        "command",
-        ["lift", "spectra", "train", "impute", "graphclass", "shwl", "rewire", "strength"],
-    )
+    @pytest.mark.parametrize("command", list(flowerpetals.cli._COMMANDS))
     def test_every_subcommand_has_help(self, command, capsys):
         assert run([command, "--help"]) == 0
         out = capsys.readouterr().out
         assert "usage:" in out and command in out
+
+    def test_two_runs_build_the_parser_once(self, work, monkeypatch, capsys):
+        flowerpetals.cli._parser.cache_clear()
+        built = count_calls(monkeypatch, flowerpetals.cli._Parser, "__init__")
+        for argv in (["lift", "--edges", str(work / "k3.tsv")], ["strength", "--help"]):
+            run(argv)
+        # the top-level parser and one subparser per command, all on the first run
+        assert len(built) == 1 + len(flowerpetals.cli._COMMANDS)
 
 
 class TestLift:
@@ -490,7 +495,8 @@ class TestExitCodes:
         def broken(args):
             raise RuntimeError("boom")
 
-        monkeypatch.setitem(flowerpetals.cli._COMMANDS, "lift", broken)
+        _, help_line, flags = flowerpetals.cli._COMMANDS["lift"]
+        monkeypatch.setitem(flowerpetals.cli._COMMANDS, "lift", (broken, help_line, flags))
         assert run(["lift", "--edges", str(work / "k3.tsv")]) == 4
         err = capsys.readouterr().err
         assert err == "error: internal error (RuntimeError: boom)\n"

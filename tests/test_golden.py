@@ -25,7 +25,7 @@ from golden.make_golden import (
     run_demos,
 )
 
-from flowerpetals.cli import run
+from flowerpetals.cli import _COMMANDS, run
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,6 +37,10 @@ def cores():
     recorded, running = json.loads(BLAS.read_text()), blas_info()
     return (f"golden bytes of OpenBLAS core {recorded['openblas_core']}; "
             f"this run uses {running['openblas_core']}")
+
+
+def test_every_subcommand_has_golden_bytes():
+    assert sorted(argv[0] for argv in commands(INPUTS, OUTPUTS).values()) == sorted(_COMMANDS)
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,8 @@
 ``parser_oracle``: on every input both return equal graphs, or equal
 complexes with the same signal bits, or raise the same ``DataError`` with
 the same ``path:line`` message, and through ``cli.run`` a bad file exits 2
-with one line on stderr. ``load_graph_dataset`` on accepted JSON lines."""
+with one line on stderr. ``load_graph_dataset`` on accepted JSON lines. A
+byte that is not UTF-8 in any input file names its ``path:line``."""
 
 import tempfile
 import warnings
@@ -327,3 +328,53 @@ def test_graph_dataset_error_names_the_line_after_blank_lines(tmp_path):
                                         '{"n": 0, "edges": [], "label": 0}\n')
     with pytest.raises(DataError, match=f"^{path}:4: bad graph record"):
         load_graph_dataset(path)
+
+
+N_LINES = 5000  # enough for every file to pass 8 KiB, the decoder's first read
+# each input file's command ({path} the file, {dir} the folder of a valid edge,
+# feature and label file of N_LINES nodes) and its good lines
+UNDECODABLE_FILES = {
+    "edges": (["lift", "--edges", "{path}"],
+              [f"#n={N_LINES}\n"] + [f"{i}\t{i + 1}\n" for i in range(N_LINES - 1)]),
+    "features": (["train", "--edges", "{dir}/edges", "--features", "{path}",
+                  "--labels", "{dir}/labels"], ["0.5,1\n"] * N_LINES),
+    "labels": (["train", "--edges", "{dir}/edges", "--features", "{dir}/features",
+                "--labels", "{path}"], ["1\n"] * N_LINES),
+    "coauthorship": (["impute", "--simplices", "{path}"],
+                     [f"0\t{i}\t1\n" for i in range(N_LINES)]),
+    "dataset": (["graphclass", "--dataset", "{path}"],
+                ['{"n": 1, "edges": [], "label": 0}\n'] * N_LINES),
+}
+
+
+def first_line_past_8_kib(lines) -> int:
+    ends = np.cumsum([len(line) for line in lines])  # each line's end, the next one's start
+    return int(np.searchsorted(ends, 8192)) + 2
+
+
+@pytest.mark.parametrize("at", ["line-3", "past-8-kib"])
+@pytest.mark.parametrize("kind", UNDECODABLE_FILES)
+def test_undecodable_byte_names_its_path_and_line(tmp_path, capsys, kind, at):
+    argv, lines = UNDECODABLE_FILES[kind]
+    lineno = 3 if at == "line-3" else first_line_past_8_kib(lines)
+    data = [line.encode() for line in lines]
+    data[lineno - 1] = data[lineno - 1][:1] + b"\xff" + data[lineno - 1][1:]  # never in UTF-8
+    path = tmp_path / f"undecodable-{kind}"
+    path.write_bytes(b"".join(data))
+    write(tmp_path / "edges", f"#n={N_LINES}\n0\t1\n")
+    write(tmp_path / "features", "0.5,1\n" * N_LINES)
+    write(tmp_path / "labels", "1\n" * N_LINES)
+    assert run([arg.format(path=path, dir=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{lineno}: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pad", [0, 9000])
+def test_undecodable_byte_in_the_config_names_its_path(tmp_path, capsys, pad):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(b'{"epochs": 1,\n' + b" " * pad + b'\n"hidden": \xff4}\n')
+    assert run(["impute", "--simplices", str(tmp_path / "cc.tsv"), "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: invalid JSON ('utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
