@@ -32,7 +32,9 @@ power = signal.copy()
 for c in coeffs:
     direct += c * power
     power = spmv(lap, power)
-print(f"oracle vs matrix-free application: max gap {np.abs(oracle - direct).max():.2e}")
+# the gap's digits belong to the BLAS kernel, so the demo prints a verdict against a bound
+gap = np.abs(oracle - direct).max()
+print(f"oracle vs matrix-free application: max gap below 1e-12: {gap < 1e-12}")
 
 # frequency response: low-pass (1 - lambda)^3 vs high-pass lambda^3
 eigs, phi = dense_sym_eig(lap.to_dense())

@@ -167,11 +167,6 @@ class SparseMatrix:
         out[self._row_ids(), self.col_indices] = self.values
         return out
 
-    def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_coo(
-            self.cols, self.rows, self.col_indices, self._row_ids(), self.values
-        )
-
     def _row_ids(self) -> np.ndarray:
         return np.repeat(
             np.arange(self.rows, dtype=np.int64), np.diff(self.row_starts)

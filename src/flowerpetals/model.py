@@ -441,17 +441,12 @@ class AdamState:
 
 
 def adam_step(
-    params: HigcnParams,
-    g: np.ndarray,
-    state: AdamState,
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
+    params: HigcnParams, g: np.ndarray, state: AdamState, lr: float
 ) -> tuple[HigcnParams, AdamState]:
-    """One bias-corrected Adam update over the whole parameter vector, from
-    the gradient ``g`` in the layout of ``params.flat`` (as :func:`backprop`
-    returns it); returns fresh params and state."""
-    b1, b2 = betas
+    """One bias-corrected Adam update (betas 0.9 and 0.999, eps 1e-8) over the
+    whole parameter vector, from the gradient ``g`` in the layout of
+    ``params.flat`` (as :func:`backprop` returns it); returns fresh params and state."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
     t = state.t + 1
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g * g

@@ -65,7 +65,7 @@ class _Neighbours(dict):
     def __init__(self, g: Graph):
         ends = g.edges.ravel()  # an end's partner is the other end of its row
         self._nbrs = g.edges[:, ::-1].ravel()[np.argsort(ends)]
-        self.degrees = np.bincount(ends, minlength=g.n)
+        self.degrees = g.degrees()
         self._starts = np.concatenate([[0], np.cumsum(self.degrees)]).tolist()
 
     def __missing__(self, v: int) -> set[int]:

@@ -116,14 +116,6 @@ class PropagatedFeatures:
     __eq__ = _fields_equal
 
     @property
-    def p_max(self) -> int:
-        return self.tensor.shape[0]
-
-    @property
-    def k_max(self) -> int:
-        return self.tensor.shape[1] - 1
-
-    @property
     def n(self) -> int:
         return self.tensor.shape[2]
 

@@ -52,32 +52,22 @@ def _cycle(k: int) -> list[tuple[int, int]]:
     return [(min(i, (i + 1) % k), max(i, (i + 1) % k)) for i in range(k)]
 
 
-def triangle_task(
-    n_triangles: int = 20,
-    n_hexagons: int = 23,
-    n_pairs: int = 1,
-    noise_dims: int = 3,
-    seed: int = 0,
-) -> Graph:
+def triangle_task(noise_dims: int = 3, seed: int = 0) -> Graph:
     """Node task where only order-2 structure carries the label.
 
-    Disjoint components: triangles (label 1), hexagons and single edges
-    (label 0). Features are one all-ones column plus ``noise_dims``
-    per-component constant noise columns. Because every petal operator is
+    Disjoint components of fixed counts: 20 triangles (label 1), 23 hexagons
+    and one single edge (label 0), so n = 200 with a 0.30/0.70 class split.
+    Features are one all-ones column plus ``noise_dims`` per-component
+    constant noise columns. Because every petal operator is
     row-stochastic on its support, component-constant columns pass through
     order-1 filtering unchanged, so the order-1 view of a node carries no
     label information beyond what the noise fingerprint leaks through a
     transductive split; with ``noise_dims=0`` the order-1 view is the same
     constant for every node and carries none at all. The order-2 petal
     turns the all-ones column into an exact triangle-membership indicator.
-    Defaults give n = 200 with a 0.30/0.70 class split.
     """
     rng = np.random.default_rng((seed, _STREAM_TRIANGLE))
-    components = (
-        [(3, _cycle(3), 1)] * n_triangles
-        + [(6, _cycle(6), 0)] * n_hexagons
-        + [(2, [(0, 1)], 0)] * n_pairs
-    )
+    components = [(3, _cycle(3), 1)] * 20 + [(6, _cycle(6), 0)] * 23 + [(2, [(0, 1)], 0)]
     edges = []
     labels = []
     component_id = []
@@ -123,7 +113,6 @@ def coauthorship_complex(
     n_authors: int = 600,
     community_size: int = 30,
     papers_per_community: int = 45,
-    noise_scale: float = 6.0,
     seed: int = 0,
 ) -> CoauthorshipComplex:
     """Synthetic coauthorship complex with structure-correlated node signals.
@@ -131,9 +120,9 @@ def coauthorship_complex(
     Papers are small author groups drawn within communities (sizes 2-4,
     repeat collaborations boost the paper's count); an author's node signal
     is a community productivity base plus their total collaboration count
-    plus Poisson noise. Coauthors share the community base, so the signal is
-    smooth over the flower-petals structure without being a deterministic
-    function of it.
+    plus Poisson noise of fixed mean 6. Coauthors share the community base,
+    so the signal is smooth over the flower-petals structure without being a
+    deterministic function of it.
     """
     if n_authors % community_size:
         raise ValueError("n_authors must be a multiple of community_size")
@@ -157,6 +146,6 @@ def coauthorship_complex(
                 totals[m] += count
 
     orders, signals = _close_downward(rows, counts)
-    node_signals = np.floor(totals + rng.poisson(noise_scale, size=n_authors))
+    node_signals = np.floor(totals + rng.poisson(6.0, size=n_authors))
     signals[0] = node_signals.astype(np.float64)
     return CoauthorshipComplex(SimplicialComplex(n_authors, orders), signals)

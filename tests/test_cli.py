@@ -18,9 +18,11 @@ import flowerpetals.model
 import flowerpetals.nullmodel
 import flowerpetals.tasks
 from flowerpetals.cli import run
-from flowerpetals.complexes import Graph, load_graph
+from flowerpetals.complexes import Graph, clique_lift, incidence_matrix, load_graph
+from flowerpetals.linalg import dense_sym_eig
 from flowerpetals.model import init_params, save_checkpoint
 from flowerpetals.nullmodel import rewire_to_target
+from flowerpetals.operators import build_fp_adjacency, build_fp_laplacian
 from flowerpetals.tasks import TrainConfig, fit_node_params
 from flowerpetals.synthetic import (
     coauthorship_complex,
@@ -137,6 +139,33 @@ class TestSpectra:
             assert entry["min_eig"] >= -1e-10
             assert entry["max_eig"] <= 1 + 1e-10
         assert payload["p1_closed_form_residual"] <= 1e-12
+
+    def test_one_decomposition_per_order(self, work, monkeypatch):
+        eigs = count_calls(monkeypatch, flowerpetals.cli, "dense_sym_eig")
+        laps = count_calls(monkeypatch, flowerpetals.cli, "build_fp_laplacian")
+        assert run(["spectra", "--edges", str(work / "k4.tsv"), "-p", "3"]) == 0
+        assert len(eigs) == 3
+        assert laps == []
+
+    def test_extremes_cover_the_adjacency_and_laplacian_spectra(self, work):
+        # a triangle with a pendant node and an isolated node: order 3 is empty
+        edges, out = work / "g.tsv", work / "spectra.json"
+        edges.write_text("#n=5\n0\t1\n0\t2\n1\t2\n2\t3\n")
+        assert run(["spectra", "--edges", str(edges), "-p", "3", "--out", str(out)]) == 0
+        orders = read_json(out)["orders"]
+        lifted = clique_lift(load_graph(str(edges)), 3)
+        for p in (1, 2, 3):
+            op = build_fp_adjacency(incidence_matrix(lifted, p))
+            lam, _ = dense_sym_eig(op.a_tilde.to_dense())
+            entry = orders[str(p)]
+            assert entry["min_eig"] == min(lam.min(initial=0.0), (1.0 - lam).min(initial=0.0))
+            assert entry["max_eig"] == max(lam.max(initial=0.0), (1.0 - lam).max(initial=0.0))
+            assert entry["psd"] is True
+            # 1 - λ(A_p) is the spectrum of the L_p that build_fp_laplacian builds
+            lap, _ = dense_sym_eig(build_fp_laplacian(op).to_dense())
+            assert np.allclose(np.sort(1.0 - lam), lap, rtol=0.0, atol=1e-12)
+        assert orders["3"]["isolated_nodes"] == 5
+        assert (orders["3"]["min_eig"], orders["3"]["max_eig"]) == (0.0, 1.0)
 
 
 class TestShwl:

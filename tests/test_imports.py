@@ -11,7 +11,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flowerpetals"
 
 # imported but not called, so that perfbench/spans.py can wrap the binding
 WRAPPED_ONLY = {
-    "cli": ["train_node_classification"],
+    "cli": ["build_fp_laplacian", "train_node_classification"],
     "tasks": ["loss_and_grad", "predict_graph_labels", "readout_loss_and_grad"],
 }
 

@@ -106,12 +106,6 @@ class TestSparseMatrix:
         assert np.array_equal(m.col_indices, [k[1] for k in keys])
         assert m.values.tobytes() == np.array([expected[k] for k in keys]).tobytes()
 
-    def test_transpose_round_trip(self):
-        rng = np.random.default_rng(1)
-        m, dense = random_sparse(rng, 7, 5)
-        assert np.array_equal(m.transpose().to_dense(), dense.T)
-        assert np.array_equal(m.transpose().transpose().to_dense(), dense)
-
     def test_invariant_validation(self):
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, np.array([0, 1]), np.array([0]), np.array([1.0]))
