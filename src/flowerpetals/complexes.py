@@ -249,7 +249,7 @@ class IncidenceMatrix:
         return np.bincount(self.members.ravel(), minlength=self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoauthorshipComplex:
     """Simplicial complex with an integer signal on every simplex.
 
@@ -259,6 +259,8 @@ class CoauthorshipComplex:
 
     complex: SimplicialComplex
     signals: dict[int, np.ndarray]
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         sig = {p: np.array(v, dtype=np.float64) for p, v in self.signals.items()}
@@ -421,14 +423,14 @@ _INTEGER = re.compile("[+-]?[0-9]+")  # numpy's int64 grammar, whatever the rang
 
 
 def _edge_fault(text, row) -> str:
-    cells = _loadtxt([text], str)[0]  # numpy's fields, whatever they hold
+    # the line's own whitespace fields, which numpy splits the same way; a
+    # numpy str parse would drop a trailing NUL
+    cells = text.split()
     if len(cells) != 2:
         return f"expected 'u<TAB>v', got {text!r}"
-    if row is None and not all(map(_INTEGER.fullmatch, cells)):
+    if not all(map(_INTEGER.fullmatch, cells)):
         return f"non-integer endpoint in {text!r}"
-    if row is None:  # integers past int64, read as floats for their signs
-        row = _loadtxt([text], np.float64)
-    if row.min() < 0:
+    if any(cell[0] == "-" and cell.strip("-0") for cell in cells):
         return f"negative node id in {text!r}"
     return f"node id past the int64 range in {text!r}"
 

@@ -6,11 +6,8 @@ linear-rectifier-linear) transform; petal outputs are concatenated and
 mapped by one output matrix. Gradients are hand-derived reverse-mode
 through a short tape; no autodiff framework is involved.
 
-The passes take a stack (:func:`stack_params`) of parameter sets of one
-shape that train on the same features, and read the feature tensor once
-for every set; every result keeps the seed axis. A single set is the
-stored form: what :func:`init_params`, :meth:`HigcnParams.unstack` and the
-checkpoints give, and a pass runs it as ``stack_params([params])``.
+Every pass takes one parameter set. Independent fits (seeds, folds) run
+one set each, side by side on threads in :mod:`flowerpetals.tasks`.
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ __all__ = [
     "ForwardTape",
     "AdamState",
     "init_params",
-    "stack_params",
     "forward",
     "forward_embedding",
     "nll",
@@ -69,25 +65,23 @@ def _checked_size(p_max, k_max, d, h, c, alpha, seed, depth) -> int:
 
 def _views(params: "HigcnParams", flat: np.ndarray):
     """``gamma``, ``theta`` and ``w`` as reshaped views of a vector in the
-    layout of ``params``, or of a stack of such vectors (S, size), whose
-    views then lead with the seed axis. Each petal stores its transforms in
-    one block; ``theta[i]`` is the strided (P, rows, cols) view of the i-th
-    transform across those blocks."""
-    lead, p_max, d, h = flat.shape[:-1], params.p_max, params.d, params.h
+    layout of ``params``. Each petal stores its transforms in one block;
+    ``theta[i]`` is the strided (P, rows, cols) view of the i-th transform
+    across those blocks."""
+    p_max, d, h = params.p_max, params.d, params.h
     head = p_max * (params.k_max + 1)
     size = d * h + (params.depth - 1) * h * h
-    blocks = flat[..., head : head + p_max * size].reshape(*lead, p_max, size)
-    theta = (blocks[..., : d * h].reshape(*lead, p_max, d, h),)
+    blocks = flat[head : head + p_max * size].reshape(p_max, size)
+    theta = (blocks[:, : d * h].reshape(p_max, d, h),)
     if params.depth == 2:
-        theta += (blocks[..., d * h :].reshape(*lead, p_max, h, h),)
-    w = flat[..., head + p_max * size :].reshape(*lead, p_max * h, params.c)
-    return flat[..., :head].reshape(*lead, p_max, params.k_max + 1), theta, w
+        theta += (blocks[:, d * h :].reshape(p_max, h, h),)
+    w = flat[head + p_max * size :].reshape(p_max * h, params.c)
+    return flat[:head].reshape(p_max, params.k_max + 1), theta, w
 
 
 @dataclass(frozen=True, eq=False)
 class HigcnParams:
-    """Trainable parameter set, or a stack of S sets of one shape; the
-    passes take only stacks, and a single set is the stored form.
+    """Trainable parameter set.
 
     The checkpoint header fields, and one read-only float64 vector ``flat``
     that stores every parameter in the checkpoint's order: gamma, then one
@@ -98,10 +92,6 @@ class HigcnParams:
     (P, h, h); ``theta[i][p]`` is petal p+1's i-th transform. A gradient is
     a plain vector in the layout of ``flat``; ``replace(params, flat=grad)``
     names its parts.
-
-    A stack (:func:`stack_params`) holds a tuple of S seeds, and ``flat``
-    holds one row per seed, (S, size); every view then leads with the seed
-    axis. :meth:`unstack` gives the sets back.
     """
 
     p_max: int
@@ -110,7 +100,7 @@ class HigcnParams:
     h: int
     c: int
     alpha: float
-    seed: int | tuple[int, ...]
+    seed: int
     depth: int
     flat: np.ndarray
     gamma: np.ndarray = field(init=False, repr=False, compare=False)
@@ -120,16 +110,10 @@ class HigcnParams:
     __eq__ = _fields_equal
 
     def __post_init__(self):
-        stacked = isinstance(self.seed, tuple)
-        seeds = self.seed if stacked else (self.seed,)
-        if not seeds:
-            raise ValueError("a stack holds at least one seed")
-        header = {key: getattr(self, key) for key in _HEADER_KEYS}
-        size = max(_checked_size(**{**header, "seed": seed}) for seed in seeds)
+        size = _checked_size(*(getattr(self, key) for key in _HEADER_KEYS))
         flat = np.array(self.flat, dtype=np.float64)  # never freeze the caller's array
-        if flat.shape != ((len(seeds), size) if stacked else (size,)):
-            each = f" for each of {len(seeds)} seeds" if stacked else ""
-            raise ValueError(f"flat must hold {size} parameters{each}, got shape {flat.shape}")
+        if flat.shape != (size,):
+            raise ValueError(f"flat must hold {size} parameters, got shape {flat.shape}")
         flat.flags.writeable = False
         object.__setattr__(self, "flat", flat)
         for name, view in zip(("gamma", "theta", "w"), _views(self, flat)):
@@ -140,35 +124,18 @@ class HigcnParams:
         yield "gamma", self.gamma
         for p in range(self.p_max):
             for i, stack in enumerate(self.theta, start=1):
-                yield f"theta{i}_p{p + 1}", stack[..., p, :, :]
+                yield f"theta{i}_p{p + 1}", stack[p]
         yield "w", self.w
-
-    def unstack(self) -> list["HigcnParams"]:
-        """The parameter sets of a stack, in seed order."""
-        return [replace(self, seed=seed, flat=row) for seed, row in zip(self.seed, self.flat)]
-
-
-def stack_params(sets) -> HigcnParams:
-    """One stack of parameter sets that share every header field but the
-    seed, in the order given."""
-    sets = list(sets)
-    header = [tuple(getattr(p, key) for key in _HEADER_KEYS if key != "seed") for p in sets]
-    if len(set(header)) != 1:
-        raise ValueError("a stack needs parameter sets that share every header field but the seed")
-    seeds = tuple(p.seed for p in sets)
-    return replace(sets[0], seed=seeds, flat=np.stack([p.flat for p in sets]))
 
 
 @dataclass(frozen=True, eq=False)
 class ForwardTape:
-    """Intermediates of one forward pass of a stack of S seeds, kept for
-    reverse mode. The petal axis leads ``filtered`` and ``act``, and the
-    seed axis follows it; the seed axis leads ``z`` and ``logits``."""
+    """Intermediates of one forward pass, kept for reverse mode."""
 
-    filtered: np.ndarray  # (P, S, n, d): filtered[p-1, s] = sum_k gamma[s,p,k] tensor[p-1, k]
-    act: np.ndarray | None  # (P, S, n, h): max(filtered @ theta[0], 0) (depth-2 only)
-    z: np.ndarray  # (S, n, P*h): the petal outputs side by side
-    logits: np.ndarray  # (S, n, C)
+    filtered: np.ndarray  # (P, n, d): filtered[p-1] = sum_k gamma[p-1,k] tensor[p-1, k]
+    act: np.ndarray | None  # (P, n, h): max(filtered @ theta[0], 0) (depth-2 only)
+    z: np.ndarray  # (n, P*h): the petal outputs side by side
+    logits: np.ndarray  # (n, C)
 
     __eq__ = _fields_equal
 
@@ -210,8 +177,6 @@ def init_params(
 
 
 def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
-    if params.flat.ndim != 2:
-        raise ValueError("the passes take a stack; run a single set as stack_params([params])")
     p_max, hops, _, d = feats.tensor.shape
     if p_max < params.p_max:
         raise ValueError(f"features cover petals up to {p_max}, params need {params.p_max}")
@@ -222,30 +187,26 @@ def _check_compat(params: HigcnParams, feats: PropagatedFeatures) -> None:
 
 
 def forward_embedding(params: HigcnParams, feats: PropagatedFeatures) -> ForwardTape:
-    """Run the petal filters and transforms of every seed of the stack
-    ``params`` up to the concatenation Z and the logits."""
+    """Run the petal filters and transforms of ``params`` up to the
+    concatenation Z and the logits."""
     _check_compat(params, feats)
     p_max, hops, n, d = params.p_max, params.k_max + 1, feats.n, feats.d
-    gamma, theta, w = params.gamma, params.theta, params.w
-    seeds = len(params.flat)
-    # one BLAS product per petal for every seed, which reads the tensor once:
-    # a GEMV for one seed, a GEMM for more (whose rows differ from the GEMV's
-    # in the last bits). Each output entry adds its hops in an order that does
-    # not depend on the thread count. The slice reshapes as a view, so the
-    # tensor is never copied
+    theta = params.theta
+    # one GEMV per petal, (1, hops) @ (hops, n*d); each output entry adds its
+    # hops in an order that does not depend on the thread count. The slice
+    # reshapes as a view, so the tensor is never copied
     tensor = feats.tensor[:p_max, :hops].reshape(p_max, hops, n * d)
-    filtered = (gamma.swapaxes(0, 1) @ tensor).reshape(p_max, seeds, n, d)
-    theta = [t.swapaxes(0, 1) for t in theta]  # (P, S, rows, cols)
+    filtered = (params.gamma[:, None, :] @ tensor).reshape(p_max, n, d)
     # the petal outputs are written in place into their h columns of z
-    z = np.empty((seeds, n, p_max * params.h))
-    out = z.reshape(seeds, n, p_max, params.h).transpose(2, 0, 1, 3)
+    z = np.empty((n, p_max * params.h))
+    out = z.reshape(n, p_max, params.h).swapaxes(0, 1)
     act = None
     if params.depth == 2:
-        act = filtered @ theta[0]  # one GEMM per petal and seed, as each product below
+        act = filtered @ theta[0]  # one GEMM per petal, as each product below
         np.matmul(np.maximum(act, 0.0, out=act), theta[1], out=out)
     else:
         np.matmul(filtered, theta[0], out=out)
-    return ForwardTape(filtered, act, z, z @ w)
+    return ForwardTape(filtered, act, z, z @ params.w)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -319,44 +280,41 @@ def backprop(
     params: HigcnParams, feats: PropagatedFeatures, tape: ForwardTape, loss,
     dlogits: np.ndarray, weight_decay: float = 0.0, decay_gamma: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Reverse pass from each seed's task loss and its gradient at the
-    logits, (S, n, C), for the ``tape`` of a forward at the stack
-    ``params``: each seed's loss plus its L2 decay
-    ``weight_decay / 2 * |params|^2``, as an array, and the gradient of
-    that sum in the layout of ``params.flat``, (S, size).
+    """Reverse pass from the task loss and its gradient at the logits,
+    (n, C), for the ``tape`` of a forward at ``params``: the loss plus its L2
+    decay ``weight_decay / 2 * |params|^2``, and the gradient of that sum in
+    the layout of ``params.flat``.
 
     The decay skips gamma unless ``decay_gamma`` is set: filter magnitudes
     carry the interaction strength reading and are not shrunk by default.
+    The fit's BLAS thread count sets the last bits of the long reductions,
+    the weight gradients' products over the n rows and the filter gradient.
     """
     _check_compat(params, feats)
     gamma, theta, w = params.gamma, params.theta, params.w
     grad = np.empty_like(params.flat)
     dgamma, dtheta, dw = _views(params, grad)
-    dw[...] = tape.z.swapaxes(1, 2) @ dlogits + weight_decay * w
-    p_max, hops, seeds = params.p_max, params.k_max + 1, len(grad)
-    theta, dtheta = [t.swapaxes(0, 1) for t in theta], [t.swapaxes(0, 1) for t in dtheta]
-    # each petal's h columns of dlogits @ w.T, as a (P, S, n, h) view
-    dy = (dlogits @ w.swapaxes(1, 2)).reshape(seeds, -1, p_max, params.h).transpose(2, 0, 1, 3)
+    dw[...] = tape.z.T @ dlogits + weight_decay * w
+    p_max, hops = params.p_max, params.k_max + 1
+    # each petal's h columns of dlogits @ w.T, as a (P, n, h) view
+    dy = (dlogits @ w.T).reshape(-1, p_max, params.h).swapaxes(0, 1)
     if params.depth == 2:
-        dtheta[1][...] = tape.act.swapaxes(2, 3) @ dy + weight_decay * theta[1]
-        dy = dy @ theta[1].swapaxes(2, 3)
+        dtheta[1][...] = tape.act.swapaxes(1, 2) @ dy + weight_decay * theta[1]
+        dy = dy @ theta[1].swapaxes(1, 2)
         # the rectifier's mask as an in-place product, several times faster
         # than a select; a masked entry is -0.0 where the product is negative
         dy *= tape.act > 0.0
-    dtheta[0][...] = tape.filtered.swapaxes(2, 3) @ dy + weight_decay * theta[0]
-    dfiltered = dy @ theta[0].swapaxes(2, 3)
-    # one BLAS product per petal for every seed, which reads the tensor once:
-    # a GEMV for one seed, a GEMM for more. Past some size the GEMV's bits
-    # depend on the BLAS thread count, as the weight gradients' above already do
+    dtheta[0][...] = tape.filtered.swapaxes(1, 2) @ dy + weight_decay * theta[0]
+    dfiltered = dy @ theta[0].swapaxes(1, 2)
+    # one GEMV per petal, (hops, n*d) @ (n*d, 1)
     tensor = feats.tensor[:p_max, :hops].reshape(p_max, hops, -1)
-    dgamma.transpose(1, 2, 0)[...] = tensor @ dfiltered.reshape(p_max, seeds, -1).swapaxes(1, 2)
+    dgamma[..., None] = tensor @ dfiltered.reshape(p_max, -1, 1)
     # added in storage order, petal by petal, which fixes the loss's last bits
-    squares = np.stack([np.sum(t * t, axis=(2, 3)) for t in theta], axis=2)
-    reg = np.array([sum(squares[:, s].ravel().tolist()) for s in range(seeds)])
-    reg += np.sum(w * w, axis=(1, 2))
+    squares = np.stack([np.sum(t * t, axis=(1, 2)) for t in theta], axis=1)
+    reg = sum(squares.ravel().tolist()) + np.sum(w * w)
     if decay_gamma:
         dgamma += weight_decay * gamma
-        reg += np.sum(gamma * gamma, axis=(1, 2))
+        reg += np.sum(gamma * gamma)
     return loss + 0.5 * weight_decay * reg, grad
 
 
@@ -367,13 +325,12 @@ def loss_and_grad(
     mask: np.ndarray,
     weight_decay: float = 0.0,
     decay_gamma: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Masked mean negative log-likelihood plus L2 decay, and its exact
-    gradient, for each seed of the stack ``params``: ``mask`` holds one
-    mask per seed, and :func:`backprop` says what the results hold."""
+    gradient, as :func:`backprop` gives them."""
     tape, log_probs = forward(params, feats)
-    per_seed = (nll_loss(lp, labels, m) for lp, m in zip(log_probs, mask, strict=True))
-    return backprop(params, feats, tape, *map(np.array, zip(*per_seed)), weight_decay, decay_gamma)
+    loss, dlogits = nll_loss(log_probs, labels, mask)
+    return backprop(params, feats, tape, loss, dlogits, weight_decay, decay_gamma)
 
 
 def signal_forward(
@@ -381,7 +338,7 @@ def signal_forward(
 ) -> tuple[ForwardTape, np.ndarray]:
     """Forward pass to the identity-head output (one scalar per node)."""
     tape = forward_embedding(params, feats)
-    return tape, tape.logits[..., 0]
+    return tape, tape.logits[:, 0]
 
 
 def readout_forward(
@@ -397,33 +354,31 @@ def readout_forward(
     if readout not in ("mean", "sum"):
         raise ValueError("readout must be 'mean' or 'sum'")
     tape = forward_embedding(params, feats)
-    n = tape.logits.shape[-2]
+    n = len(tape.logits)
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.ndim != 1 or not len(sizes) or sizes.min() < 1 or sizes.sum() != n:
         raise ValueError(f"graph sizes must be positive and sum to {n} nodes")
-    pooled = np.add.reduceat(tape.logits, np.cumsum(sizes) - sizes, axis=-2)
+    pooled = np.add.reduceat(tape.logits, np.cumsum(sizes) - sizes, axis=0)
     return tape, (pooled / sizes[:, None] if readout == "mean" else pooled)
 
 
 def readout_loss_and_grad(
     params: HigcnParams, feats: PropagatedFeatures, sizes, labels: np.ndarray, mask,
     readout: str, weight_decay: float = 0.0, decay_gamma: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray]:
     """Graph classification on a disjoint union of graphs with ``sizes``
     nodes each: pooled logits, mean NLL over the masked graphs, L2 decay,
-    and the gradient, for each seed of the stack ``params``, as
-    :func:`loss_and_grad` gives them; ``mask`` holds one mask per seed."""
+    and the gradient, as :func:`loss_and_grad` gives them."""
     tape, pooled = readout_forward(params, feats, sizes, readout)
-    per_seed = (pooled_nll_loss(p, sizes, labels, m, readout)
-                for p, m in zip(pooled, mask, strict=True))
-    return backprop(params, feats, tape, *map(np.array, zip(*per_seed)), weight_decay, decay_gamma)
+    loss, dlogits = pooled_nll_loss(pooled, sizes, labels, mask, readout)
+    return backprop(params, feats, tape, loss, dlogits, weight_decay, decay_gamma)
 
 
 def predict_graph_labels(
     params: HigcnParams, feats: PropagatedFeatures, sizes, readout: str
 ) -> np.ndarray:
-    """Predicted class of every graph of a disjoint union, for each seed."""
-    return np.argmax(readout_forward(params, feats, sizes, readout)[1], axis=-1)
+    """Predicted class of every graph of a disjoint union."""
+    return np.argmax(readout_forward(params, feats, sizes, readout)[1], axis=1)
 
 
 @dataclass
@@ -458,13 +413,11 @@ def adam_step(
 
 def strength(params: HigcnParams) -> np.ndarray:
     """Per-order interaction strength: row-wise absolute sum of the filters."""
-    return np.abs(params.gamma).sum(axis=-1)
+    return np.abs(params.gamma).sum(axis=1)
 
 
 def save_checkpoint(params: HigcnParams, path) -> None:
     """JSON header line plus the flat little-endian float64 parameter block."""
-    if params.flat.ndim != 1:
-        raise ValueError("a checkpoint holds one parameter set; unstack a stack first")
     header = {key: getattr(params, key) for key in _HEADER_KEYS}
     header["magic"] = CHECKPOINT_MAGIC
     with open(path, "wb") as fh:

@@ -7,7 +7,7 @@ import json
 import math
 import numbers
 from collections import namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .complexes import (
     clique_lift,
     incidence_matrix,
 )
-from .linalg import _one_blas_thread, _thread_map, _usable_cpus
+from .linalg import _fields_equal, _one_blas_thread, _thread_map, _usable_cpus
 from .model import (
     AdamState,
     HigcnParams,
@@ -34,7 +34,6 @@ from .model import (
     pooled_nll_loss,
     readout_forward,
     signal_forward,
-    stack_params,
 )
 # not called here; perfbench/spans.py wraps these bindings
 from .model import loss_and_grad, predict_graph_labels, readout_loss_and_grad  # noqa: F401
@@ -65,13 +64,15 @@ class ConstantSignalError(ValueError):
 # splits, metrics, config
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitSpec:
     """Disjoint train/val/test index sets covering 0..n-1."""
 
     train: np.ndarray
     val: np.ndarray
     test: np.ndarray
+
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         parts = [np.array(p, dtype=np.int64) for p in (self.train, self.val, self.test)]
@@ -212,7 +213,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls) if not f.name.startswith("_")}
+        known = {f.name for f in fields(cls)}
         for key in data:
             if key not in known:
                 raise DataError(f"unknown config key {key!r}")
@@ -237,13 +238,8 @@ class TrainConfig:
             raise DataError(f"{path}: {exc}") from None
 
     def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            if f.name.startswith("_"):
-                continue
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: list(v) if isinstance(v, tuple) else v for name, v in values}
 
 
 def _require_task(cfg: TrainConfig, task: str) -> None:
@@ -364,87 +360,79 @@ def petal_features(
     return propagate_features(petal_operators(k, p_max), x, k_max)
 
 
-# what _adam_fit keeps of each seed: a parameter set, its epoch and forward
-# output, and the curves
+def _side_by_side(fit, jobs) -> list:
+    """``[fit(job) for job in jobs]``, the independent fits side by side, one
+    per usable CPU, while numpy's bundled OpenBLAS is held at one thread;
+    results come in job order.
+
+    Each fit's BLAS calls then run on one thread, so its bytes do not depend
+    on the caller's BLAS thread count, and the fits do not oversubscribe the
+    cores: on a 2-vCPU Xeon, perfbench's graphclass run took 0.43-0.56 s with
+    two BLAS threads per call, against 0.24-0.28 s with the folds one after
+    another and 0.19-0.20 s this way. Without the bundled OpenBLAS, whose
+    thread count cannot then be held, the fits run one after another.
+    """
+    with _one_blas_thread() as held:
+        return _thread_map(fit, jobs, _usable_cpus() if held else 1)
+
+
+# what _adam_fit keeps: a parameter set, its epoch and forward output, and
+# the curves
 _Fit = namedtuple("_Fit", "params epoch out train_curve val_curve")
 
 
 def _adam_fit(params, feats, cfg: TrainConfig, run_forward, task_loss, validate=None,
-              patience=None) -> list[_Fit]:
-    """Adam from the stack ``params`` for ``cfg.resolved_epochs`` epochs,
-    running the model forward on ``feats`` once per epoch for every seed of
-    the stack; one fit per seed, in stack order.
+              patience=None) -> _Fit:
+    """Adam from ``params`` for ``cfg.resolved_epochs`` epochs, running the
+    model forward on ``feats`` once per epoch.
 
-    ``run_forward(params)`` returns a tape and the stack's output, one row
-    per seed, and ``task_loss(i, out)`` seed i's training loss at its output
-    row and its gradient at the logits; :func:`backprop` adds
-    ``cfg.weight_decay`` (on gamma too with ``cfg.decay_gamma``) and returns
-    the gradient. The forward after each Adam step is both that epoch's
-    validation read ``validate(i, out)`` and the tape of the next epoch's
-    gradient. With ``patience``, lower reads are better: each seed keeps the
-    parameters of its first best read and stops after the read that leaves
-    it more than ``patience`` epochs old. A stopped seed leaves the stack,
-    and the others go on from a forward of the smaller stack. Otherwise
-    every seed keeps its last parameters.
+    ``run_forward(params)`` returns a tape and the model's output, and
+    ``task_loss(out)`` the training loss at that output and its gradient at
+    the logits; :func:`backprop` adds ``cfg.weight_decay`` (on gamma too with
+    ``cfg.decay_gamma``) and returns the gradient. The forward after each
+    Adam step is both that epoch's validation read ``validate(out)`` and the
+    tape of the next epoch's gradient. With ``patience``, lower reads are
+    better: the fit keeps the parameters of its first best read and stops
+    after the read that leaves it more than ``patience`` epochs old.
+    Otherwise it keeps its last parameters.
     """
     state = AdamState.zeros_like(params)
     tape, out = run_forward(params)
-    count = len(params.seed)
-    live = list(range(count))  # the seed of each row of the stack
-    kept = [(params, i, 0, out[i]) for i in live]  # (stack, row, epoch, output row)
-    best, stale = [np.inf] * count, [0] * count
-    train_curves, val_curves = [[] for _ in live], [[] for _ in live]
+    kept = (params, 0, out)  # (params, epoch, output)
+    best, stale = np.inf, 0
+    train_curve, val_curve = [], []
     for epoch in range(cfg.resolved_epochs):
-        loss, dlogits = map(np.array, zip(*(task_loss(i, o) for i, o in zip(live, out))))
         loss, grad = backprop(
-            params, feats, tape, loss, dlogits, cfg.weight_decay, cfg.decay_gamma
+            params, feats, tape, *task_loss(out), cfg.weight_decay, cfg.decay_gamma
         )
         del tape, out  # one tape at a time: release it before the next forward
         params, state = adam_step(params, grad, state, cfg.lr)
         tape, out = run_forward(params)
-        going = []  # the rows that go on
-        for row, i in enumerate(live):
-            train_curves[i].append(float(loss[row]))
-            if validate is not None:
-                val_curves[i].append(validate(i, out[row]))
-            if patience is None:
-                kept[i] = (params, row, epoch, out[row])
-            elif val_curves[i][-1] < best[i]:
-                kept[i], best[i], stale[i] = (params, row, epoch, out[row]), val_curves[i][-1], 0
-            else:
-                stale[i] += 1
-                if stale[i] > patience:
-                    continue
-            going.append(row)
-        if not going:
-            break
-        if len(going) < len(live):
-            live = [live[row] for row in going]
-            seed = tuple(params.seed[row] for row in going)
-            params = replace(params, seed=seed, flat=params.flat[going])
-            state = AdamState(state.t, state.m[going], state.v[going])
-            del tape, out
-            tape, out = run_forward(params)
-    return [
-        _Fit(stack.unstack()[row], epoch, out_row, train_curves[i], val_curves[i])
-        for i, (stack, row, epoch, out_row) in enumerate(kept)
-    ]
+        train_curve.append(float(loss))
+        if validate is not None:
+            val_curve.append(validate(out))
+        if patience is None:
+            kept = (params, epoch, out)
+        elif val_curve[-1] < best:
+            kept, best, stale = (params, epoch, out), val_curve[-1], 0
+        else:
+            stale += 1
+            if stale > patience:
+                break
+    return _Fit(*kept, train_curve, val_curve)
 
 
-def _fit_node_model(feats, labels, splits, cfg: TrainConfig) -> list[_Fit]:
-    """Adam with early stopping on validation loss for every seed of
-    ``cfg.seeds`` as one stack, each on its own split; each seed keeps its
-    best-epoch parameters and their log-probabilities."""
+def _fit_node_model(feats, labels, split: SplitSpec, seed: int, cfg: TrainConfig) -> _Fit:
+    """Adam with early stopping on validation loss from ``seed``'s
+    initialization on ``split``; keeps the best-epoch parameters and their
+    log-probabilities."""
     n_classes = int(labels.max()) + 1
-    params = stack_params(
-        init_params(cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha, seed,
-                    cfg.theta_depth)
-        for seed in cfg.seeds
-    )
+    params = init_params(cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha, seed,
+                         cfg.theta_depth)
     return _adam_fit(
         params, feats, cfg, lambda p: forward(p, feats),
-        lambda i, log_probs: nll_loss(log_probs, labels, splits[i].train),
-        validate=lambda i, log_probs: nll(log_probs, labels, splits[i].val),
+        lambda log_probs: nll_loss(log_probs, labels, split.train),
+        validate=lambda log_probs: nll(log_probs, labels, split.val),
         patience=cfg.patience,
     )
 
@@ -453,7 +441,7 @@ def fit_node_params(
     g: Graph, cfg: TrainConfig
 ) -> tuple[MetricsReport, list[HigcnParams]]:
     """Lift, build operators and propagate once, then train every seed with
-    early stopping, all seeds as one stack. Returns the report of test
+    early stopping, the seeds side by side. Returns the report of test
     accuracy at each seed's best-validation epoch and that epoch's
     parameters, in seed order."""
     _require_task(cfg, "node")
@@ -462,7 +450,9 @@ def fit_node_params(
     complex_ = clique_lift(g, cfg.P)
     feats = petal_features(complex_, g.features, cfg.P, cfg.K)
     splits = [make_splits(g.n, cfg.split_ratios, seed) for seed in cfg.seeds]
-    fits = _fit_node_model(feats, g.labels, splits, cfg)
+    fits = _side_by_side(
+        lambda job: _fit_node_model(feats, g.labels, *job, cfg), zip(splits, cfg.seeds)
+    )
     runs = []
     for seed, split, fit in zip(cfg.seeds, splits, fits):
         acc = accuracy(fit.out, g.labels, split.test)
@@ -493,7 +483,7 @@ def train_node_classification(g: Graph, cfg: TrainConfig) -> MetricsReport:
 def impute_signals(cc: CoauthorshipComplex, cfg: TrainConfig) -> MetricsReport:
     """Mask node signals down to ``cfg.known_fraction``, median-fill, regress
     with an L1 objective on the known entries, and score Kendall tau over
-    all nodes."""
+    all nodes; the seeds train side by side."""
     _require_task(cfg, "impute")
     n = cc.n
     n_known = int(round(cfg.known_fraction * n))
@@ -501,9 +491,9 @@ def impute_signals(cc: CoauthorshipComplex, cfg: TrainConfig) -> MetricsReport:
         raise ValueError(f"degenerate known fraction {cfg.known_fraction} for n={n}")
     truth = cc.node_signals
     ops = petal_operators(cc.complex, cfg.P)
-    runs = []
-    flags = set()
-    for seed in cfg.seeds:
+
+    def impute(seed) -> tuple[bool, dict]:
+        """Whether a signal was constant, and the run of ``seed``."""
         rng = np.random.default_rng(seed)
         known = np.sort(rng.permutation(n)[:n_known])
         # standardize by known-entry statistics; ranks are scale-free
@@ -516,27 +506,27 @@ def impute_signals(cc: CoauthorshipComplex, cfg: TrainConfig) -> MetricsReport:
 
         feats = propagate_features(ops, x, cfg.K)
         params = init_params(cfg.P, cfg.K, 1, cfg.hidden, 1, cfg.alpha, seed, cfg.theta_depth)
-        (fit,) = _adam_fit(
-            stack_params([params]), feats, cfg, lambda p: signal_forward(p, feats),
-            lambda _, pred: l1_loss(pred, targets, known),
+        fit = _adam_fit(
+            params, feats, cfg, lambda p: signal_forward(p, feats),
+            lambda pred: l1_loss(pred, targets, known),
         )
         if not np.isfinite(fit.out).all():
             raise FloatingPointError(f"seed {seed}: the imputed signals are not all finite")
         try:
-            tau = kendall_tau(truth, fit.out)
+            tau, constant = kendall_tau(truth, fit.out), False
         except ConstantSignalError:
-            tau = 0.0
-            flags.add("constant-signal")
-        runs.append(
-            {
-                "seed": seed,
-                "kendall_tau": float(tau),
-                "known_fraction": cfg.known_fraction,
-                "train_loss_curve": fit.train_curve,
-            }
-        )
+            tau, constant = 0.0, True
+        return constant, {
+            "seed": seed,
+            "kendall_tau": float(tau),
+            "known_fraction": cfg.known_fraction,
+            "train_loss_curve": fit.train_curve,
+        }
+
+    constant, runs = zip(*_side_by_side(impute, cfg.seeds))
     return MetricsReport.from_runs(
-        "impute", "kendall_tau", runs, flags=sorted(flags), extras={"n": n}
+        "impute", "kendall_tau", runs, flags=["constant-signal"] if any(constant) else [],
+        extras={"n": n},
     )
 
 
@@ -570,8 +560,7 @@ def graph_classify(
     Given features propagate once per run. Graphs without features get
     degree one-hots whose dimension is capped by the training fold's maximum
     degree (larger degrees clamp to the cap), propagated once per distinct cap.
-    The folds train concurrently, one per usable CPU, while numpy's bundled
-    OpenBLAS is held at one thread; the report keeps fold order.
+    The folds train side by side; the report keeps fold order.
     """
     _require_task(cfg, "graphclass")
     labels = np.asarray(labels, dtype=np.int64)
@@ -611,22 +600,14 @@ def graph_classify(
             cfg.P, cfg.K, feats.d, cfg.hidden, n_classes, cfg.alpha,
             seed0 * 1000 + fold_idx, cfg.theta_depth,
         )
-        (fit,) = _adam_fit(
-            stack_params([params]), feats, cfg,
+        return _adam_fit(
+            params, feats, cfg,
             lambda p: readout_forward(p, feats, sizes, cfg.readout),
-            lambda _, pooled: pooled_nll_loss(pooled, sizes, labels, train_idx, cfg.readout),
-            validate=lambda _, pooled: accuracy(pooled, labels, val_idx),
-        )
-        return fit.val_curve
+            lambda pooled: pooled_nll_loss(pooled, sizes, labels, train_idx, cfg.readout),
+            validate=lambda pooled: accuracy(pooled, labels, val_idx),
+        ).val_curve
 
-    # The folds train side by side, one per usable CPU, each BLAS call on one
-    # thread. With two BLAS threads per call the threads oversubscribe the
-    # cores: on a 2-vCPU Xeon, perfbench's graphclass run took 0.43-0.56 s
-    # that way, against 0.24-0.28 s with the folds one after another and
-    # 0.19-0.20 s under one BLAS thread. Without the bundled OpenBLAS, whose
-    # thread count cannot then be held, the folds train one after another.
-    with _one_blas_thread() as held:
-        fold_curves = _thread_map(fold_curve, jobs, _usable_cpus() if held else 1)
+    fold_curves = _side_by_side(fold_curve, jobs)
 
     per_epoch = np.array(fold_curves).mean(axis=0)
     best_epoch = int(np.argmax(per_epoch))

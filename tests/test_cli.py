@@ -26,6 +26,7 @@ from flowerpetals.operators import build_fp_adjacency, build_fp_laplacian
 from flowerpetals.tasks import TrainConfig, fit_node_params
 from flowerpetals.synthetic import (
     coauthorship_complex,
+    er_graph,
     planted_two_block,
     triangles_vs_hexagons,
 )
@@ -482,10 +483,9 @@ class TestOneSetUpPerRun:
 
     def test_one_forward_per_parameter_set(self, work, monkeypatch):
         """Each parameter set runs forward once: the forward after an Adam
-        step is both that epoch's validation read and the next epoch's tape.
-        The node seeds share one stack and so one forward per epoch; when a
-        seed stops early, the others go on from one forward of the smaller
-        stack."""
+        step is both that epoch's validation read and the next epoch's tape,
+        so each fit (a node seed, a fold, an imputation seed) runs one
+        forward per epoch it trains and one from its initialization."""
         forwards = count_calls(monkeypatch, flowerpetals.model, "forward_embedding")
         argv = node_train_argv(work, json.dumps(
             {"task": "node", "epochs": 60, "patience": 3, "seeds": [0, 1], "hidden": 4}))
@@ -493,7 +493,7 @@ class TestOneSetUpPerRun:
                            "--save-model", str(work / "m.ck")]) == 0
         epochs_run = [len(r["train_loss_curve"]) for r in read_json(work / "t.json")["runs"]]
         assert min(epochs_run) < 60  # early stopping cut at least one seed short
-        assert len(forwards) == max(epochs_run) + 1 + len(set(epochs_run)) - 1
+        assert len(forwards) == sum(epochs + 1 for epochs in epochs_run)
 
         forwards.clear()
         write_graph_dataset(work / "gs.jsonl")
@@ -510,6 +510,40 @@ class TestOneSetUpPerRun:
         assert run(["impute", "--simplices", str(work / "cc.tsv"),
                     "--config", str(work / "icfg.json"), "--out", str(work / "i.json")]) == 0
         assert len(forwards) == 3 * (3 + 1)
+
+
+class TestBlasThreadCount:
+    def test_node_training_writes_the_same_bytes_under_one_and_two_blas_threads(self, work):
+        """``train`` at node-train's scale (n = 1200, average degree 8, 32
+        random features, P=2, K=10, hidden 32, two seeds): the products over
+        the n rows are long enough that two BLAS threads would split them and
+        change their last bits, unless each fit holds the BLAS at one thread."""
+        g = er_graph(1200, 8 / 1199, seed=5)
+        rng = np.random.default_rng(6)
+        (work / "e.tsv").write_text(f"#n={g.n}\n" + "".join(f"{u}\t{v}\n" for u, v in g.edges))
+        np.savetxt(work / "f.csv", rng.normal(size=(g.n, 32)), delimiter=",", fmt="%.6f")
+        np.savetxt(work / "l.csv", rng.integers(0, 2, g.n), fmt="%d")
+        (work / "cfg.json").write_text(json.dumps(
+            {"task": "node", "P": 2, "K": 10, "hidden": 32, "seeds": [0, 1], "epochs": 3}))
+        written = {}
+        for threads in ("1", "2"):
+            # the thread count is read when the BLAS loads, so each run is a
+            # child process with the variable set in its own environment only
+            out = work / f"threads{threads}"
+            out.mkdir()
+            env = {**os.environ, "PYTHONPATH": "src", "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "flowerpetals.cli", "train", "--edges", str(work / "e.tsv"),
+                 "--features", str(work / "f.csv"), "--labels", str(work / "l.csv"),
+                 "--config", str(work / "cfg.json"), "--out", str(out / "train.json"),
+                 "--save-model", str(out / "model.ck")],
+                cwd=Path(__file__).resolve().parents[1], env=env, capture_output=True,
+                text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written[threads] = [(out / name).read_bytes() for name in ("train.json", "model.ck")]
+        assert written["1"][0] == written["2"][0], "train.json"
+        assert written["1"][1] == written["2"][1], "model.ck"
 
 
 class TestExitCodes:

@@ -9,6 +9,7 @@ import pytest
 import training_oracle
 from training_oracle import l1_loss_and_grad, map_arrays, with_arrays
 
+from flowerpetals import linalg, tasks
 from flowerpetals.complexes import Graph, clique_lift
 from flowerpetals.model import (
     AdamState,
@@ -20,12 +21,9 @@ from flowerpetals.model import (
     load_checkpoint,
     loss_and_grad,
     predict_graph_labels,
-    readout_forward,
     readout_loss_and_grad,
     nll_loss,
     save_checkpoint,
-    signal_forward,
-    stack_params,
     strength,
 )
 from flowerpetals.operators import PropagatedFeatures, propagate_features
@@ -55,9 +53,8 @@ def union_feats(ns, d, seeds, p_max=2, k_max=2, density=0.35):
 
 def finite_difference_max_rel(loss_fn, params, h=1e-5):
     """The largest relative gap between the gradient that ``loss_fn`` gives
-    for the set ``params`` and central differences of its loss; ``loss_fn``
-    takes a stack, and the sets run as stacks of one."""
-    _, (grads,) = loss_fn(stack_params([params]))
+    for the set ``params`` and central differences of its loss."""
+    _, grads = loss_fn(params)
     gmap = dict(replace(params, flat=grads).named_arrays())
     worst = 0.0
     for name, arr in params.named_arrays():
@@ -73,8 +70,8 @@ def finite_difference_max_rel(loss_fn, params, h=1e-5):
 
                 return map_arrays(params, bump)
 
-            (plus,), _ = loss_fn(stack_params([shifted(h)]))
-            (minus,), _ = loss_fn(stack_params([shifted(-h)]))
+            plus, _ = loss_fn(shifted(h))
+            minus, _ = loss_fn(shifted(-h))
             fd = (plus - minus) / (2 * h)
             an = gmap[name][idx]
             worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-6))
@@ -168,7 +165,7 @@ class TestForward:
                 "w": np.eye(6),
             }.get(name, a)
         )
-        _, (log_probs,) = forward(stack_params([params]), feats)
+        _, log_probs = forward(params, feats)
         x = feats.tensor[0, 0]
         z = np.hstack([x, x])
         expected = z - np.log(np.exp(z - z.max(axis=1, keepdims=True)).sum(axis=1, keepdims=True)) - z.max(axis=1, keepdims=True)
@@ -176,7 +173,7 @@ class TestForward:
 
     def test_tape_value_equality(self):
         feats = graph_feats(6, 3, seed=1)
-        params = stack_params([init_params(2, 2, 3, 4, 2, 0.5, seed=0)])
+        params = init_params(2, 2, 3, 4, 2, 0.5, seed=0)
         tape, _ = forward(params, feats)
         assert tape == forward(params, feats)[0]
         assert tape != replace(tape, logits=tape.logits + 1.0)
@@ -184,7 +181,7 @@ class TestForward:
 
     def test_rows_exponentiate_to_one(self):
         feats = graph_feats(10, 4, seed=2)
-        params = stack_params([init_params(2, 2, 4, 8, 3, 0.5, seed=3)])
+        params = init_params(2, 2, 4, 8, 3, 0.5, seed=3)
         _, log_probs = forward(params, feats)
         assert np.max(np.abs(np.exp(log_probs).sum(axis=-1) - 1.0)) <= 1e-12
 
@@ -205,8 +202,8 @@ class TestForward:
             for k in range(k_max + 1)
         )
         expected_logits = filtered @ params.theta[0][0] @ params.w
-        tape, _ = forward(stack_params([params]), feats)
-        assert np.max(np.abs(tape.logits[0] - expected_logits)) <= 1e-10
+        tape, _ = forward(params, feats)
+        assert np.max(np.abs(tape.logits - expected_logits)) <= 1e-10
 
 
 class TestGradients:
@@ -219,9 +216,7 @@ class TestGradients:
             lambda name, a: np.zeros_like(a) if name == "w" else a
         )
         labels = np.zeros(8, dtype=np.int64)
-        (loss,), _ = loss_and_grad(
-            stack_params([params]), feats, labels, [np.arange(8)], weight_decay=0.0
-        )
+        loss, _ = loss_and_grad(params, feats, labels, np.arange(8), weight_decay=0.0)
         assert abs(loss - np.log(5)) <= 1e-12
 
     def test_dead_petal_filter_gradients_vanish(self):
@@ -229,7 +224,7 @@ class TestGradients:
         feats = petal_features(clique_lift(c6, 2), np.ones((6, 2)), 2, 3)
         params = init_params(2, 3, 2, 4, 2, 0.5, seed=8)
         labels = np.array([0, 1, 0, 1, 0, 1])
-        _, (grads,) = loss_and_grad(stack_params([params]), feats, labels, [np.arange(6)])
+        _, grads = loss_and_grad(params, feats, labels, np.arange(6))
         grads = replace(params, flat=grads)
         assert np.array_equal(grads.gamma[1, 1:], np.zeros(3))
         assert np.any(grads.gamma[0] != 0)
@@ -242,7 +237,7 @@ class TestGradients:
         labels = rng.integers(0, 2, 8)
         mask = np.array([0, 2, 3, 5, 6])
         rel = finite_difference_max_rel(
-            lambda s: loss_and_grad(s, feats, labels, [mask], weight_decay=0.01),
+            lambda s: loss_and_grad(s, feats, labels, mask, weight_decay=0.01),
             params,
         )
         assert rel <= 1e-4
@@ -264,7 +259,7 @@ class TestGradients:
         params = init_params(2, 2, 3, 4, 2, 0.5, seed=50)
         rel = finite_difference_max_rel(
             lambda s: readout_loss_and_grad(
-                s, feats, sizes, labels, [np.arange(4)], readout, 0.01
+                s, feats, sizes, labels, np.arange(4), readout, 0.01
             ),
             params,
         )
@@ -287,7 +282,7 @@ class TestGradients:
         params = init_params(2, 2, 3, 4, 2, 0.5, seed=51)
         rel = finite_difference_max_rel(
             lambda s: readout_loss_and_grad(
-                s, feats, sizes, labels, [np.arange(4)], readout, 0.01, True
+                s, feats, sizes, labels, np.arange(4), readout, 0.01, True
             ),
             params,
         )
@@ -296,24 +291,22 @@ class TestGradients:
     def test_decay_gamma_adds_only_the_filter_decay(self):
         feats = graph_feats(8, 3, seed=46)
         params = init_params(2, 2, 3, 4, 2, 0.5, seed=47)
-        stack = stack_params([params])
-        tape = forward_embedding(stack, feats)
+        tape = forward_embedding(params, feats)
         dlogits = np.random.default_rng(48).normal(size=tape.logits.shape)
-        (loss_off,), (off,) = backprop(stack, feats, tape, 1.5, dlogits, 0.01)
-        (loss_on,), (on,) = backprop(stack, feats, tape, 1.5, dlogits, 0.01, True)
+        loss_off, off = backprop(params, feats, tape, 1.5, dlogits, 0.01)
+        loss_on, on = backprop(params, feats, tape, 1.5, dlogits, 0.01, True)
         n_gamma = params.gamma.size
         assert np.array_equal(on[n_gamma:], off[n_gamma:])
         assert np.allclose(on[:n_gamma] - off[:n_gamma], 0.01 * params.gamma.ravel(),
                            rtol=1e-9, atol=1e-15)
         assert abs(loss_on - loss_off - 0.005 * np.sum(params.gamma**2)) <= 1e-15
-        assert backprop(stack, feats, tape, 1.5, dlogits)[0].tolist() == [1.5]
+        assert backprop(params, feats, tape, 1.5, dlogits)[0] == 1.5
 
     def test_empty_mask_rejected(self):
         feats = graph_feats(4, 2, seed=60)
         params = init_params(2, 2, 2, 3, 2, 0.5, seed=61)
         with pytest.raises(ValueError):
-            loss_and_grad(stack_params([params]), feats, np.zeros(4, dtype=int),
-                          [np.array([], dtype=int)])
+            loss_and_grad(params, feats, np.zeros(4, dtype=int), np.array([], dtype=int))
 
 
 def tensor_case(name, depth):
@@ -343,31 +336,27 @@ class TestFeatureTensor:
         # 3e-15 relative), and everything computed from the tape's filtered
         # sums is bit-equal
         params, feats = tensor_case(case, depth)
-        stack = stack_params([params])
-        tape = forward_embedding(stack, feats)
-        assert tape.filtered.shape == (params.p_max, 1, feats.n, feats.d)
+        tape = forward_embedding(params, feats)
+        assert tape.filtered.shape == (params.p_max, feats.n, feats.d)
         loop_filtered = training_oracle.filtered_sums(params, feats)
-        np.testing.assert_allclose(
-            tape.filtered[:, 0], np.stack(loop_filtered), rtol=1e-12, atol=0
-        )
+        np.testing.assert_allclose(tape.filtered, np.stack(loop_filtered), rtol=1e-12, atol=0)
         filtered, _, act, z, logits = training_oracle.forward_embedding(
-            params, feats, tape.filtered[:, 0]
+            params, feats, tape.filtered
         )
         if depth == 2:
             assert len(tape.act) == len(act)
-            assert all(np.array_equal(a, b) for a, b in zip(tape.act[:, 0], act))
+            assert all(np.array_equal(a, b) for a, b in zip(tape.act, act))
         else:
             assert tape.act is None
-        assert np.array_equal(tape.z[0], z) and np.array_equal(tape.logits[0], logits)
+        assert np.array_equal(tape.z, z) and np.array_equal(tape.logits, logits)
         if case == "signed-zero":  # the loop's sums are -0.0 there
             assert np.signbit(np.stack(loop_filtered)[:, :, [1, 3]]).all()
 
         rng = np.random.default_rng(17)
         dlogits = rng.normal(size=logits.shape)
         dlogits[rng.random(len(dlogits)) < 0.4] = 0.0  # rows off the mask
-        (grads,) = backprop(stack, feats, tape, 0.0, dlogits[None], 0.01)[1]
-        grads = replace(params, flat=grads)
-        expected = training_oracle.backprop(params, feats, dlogits, 0.01, tape.filtered[:, 0])
+        grads = replace(params, flat=backprop(params, feats, tape, 0.0, dlogits, 0.01)[1])
+        expected = training_oracle.backprop(params, feats, dlogits, 0.01, tape.filtered)
         np.testing.assert_allclose(grads.gamma, expected.gamma, rtol=1e-12, atol=0)
         for (name, a), (_, b) in zip(grads.named_arrays(), expected.named_arrays()):
             assert name == "gamma" or np.array_equal(a, b), name
@@ -378,8 +367,8 @@ class TestFeatureTensor:
         # never as a copy
         rng = np.random.default_rng(20)
         feats = PropagatedFeatures(rng.normal(size=(3, 8, 1500, 16)))
-        params = stack_params([init_params(2, 5, 16, 8, 3, 0.5, seed=21)])
-        dlogits = rng.normal(size=(1, feats.n, params.c))
+        params = init_params(2, 5, 16, 8, 3, 0.5, seed=21)
+        dlogits = rng.normal(size=(feats.n, params.c))
         tracemalloc.start()
         try:
             tape, _ = forward(params, feats)
@@ -398,7 +387,7 @@ class TestFeatureTensor:
         feats = graph_feats(6, 3, seed=18)
         p_max, k_max, d = dims
         with pytest.raises(ValueError, match=message):
-            forward(stack_params([init_params(p_max, k_max, d, 4, 2, 0.5, seed=19)]), feats)
+            forward(init_params(p_max, k_max, d, 4, 2, 0.5, seed=19), feats)
 
     @pytest.mark.parametrize("n, c, p_max, h", [
         (1200, 2, 2, 32), (2400, 4, 3, 32), (600, 1, 2, 16),
@@ -448,12 +437,8 @@ class TestAdam:
         state, ref_state = AdamState.zeros_like(params), training_oracle.adam_zeros(ref)
         names = [name for name, _ in params.named_arrays()]
         for _ in range(50):
-            _, (grads,) = loss_and_grad(
-                stack_params([params]), feats, labels, [np.arange(7)], 0.01, True
-            )
-            _, (ref_grads,) = loss_and_grad(
-                stack_params([ref]), feats, labels, [np.arange(7)], 0.01, True
-            )
+            _, grads = loss_and_grad(params, feats, labels, np.arange(7), 0.01, True)
+            _, ref_grads = loss_and_grad(ref, feats, labels, np.arange(7), 0.01, True)
             params, state = adam_step(params, grads, state, lr=0.05)
             ref, ref_state = training_oracle.adam_step(ref, ref_grads, ref_state, lr=0.05)
             assert params.flat.tobytes() == ref.flat.tobytes()
@@ -487,10 +472,10 @@ class TestAdam:
         labels = np.random.default_rng(71).integers(0, 2, 6)
 
         def train():
-            params = stack_params([init_params(2, 2, 2, 3, 2, 0.5, seed=72)])
+            params = init_params(2, 2, 2, 3, 2, 0.5, seed=72)
             state = AdamState.zeros_like(params)
             for _ in range(20):
-                _, grads = loss_and_grad(params, feats, labels, [np.arange(6)], 0.001)
+                _, grads = loss_and_grad(params, feats, labels, np.arange(6), 0.001)
                 params, state = adam_step(params, grads, state, lr=0.05)
             return params
 
@@ -505,11 +490,11 @@ class TestAdam:
 
         g = planted_two_block(30, seed=5)
         feats = petal_features(clique_lift(g, 2), g.features, 2, 3)
-        params = stack_params([init_params(2, 3, 2, 8, 2, 0.5, seed=73)])
+        params = init_params(2, 3, 2, 8, 2, 0.5, seed=73)
         state = AdamState.zeros_like(params)
         losses = []
         for _ in range(50):
-            (loss,), grads = loss_and_grad(params, feats, g.labels, [np.arange(g.n)])
+            loss, grads = loss_and_grad(params, feats, g.labels, np.arange(g.n))
             params, state = adam_step(params, grads, state, lr=0.05)
             losses.append(loss)
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-9)
@@ -531,95 +516,60 @@ def stack_case(seeds, depth, n=120, d=8):
 
 
 class TestStack:
-    """Seeds trained as one stack: the filter and its gradient are one GEMM
-    over the seeds instead of one GEMV per seed, so a stacked seed's bits
-    drift from those of its stack of one in the last places."""
+    """Several parameter sets at once, as the trainers run seeds and folds:
+    side by side on threads (``tasks._side_by_side``), where each set keeps
+    the bits and the memory of its run alone."""
 
     @pytest.mark.parametrize("decay_gamma", [False, True])
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("seeds", [(0, 1), (3, 4, 5)])
-    def test_each_seed_agrees_with_its_solo_gradient(self, seeds, depth, decay_gamma):
+    def test_each_seed_agrees_with_its_solo_gradient(self, seeds, depth, decay_gamma,
+                                                     monkeypatch):
         feats, labels, sets = stack_case(seeds, depth)
-        masks = [np.arange(i, len(labels), 3) for i in range(len(seeds))]
-        losses, grads = loss_and_grad(stack_params(sets), feats, labels, masks, 0.01, decay_gamma)
-        assert grads.shape == (len(seeds), sets[0].flat.size)
-        for params, mask, loss, grad in zip(sets, masks, losses, grads, strict=True):
-            (want_loss,), (want,) = loss_and_grad(
-                stack_params([params]), feats, labels, [mask], 0.01, decay_gamma
-            )
-            assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-            got, want = replace(params, flat=grad), replace(params, flat=want)
-            for (name, a), (_, b) in zip(got.named_arrays(), want.named_arrays()):
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+        jobs = [(params, np.arange(i, len(labels), 3)) for i, params in enumerate(sets)]
 
-    @pytest.mark.parametrize("name", [
-        "forward_embedding", "forward", "signal_forward", "readout_forward", "backprop",
-        "loss_and_grad", "readout_loss_and_grad", "predict_graph_labels",
-    ])
-    def test_a_lone_set_is_refused(self, name):
-        feats, sizes = union_feats([4, 5], 2, seeds=range(2))
-        params = init_params(2, 2, 2, 3, 2, 0.5, seed=83)
-        tape = forward_embedding(stack_params([params]), feats)
-        labels, graphs = np.zeros(9, dtype=int), np.array([0, 1])
-        passes = {
-            "forward_embedding": lambda: forward_embedding(params, feats),
-            "forward": lambda: forward(params, feats),
-            "signal_forward": lambda: signal_forward(params, feats),
-            "readout_forward": lambda: readout_forward(params, feats, sizes, "mean"),
-            "backprop": lambda: backprop(params, feats, tape, 0.0, tape.logits[0]),
-            "loss_and_grad": lambda: loss_and_grad(params, feats, labels, np.arange(9)),
-            "readout_loss_and_grad": lambda: readout_loss_and_grad(
-                params, feats, sizes, graphs, graphs, "mean"
-            ),
-            "predict_graph_labels": lambda: predict_graph_labels(params, feats, sizes, "mean"),
-        }
-        with pytest.raises(ValueError, match=r"stack_params\(\[params\]\)"):
-            passes[name]()
+        def solo(job):
+            params, mask = job
+            return loss_and_grad(params, feats, labels, mask, 0.01, decay_gamma)
+
+        monkeypatch.setattr(tasks, "_usable_cpus", lambda: len(seeds))
+        got = tasks._side_by_side(solo, jobs)
+        with linalg._one_blas_thread():  # as each fit runs, one after another
+            want = [solo(job) for job in jobs]
+        for (loss, grad), (want_loss, want_grad) in zip(got, want, strict=True):
+            assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
 
     @pytest.mark.parametrize("seeds", [2, 3])
-    def test_a_stacked_epoch_holds_at_most_its_solo_epochs_memory(self, seeds):
-        # one epoch at node-train's shape as the trainer runs it: the
-        # forward, the losses, the reverse pass while the tape is held, Adam
+    def test_a_stacked_epoch_holds_at_most_its_solo_epochs_memory(self, seeds, monkeypatch):
+        # one epoch at node-train's shape as the trainer runs it, for each set
+        # side by side: the forward, the loss, the reverse pass while the
+        # tape is held, Adam
         rng = np.random.default_rng(23)
         feats = PropagatedFeatures(rng.normal(size=(2, 11, 1200, 32)))
         labels, mask = rng.integers(0, 2, 1200), np.arange(0, 1200, 2)
 
+        def epoch(params):
+            tape, log_probs = forward(params, feats)
+            loss, dlogits = nll_loss(log_probs, labels, mask)
+            _, grad = backprop(params, feats, tape, loss, dlogits, 5e-4)
+            del tape, log_probs
+            adam_step(params, grad, AdamState.zeros_like(params), 0.05)
+
         def epoch_peak(sets):
-            params = stack_params(sets)
+            tasks._side_by_side(epoch, sets)  # the pool's lazy imports, untraced
             tracemalloc.start()
             try:
-                tape, log_probs = forward(params, feats)
-                per_seed = (nll_loss(lp, labels, mask) for lp in log_probs)
-                loss, dlogits = map(np.array, zip(*per_seed))
-                _, grad = backprop(params, feats, tape, loss, dlogits, 5e-4)
-                del tape, log_probs
-                adam_step(params, grad, AdamState.zeros_like(params), 0.05)
+                tasks._side_by_side(epoch, sets)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
+        monkeypatch.setattr(tasks, "_usable_cpus", lambda: seeds)
         sets = [init_params(2, 10, 32, 32, 2, 0.5, seed=s) for s in range(seeds)]
         solo = epoch_peak(sets[:1])
-        # 3.2 MB solo and 6.4 MB for 2 seeds; within a 2% slack. A copy that
-        # only a stack makes, such as dfiltered transposed into a contiguous
-        # (P, n*d, S) block, adds about 1.2 MB for 2 seeds
+        # 3.2 MB a set; within a 2% slack, the sets side by side share the
+        # features and copy nothing of them
         assert epoch_peak(sets) <= seeds * solo * 1.02
-
-    def test_a_stack_round_trips_and_is_checked(self):
-        sets = [init_params(2, 3, 4, 5, 3, 0.5, seed=s) for s in (4, 2)]
-        stack = stack_params(sets)
-        assert stack.seed == (4, 2) and stack.flat.shape == (2, sets[0].flat.size)
-        assert stack.gamma.shape == (2, 2, 4) and stack.w.shape == (2, 10, 3)
-        assert stack.unstack() == sets
-        assert np.array_equal(strength(stack), [strength(p) for p in sets])
-        with pytest.raises(ValueError, match="for each of 2 seeds"):
-            replace(stack, flat=stack.flat[:1])
-        with pytest.raises(ValueError, match="share every header field"):
-            stack_params([sets[0], init_params(2, 3, 4, 5, 3, 0.5, seed=0, depth=1)])
-        with pytest.raises(ValueError, match="share every header field"):
-            stack_params([])
-        with pytest.raises(ValueError, match="one parameter set"):
-            save_checkpoint(stack, "unused.ck")
 
 
 class TestStrength:
@@ -670,7 +620,7 @@ class TestGraphReadout:
         # same node count per graph: sum readout scales logits by n, so the
         # predicted labels coincide at any fixed parameters
         feats, sizes = union_feats([6] * 6, 3, seeds=range(6), density=0.5)
-        params = stack_params([init_params(2, 2, 3, 4, 3, 0.5, seed=80)])
+        params = init_params(2, 2, 3, 4, 3, 0.5, seed=80)
         mean_pred = predict_graph_labels(params, feats, sizes, "mean")
         sum_pred = predict_graph_labels(params, feats, sizes, "sum")
         assert np.array_equal(mean_pred, sum_pred)
@@ -682,16 +632,13 @@ class TestGraphReadout:
         mask = np.array([0, 1, 3, 5])
         wd = 0.01
         params = init_params(2, 2, 3, 4, 3, 0.5, seed=81)
-        stack = stack_params([params])
         feats, sizes = union_feats(ns, 3, seeds)
-        (loss,), (grads,) = readout_loss_and_grad(
-            stack, feats, sizes, labels, [mask], readout, wd
-        )
-        (pred,) = predict_graph_labels(stack, feats, sizes, readout)
+        loss, grads = readout_loss_and_grad(params, feats, sizes, labels, mask, readout, wd)
+        pred = predict_graph_labels(params, feats, sizes, readout)
 
         # reference: one forward and backward per graph on its own features
-        tape = forward_embedding(stack, feats)
-        (ref_loss,) = backprop(stack, feats, tape, 0.0, np.zeros_like(tape.logits), wd)[0]
+        tape = forward_embedding(params, feats)
+        ref_loss = backprop(params, feats, tape, 0.0, np.zeros_like(tape.logits), wd)[0]
         ref = dict(map_arrays(
             params,
             lambda name, a: np.zeros_like(a) if name == "gamma" else wd * a
@@ -699,8 +646,8 @@ class TestGraphReadout:
         ref_pred = []
         for gi, (n, seed) in enumerate(zip(ns, seeds)):
             g_feats = graph_feats(n, 3, seed)
-            tape = forward_embedding(stack, g_feats)
-            vec = tape.z[0].mean(axis=0) if readout == "mean" else tape.z[0].sum(axis=0)
+            tape = forward_embedding(params, g_feats)
+            vec = tape.z.mean(axis=0) if readout == "mean" else tape.z.sum(axis=0)
             logits = vec @ params.w
             ref_pred.append(int(np.argmax(logits)))
             if gi not in mask:
@@ -711,7 +658,7 @@ class TestGraphReadout:
             dlogit = np.exp(log_probs)
             dlogit[labels[gi]] -= 1.0
             dlogit /= len(mask) * (n if readout == "mean" else 1)
-            (g,) = backprop(stack, g_feats, tape, 0.0, np.tile(dlogit, (1, n, 1)), 0.0)[1]
+            g = backprop(params, g_feats, tape, 0.0, np.tile(dlogit, (n, 1)), 0.0)[1]
             for name, arr in replace(params, flat=g).named_arrays():
                 ref[name] = ref[name] + arr
 
@@ -723,7 +670,7 @@ class TestGraphReadout:
 
     def test_sizes_must_cover_the_nodes(self):
         feats, _ = union_feats([4, 5], 2, seeds=range(2))
-        params = stack_params([init_params(2, 2, 2, 3, 2, 0.5, seed=82)])
+        params = init_params(2, 2, 2, 3, 2, 0.5, seed=82)
         for bad in ([4, 4], [9, 0], [0, 9]):
             with pytest.raises(ValueError, match="sizes"):
                 predict_graph_labels(params, feats, bad, "mean")

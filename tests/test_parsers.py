@@ -47,6 +47,8 @@ EDGE_CASES = {
     "no-break-space": "0\xa01\n",
     "hex-id": "0x1 2\n",
     "exponent-id": "1e3 2\n",
+    "nul-after-id": "#n=3\n0\t1\x00\n1\t2\n",
+    "nul-after-negative-id": "0\t-1\x00\n",
 }
 
 FEATURE_CASES = {
@@ -156,6 +158,19 @@ def test_closure_reaches_order_1_across_skipped_orders(tmp_path):
 def test_edge_file_matches_the_line_reader(tmp_path, text):
     path = write(tmp_path / "e.tsv", text)
     assert outcome(load_graph, path) == outcome(parser_oracle.load_graph, path)
+
+
+@pytest.mark.parametrize("command", ["lift", "spectra", "train"])
+def test_a_nul_byte_after_an_edge_endpoint_names_its_path_and_line(tmp_path, capsys, command):
+    # numpy's str dtype drops a trailing NUL, so a re-parse of the line's
+    # fields as strings sees two good integers
+    path = write(tmp_path / "e.tsv", "#n=3\n0\t1\x00\n1\t2\n")
+    argv = [command, "--edges", str(path)]
+    if command == "train":
+        argv += ["--features", str(write(tmp_path / "f.csv", "0.5,1\n" * 3)),
+                 "--labels", str(write(tmp_path / "l.csv", "0\n1\n0\n"))]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: non-integer endpoint in '0\\t1\\x00'\n"
 
 
 @pytest.mark.parametrize("text", FEATURE_CASES.values(), ids=FEATURE_CASES.keys())

@@ -16,7 +16,7 @@ from flowerpetals.complexes import (
     clique_lift,
     load_coauthorship,
 )
-from flowerpetals.model import init_params, predict_graph_labels, stack_params
+from flowerpetals.model import init_params, predict_graph_labels
 from flowerpetals.operators import propagate_features
 from flowerpetals.synthetic import (
     coauthorship_complex,
@@ -69,6 +69,14 @@ class TestSplits:
         s = SplitSpec(train, np.array([2]), np.array([3]))
         train[0] = 3  # the caller may still write its own array
         assert np.array_equal(s.train, [0, 1]) and not s.train.flags.writeable
+
+    def test_value_equality(self):
+        s = make_splits(10, seed=3)
+        assert s == make_splits(10, seed=3) and not s != make_splits(10, seed=3)
+        assert s != make_splits(10, seed=4)
+        assert s != SplitSpec(s.val, s.train, s.test)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(s)
 
 
 class TestKendallTau:
@@ -241,19 +249,19 @@ class TestNodeClassification:
         feats = petal_features(clique_lift(g, cfg.P), g.features, cfg.P, cfg.K)
         pfeats = petal_features(clique_lift(permuted, cfg.P), permuted.features, cfg.P, cfg.K)
         from flowerpetals.tasks import _fit_node_model, make_splits
-        from flowerpetals.model import forward, stack_params
+        from flowerpetals.model import forward
 
         split = make_splits(g.n, cfg.split_ratios, 3)
-        params = _fit_node_model(feats, g.labels, [split], cfg)[0].params
+        params = _fit_node_model(feats, g.labels, split, 3, cfg).params
 
         class PermutedSplit:
             train = perm[split.train]
             val = perm[split.val]
             test = perm[split.test]
 
-        pparams = _fit_node_model(pfeats, permuted.labels, [PermutedSplit], cfg)[0].params
-        _, (log_probs,) = forward(stack_params([params]), feats)
-        _, (plog_probs,) = forward(stack_params([pparams]), pfeats)
+        pparams = _fit_node_model(pfeats, permuted.labels, PermutedSplit, 3, cfg).params
+        _, log_probs = forward(params, feats)
+        _, plog_probs = forward(pparams, pfeats)
         base_acc = float(np.mean(np.argmax(log_probs[split.test], 1) == g.labels[split.test]))
         perm_acc = float(
             np.mean(
@@ -296,8 +304,8 @@ class TestImputation:
             impute_signals(cc, cfg)
 
     def test_each_seed_of_a_run_is_the_run_of_that_seed_alone(self):
-        # each seed trains its own stack of one on its own mask, so a seed's
-        # run is byte for byte the same whichever seeds run beside it
+        # each seed trains alone on its own mask, so a seed's run is byte for
+        # byte the same whichever seeds run beside it
         cc = coauthorship_complex(40, 20, 12, seed=0)
         cfg = TrainConfig(task="impute", seeds=(4, 0, 7), epochs=30, hidden=4, K=3)
         runs = impute_signals(cc, cfg).runs
@@ -344,6 +352,17 @@ class TestCoauthorshipIO:
         nodes[0] = 1.0  # the caller may still write its own array
         assert cc.node_signals[0] == 5.0 and not cc.node_signals.flags.writeable
 
+    def test_value_equality(self):
+        k = clique_lift(Graph(3, ((0, 1),)), 1)
+        cc = CoauthorshipComplex(k, {0: [5.0, 6.0, 0.0], 1: [2.0]})
+        assert cc == CoauthorshipComplex(k, {0: [5.0, 6.0, 0.0], 1: [2.0]})
+        assert cc != CoauthorshipComplex(k, {0: [5.0, 6.0, 0.0], 1: [3.0]})
+        assert cc != CoauthorshipComplex(k, {0: [5.0, 6.0, 0.0]})
+        assert cc != CoauthorshipComplex(clique_lift(Graph(3, ((1, 2),)), 1),
+                                         {0: [5.0, 6.0, 0.0], 1: [2.0]})
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(cc)
+
     @pytest.mark.parametrize("signals", [
         {0: [1.0, np.nan, 3.0], 1: [3.0, 4.0]},
         {0: [1.0, 2.0, 3.0], 1: [np.inf, 4.0]},
@@ -386,7 +405,7 @@ class TestGraphClassification:
     def test_equal_sizes_make_readouts_agree(self):
         union, sizes = disjoint_union([planted_two_block(8, seed=s) for s in range(6)])
         feats = petal_features(clique_lift(union, 2), union.features, 2, 2)
-        params = stack_params([init_params(2, 2, 2, 4, 2, 0.5, seed=12)])
+        params = init_params(2, 2, 2, 4, 2, 0.5, seed=12)
         assert np.array_equal(
             predict_graph_labels(params, feats, sizes, "mean"),
             predict_graph_labels(params, feats, sizes, "sum"),
@@ -446,6 +465,25 @@ class TestConcurrentFolds:
         assert sorted(set(propagations)) == [3, 5]
         assert pools == ([2] if linalg._openblas() is not None else [])
         assert reports[1] == reports[2]
+
+        # the node and imputation seeds run side by side the same way
+        g, cc = planted_two_block(40, seed=2), coauthorship_complex(40, 20, 12, seed=0)
+        node_cfg = TrainConfig(task="node", seeds=(0, 3, 5), epochs=30, patience=5, K=3,
+                               hidden=8)
+        impute_cfg = TrainConfig(task="impute", seeds=(4, 0, 7), epochs=10, K=3, hidden=4)
+
+        def node():
+            report, params = fit_node_params(g, node_cfg)
+            return report.to_dict(), [p.flat.tobytes() for p in params]
+
+        for name, fit in (("node", node),
+                          ("impute", lambda: impute_signals(cc, impute_cfg).to_dict())):
+            pools.clear()
+            for workers in (1, 2):
+                monkeypatch.setattr(tasks, "_usable_cpus", lambda: workers)
+                reports[workers] = fit()
+            assert pools == ([2] if linalg._openblas() is not None else []), name
+            assert reports[1] == reports[2], name
 
     def test_without_the_bundled_blas_the_folds_train_one_by_one(self, monkeypatch):
         def no_pool(*args):
@@ -518,14 +556,14 @@ class TestAgainstTwoForwardOracle:
         from flowerpetals.model import forward_embedding
         from flowerpetals.tasks import _adam_fit
 
-        params = stack_params([init_params(1, 1, 2, 2, 2, 0.5, seed=0)])
+        params = init_params(1, 1, 2, 2, 2, 0.5, seed=0)
         feats = petal_features(clique_lift(Graph(3, ((0, 1), (1, 2))), 1), np.ones((3, 2)), 1, 1)
         tape = forward_embedding(params, feats)
-        zero = np.zeros_like(tape.logits[0])  # with no weight decay, a zero gradient
+        zero = np.zeros_like(tape.logits)  # with no weight decay, a zero gradient
         reads = iter([9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 0.5])
-        (fit,) = _adam_fit(params, feats, TrainConfig(epochs=20, weight_decay=0.0),
-                           lambda p: (tape, [next(reads)]),
-                           lambda _, out: (out, zero), validate=lambda _, out: out, patience=2)
+        fit = _adam_fit(params, feats, TrainConfig(epochs=20, weight_decay=0.0),
+                        lambda p: (tape, next(reads)),
+                        lambda out: (out, zero), validate=lambda out: out, patience=2)
         assert fit.val_curve == [3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0]
         assert (fit.epoch, fit.out) == (3, 1.0)
         assert fit.train_curve == [9.0, 3.0, 2.0, 2.0, 1.0, 1.0, 1.0]

@@ -4,14 +4,11 @@ A direct transcription of node classification and graph classification as
 they were before validation was fused into the next epoch's forward. Each
 epoch takes the loss and gradients from ``loss_and_grad`` (or
 ``readout_loss_and_grad``), takes one Adam step, then runs a second forward
-on the stepped parameters for the validation read. Node classification
-runs its seeds as one stack through the model's stacked ``loss_and_grad``
-and ``forward``, as the trainer does, with per-seed bookkeeping here; a
-seed that stops leaves the stack. It also runs one more forward on each
-seed's best parameters alone, as a stack of one, for the test accuracy.
-Graph classification runs each fold's set as a stack of one.
-``flowerpetals.tasks`` must give the same curves, best epochs, accuracies
-and parameters bit for bit.
+on the stepped parameters for the validation read. Each seed and each fold
+trains alone, one after another. Node classification runs one more forward
+on each seed's best parameters for the test accuracy.
+``flowerpetals.tasks``, which runs the seeds and folds side by side, must
+give the same curves, best epochs, accuracies and parameters bit for bit.
 
 ``layout`` reads the parameter arrays out of ``params.flat`` by a walk
 over the checkpoint's storage order, gamma, then each petal's transforms,
@@ -48,7 +45,6 @@ from flowerpetals.model import (
     predict_graph_labels,
     readout_loss_and_grad,
     signal_forward,
-    stack_params,
 )
 from flowerpetals.operators import propagate_features
 from flowerpetals.tasks import (
@@ -122,10 +118,9 @@ def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8):
 
 
 def l1_loss_and_grad(params, feats, targets, mask, weight_decay=0.0, decay_gamma=False):
-    """Signal regression's L1 loss and gradient from a fresh forward, for
-    each seed of the stack ``params`` on the one ``mask``."""
+    """Signal regression's L1 loss and gradient from a fresh forward."""
     tape, pred = signal_forward(params, feats)
-    loss, dlogits = map(np.array, zip(*(l1_loss(p, targets, mask) for p in pred)))
+    loss, dlogits = l1_loss(pred, targets, mask)
     return model_backprop(params, feats, tape, loss, dlogits, weight_decay, decay_gamma)
 
 
@@ -134,58 +129,46 @@ def fit_node_params(g, cfg):
     complex_ = clique_lift(g, cfg.P)
     feats = petal_features(complex_, g.features, cfg.P, cfg.K)
     labels = g.labels
-    splits = [make_splits(g.n, cfg.split_ratios, seed) for seed in cfg.seeds]
-    params = [
-        init_params(cfg.P, cfg.K, feats.d, cfg.hidden, int(labels.max()) + 1, cfg.alpha, seed,
-                    cfg.theta_depth)
-        for seed in cfg.seeds
-    ]
-    states = [adam_zeros(p) for p in params]
-    best = [(np.inf, p, 0) for p in params]
-    stale = [0] * len(params)
-    train_curves, val_curves = [[] for _ in params], [[] for _ in params]
-    live = list(range(len(params)))  # the seeds still training, in stack order
-    for epoch in range(cfg.resolved_epochs):
-        losses, grads = loss_and_grad(
-            stack_params(params[i] for i in live), feats, labels,
-            [splits[i].train for i in live], cfg.weight_decay, cfg.decay_gamma,
-        )
-        for row, i in enumerate(live):
-            params[i], states[i] = adam_step(params[i], grads[row], states[i], cfg.lr)
-        _, log_probs = forward(stack_params(params[i] for i in live), feats)
-        for row, i in enumerate(list(live)):
-            val = splits[i].val
-            val_loss = -float(log_probs[row][val, labels[val]].mean())
-            train_curves[i].append(float(losses[row]))
-            val_curves[i].append(val_loss)
-            if val_loss < best[i][0]:
-                best[i] = (val_loss, params[i], epoch)
-                stale[i] = 0
+    runs, kept = [], []
+    for seed in cfg.seeds:
+        split = make_splits(g.n, cfg.split_ratios, seed)
+        params = init_params(cfg.P, cfg.K, feats.d, cfg.hidden, int(labels.max()) + 1,
+                             cfg.alpha, seed, cfg.theta_depth)
+        state = adam_zeros(params)
+        best, stale = (np.inf, params, 0), 0
+        train_curve, val_curve = [], []
+        for epoch in range(cfg.resolved_epochs):
+            loss, grads = loss_and_grad(
+                params, feats, labels, split.train, cfg.weight_decay, cfg.decay_gamma
+            )
+            params, state = adam_step(params, grads, state, cfg.lr)
+            _, log_probs = forward(params, feats)
+            val_loss = -float(log_probs[split.val, labels[split.val]].mean())
+            train_curve.append(float(loss))
+            val_curve.append(val_loss)
+            if val_loss < best[0]:
+                best, stale = (val_loss, params, epoch), 0
             else:
-                stale[i] += 1
-                if stale[i] > cfg.patience:
-                    live.remove(i)
-        if not live:
-            break
-    runs = []
-    for i, seed in enumerate(cfg.seeds):
-        test = splits[i].test
-        pred = np.argmax(forward(stack_params([best[i][1]]), feats)[1][0][test], axis=1)
-        acc = float(np.mean(pred == labels[test]))
+                stale += 1
+                if stale > cfg.patience:
+                    break
+        pred = np.argmax(forward(best[1], feats)[1][split.test], axis=1)
+        acc = float(np.mean(pred == labels[split.test]))
         runs.append(
             {
                 "seed": seed,
                 "accuracy": acc,
                 "micro_f1": acc,
-                "best_epoch": best[i][2],
-                "train_loss_curve": train_curves[i],
-                "val_loss_curve": val_curves[i],
+                "best_epoch": best[2],
+                "train_loss_curve": train_curve,
+                "val_loss_curve": val_curve,
             }
         )
+        kept.append(best[1])
     report = MetricsReport.from_runs(
         "node", "accuracy", runs, extras={"n": g.n, "counts": complex_.counts()}
     )
-    return report, [b[1] for b in best]
+    return report, kept
 
 
 def graph_classify(graphs, labels, cfg):
@@ -216,12 +199,10 @@ def graph_classify(graphs, labels, cfg):
         curve = []
         for _ in range(cfg.resolved_epochs):
             _, grads = readout_loss_and_grad(
-                stack_params([params]), feats, sizes, labels, [train_idx], cfg.readout,
-                cfg.weight_decay,
+                params, feats, sizes, labels, train_idx, cfg.readout, cfg.weight_decay
             )
-            params, state = adam_step(params, grads[0], state, cfg.lr)
-            pred = predict_graph_labels(stack_params([params]), feats, sizes, cfg.readout)
-            pred = pred[0][val_idx]
+            params, state = adam_step(params, grads, state, cfg.lr)
+            pred = predict_graph_labels(params, feats, sizes, cfg.readout)[val_idx]
             curve.append(float(np.mean(pred == labels[val_idx])))
         fold_curves.append(curve)
     per_epoch = np.array(fold_curves).mean(axis=0)
